@@ -36,12 +36,10 @@ from .preprocess import (
 from .loss import (
     VariationalState,
     LossBreakdown,
-    InitLossConfig,
     kl_gaussian,
     expected_reconstruction_observed,
     population_reconstruction,
     total_loss,
-    init_loss,
     reparameterize_sample,
     recover_path_parameters,
 )
@@ -50,7 +48,6 @@ from .estimator import (
     EstimationResult,
     closed_form_channel_update,
     aoa_gradient_observed,
-    aoa_descent_step,
     estimate,
 )
 from .landscape import (
@@ -89,19 +86,16 @@ __all__ = [
     "sector_grid",
     "VariationalState",
     "LossBreakdown",
-    "InitLossConfig",
     "kl_gaussian",
     "expected_reconstruction_observed",
     "population_reconstruction",
     "total_loss",
-    "init_loss",
     "reparameterize_sample",
     "recover_path_parameters",
     "OptimizerConfig",
     "EstimationResult",
     "closed_form_channel_update",
     "aoa_gradient_observed",
-    "aoa_descent_step",
     "estimate",
     "GlobalOptimaSet",
     "StationaryPointSet",

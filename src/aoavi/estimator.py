@@ -2,8 +2,8 @@
 
 The channel path has an exact coordinate minimizer (a ridge-regularized
 projection), so it is updated in closed form. The AoA path moves by projected
-gradient descent with a backtracking line search. The two alternate after a
-pseudo-label initialization phase, so the overall objective never increases.
+gradient descent with a backtracking line search. Starting from the
+pseudo-labels, the two alternate, so the overall objective never increases.
 
 Each observation is optimized independently; nothing is amortized across
 observations.
@@ -12,17 +12,14 @@ observations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .loss import (
-    InitLossConfig,
     LossBreakdown,
-    PriorSpec,
     VariationalState,
-    _prior_list,
     _reconstruction_sum_raw,
     kl_gaussian,
     recover_path_parameters,
@@ -41,24 +38,24 @@ class OptimizerConfig:
     """Knobs of the alternating optimizer.
 
     aoa_step_size is radians per unit gradient before backtracking;
-    phase1_iterations outer iterations keep the AoAs pinned to their
-    initial values while the channel posterior settles.
+    max_outer_iterations bounds the loss trace length, counting the
+    initial entry at the starting AoAs. The optimizer stops once the AoA
+    gradient max-norm falls below aoa_gradient_tolerance or one iteration
+    lowers the loss by less than loss_tolerance.
     """
 
     aoa_step_size: float = 1e-2
     max_outer_iterations: int = 500
     aoa_gradient_tolerance: float = 1e-7
     loss_tolerance: float = 1e-10
-    init_config: InitLossConfig = field(default_factory=lambda: InitLossConfig(gamma=1.0))
-    phase1_iterations: int = 1
 
     def __post_init__(self):
         if not (self.aoa_step_size > 0 and self.aoa_gradient_tolerance > 0):
             raise ValueError("step size and gradient tolerance must be positive")
         if not self.loss_tolerance > 0:
             raise ValueError("loss_tolerance must be positive")
-        if not (0 < self.phase1_iterations <= self.max_outer_iterations):
-            raise ValueError("need 0 < phase1_iterations <= max_outer_iterations")
+        if self.max_outer_iterations < 1:
+            raise ValueError("max_outer_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -83,17 +80,8 @@ class EstimationResult:
                 raise ValueError("loss trace must be non-increasing (1e-9 slack)")
 
 
-def _shared_prior(priors: PriorSpec) -> Optional[ChannelPrior]:
-    if isinstance(priors, ChannelPrior):
-        return priors
-    priors = list(priors)
-    if all(p is priors[0] for p in priors):
-        return priors[0]
-    return None
-
-
 def closed_form_channel_update(
-    obs: ObservationSet, aoa_estimate: AoAVector, priors: PriorSpec
+    obs: ObservationSet, aoa_estimate: AoAVector, prior: ChannelPrior
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact minimizer of the loss over the channel posterior at fixed AoAs.
 
@@ -103,8 +91,9 @@ def closed_form_channel_update(
         cov    = (P + A^H A / s2)^-1 = s2 (A^H A + s2 P)^-1
 
     with P the prior precision and s2 the noise variance. The same inverse
-    serves both. At s2 = 0 the limit is the pseudo-inverse projection
-    mean_m = A^+ y_m with zero covariance.
+    serves both, so every snapshot gets the same covariance. At s2 = 0 the
+    limit is the pseudo-inverse projection mean_m = A^+ y_m with zero
+    covariance.
 
     Returns (means K x M, covariances M x K x K).
     """
@@ -122,28 +111,14 @@ def closed_form_channel_update(
     gram = a_hat.conj().T @ a_hat
     aty = a_hat.conj().T @ y
 
-    shared = _shared_prior(priors)
-    if shared is not None:
-        prec = np.linalg.inv(shared.covariance)
-        prec = 0.5 * (prec + prec.conj().T)
-        lhs = gram + s2 * prec
-        rhs = aty + (s2 * (prec @ shared.mean))[:, None]
-        means = np.linalg.solve(lhs, rhs)
-        cov = s2 * np.linalg.inv(lhs)
-        cov = 0.5 * (cov + cov.conj().T)
-        covs = np.broadcast_to(cov, (m, k, k)).copy()
-        return means, covs
-
-    plist = _prior_list(priors, m)
-    means = np.empty((k, m), dtype=complex)
-    covs = np.empty((m, k, k), dtype=complex)
-    for idx, prior in enumerate(plist):
-        prec = np.linalg.inv(prior.covariance)
-        prec = 0.5 * (prec + prec.conj().T)
-        lhs = gram + s2 * prec
-        means[:, idx] = np.linalg.solve(lhs, aty[:, idx] + s2 * (prec @ prior.mean))
-        cov = s2 * np.linalg.inv(lhs)
-        covs[idx] = 0.5 * (cov + cov.conj().T)
+    prec = np.linalg.inv(prior.covariance)
+    prec = 0.5 * (prec + prec.conj().T)
+    lhs = gram + s2 * prec
+    rhs = aty + (s2 * (prec @ prior.mean))[:, None]
+    means = np.linalg.solve(lhs, rhs)
+    cov = s2 * np.linalg.inv(lhs)
+    cov = 0.5 * (cov + cov.conj().T)
+    covs = np.broadcast_to(cov, (m, k, k)).copy()
     return means, covs
 
 
@@ -215,7 +190,12 @@ def _backtrack(
     hi: float,
     base_recon: float,
 ) -> tuple[np.ndarray, float, bool]:
-    """Halve the step until the reconstruction sum stops increasing.
+    """One projected descent step on the AoAs at fixed channel parameters.
+
+    The candidate clip(angles - step * gradient, lo, hi) is accepted once
+    the reconstruction sum stops increasing, halving the step up to 40
+    times. Returns (angles, reconstruction sum, accepted); step underflow
+    returns the input angles and base_recon with accepted=False.
 
     Comparison uses the unnormalized sum: the divergence term is fixed
     during an AoA move and the 1/sigma^2 factor is order-preserving.
@@ -234,75 +214,9 @@ def _backtrack(
     return angles, base_recon, False
 
 
-def aoa_descent_step(
-    obs: ObservationSet,
-    state: VariationalState,
-    gradient: np.ndarray,
-    cfg: OptimizerConfig,
-    sector: Sector,
-) -> tuple[VariationalState, bool]:
-    """One projected descent step on the AoAs; channel parameters untouched.
-
-    The candidate clamp_to_sector(theta - step * g) is accepted once the
-    loss stops increasing, halving the step up to 40 times. Step underflow
-    returns the state unchanged with accepted=False.
-    """
-    gradient = np.asarray(gradient, dtype=float)
-    if gradient.shape != (state.k_users,):
-        raise ValueError("gradient must have one entry per user")
-    lo, hi = _sector_bounds(sector)
-    angles = state.aoa_estimate.angles
-    base = _reconstruction_sum_raw(
-        obs.signal, obs.array, angles, state.channel_means, state.channel_covariances
-    )
-    trial, _, accepted = _backtrack(
-        obs.signal,
-        obs.array,
-        angles,
-        state.channel_means,
-        state.channel_covariances,
-        gradient,
-        cfg.aoa_step_size,
-        lo,
-        hi,
-        base,
-    )
-    if not accepted or np.array_equal(trial, angles):
-        return state, accepted
-    return state.with_aoas(trial), True
-
-
-def _kl_total(means: np.ndarray, covs: np.ndarray, priors: PriorSpec) -> float:
-    """Summed per-snapshot divergence; fast path when the prior and the
-    covariance are shared across snapshots (the closed-form update always
-    produces a shared covariance)."""
-    m = means.shape[1]
-    shared = _shared_prior(priors)
-    covs_equal = bool(np.all(covs == covs[0]))
-    if shared is not None and covs_equal:
-        k = shared.k_users
-        cov = covs[0]
-        eigs = np.linalg.eigvalsh(cov)
-        if np.min(eigs) <= 0:
-            raise ValueError("posterior covariance must be positive definite")
-        chol_p = np.linalg.cholesky(shared.covariance)
-        w = np.linalg.solve(chol_p, cov)
-        w = np.linalg.solve(chol_p, w.conj().T).conj().T
-        trace_term = float(np.real(np.trace(w)))
-        logdet_p = 2.0 * float(np.sum(np.log(np.real(np.diag(chol_p)))))
-        logdet_q = float(np.sum(np.log(eigs)))
-        z = np.linalg.solve(chol_p, means - shared.mean[:, None])
-        quad = float(np.real(np.sum(np.conj(z) * z)))
-        return m * (trace_term - k + logdet_p - logdet_q) + quad
-    plist = _prior_list(priors, m)
-    return sum(
-        kl_gaussian(means[:, idx], covs[idx], prior) for idx, prior in enumerate(plist)
-    )
-
-
 def estimate(
     obs: ObservationSet,
-    priors: PriorSpec,
+    prior: ChannelPrior,
     sector: Sector,
     grid: Optional[AngleGrid] = None,
     cfg: OptimizerConfig = OptimizerConfig(),
@@ -310,25 +224,20 @@ def estimate(
     initial_aoas: Optional[Sequence[float]] = None,
     suppression_radius: float = 0.0,
 ) -> EstimationResult:
-    """Run the full two-phase estimation on one observation block.
+    """Estimate the AoAs and channel posterior of one observation block.
 
-    Phase 1 pins the AoAs to the pseudo-labels computed on `grid` (or to
-    `initial_aoas` when given, which disables pseudo-labeling) and solves
-    the channel posterior in closed form. Phase 2 alternates gradient
-    descent on the AoAs with the closed-form channel update until the
-    gradient max-norm falls below tolerance, the per-iteration loss
-    decrease falls below loss_tolerance, or the iteration budget runs out.
+    The AoAs start at the pseudo-labels computed on `grid` (or at
+    `initial_aoas` when given, which disables pseudo-labeling), and the
+    channel posterior is solved there in closed form; that state is the
+    first loss-trace entry. Then gradient descent on the AoAs alternates
+    with the closed-form channel update until the gradient max-norm falls
+    below aoa_gradient_tolerance, one iteration lowers the loss by less
+    than loss_tolerance, or the trace holds max_outer_iterations entries.
 
     At zero noise variance the objective is the plain reconstruction sum
     (the noise-scaled loss limit) and the divergence term is reported as 0.
     """
-    if isinstance(priors, ChannelPrior):
-        k = priors.k_users
-    else:
-        ks = {p.k_users for p in priors}
-        if len(ks) != 1:
-            raise ValueError("all priors must share one user count")
-        k = ks.pop()
+    k = prior.k_users
     s2 = obs.noise_variance
     lo, hi = _sector_bounds(sector)
 
@@ -346,16 +255,14 @@ def estimate(
     def breakdown(means, covs, recon_raw) -> LossBreakdown:
         if s2 == 0.0:
             return LossBreakdown.from_parts(0.0, recon_raw)
-        return LossBreakdown.from_parts(_kl_total(means, covs, priors), recon_raw / s2)
+        return LossBreakdown.from_parts(kl_gaussian(means, covs[0], prior), recon_raw / s2)
 
-    trace: list[LossBreakdown] = []
-    means, covs = closed_form_channel_update(obs, AoAVector(angles), priors)
+    means, covs = closed_form_channel_update(obs, AoAVector(angles), prior)
     recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, covs)
-    for _ in range(cfg.phase1_iterations):
-        trace.append(breakdown(means, covs, recon_raw))
+    trace = [breakdown(means, covs, recon_raw)]
 
     converged = False
-    for _ in range(cfg.max_outer_iterations - cfg.phase1_iterations):
+    for _ in range(cfg.max_outer_iterations - 1):
         grad = _aoa_gradient_raw(obs.signal, obs.array, angles, means, covs, s2, s2 > 0)
         if float(np.max(np.abs(grad))) < cfg.aoa_gradient_tolerance:
             converged = True
@@ -363,7 +270,7 @@ def estimate(
         angles, recon_raw, _accepted = _backtrack(
             obs.signal, obs.array, angles, means, covs, grad, cfg.aoa_step_size, lo, hi, recon_raw
         )
-        means, covs = closed_form_channel_update(obs, AoAVector(angles), priors)
+        means, covs = closed_form_channel_update(obs, AoAVector(angles), prior)
         recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, covs)
         trace.append(breakdown(means, covs, recon_raw))
         if trace[-2].total - trace[-1].total < cfg.loss_tolerance:

@@ -1,8 +1,7 @@
 """The variational objective: a per-snapshot Gaussian KL term plus the
 expected reconstruction error of the received block, with exact analytical
-expectations. Also: the pseudo-label-penalized initialization objective,
-reparameterized sampling for Monte Carlo verification, and polar recovery of
-path parameters.
+expectations. Also: reparameterized sampling for Monte Carlo verification
+and polar recovery of path parameters. All snapshots share one channel prior.
 
 All KL quantities are for circularly symmetric complex Gaussians, where
 
@@ -16,11 +15,9 @@ exactly zero at equality and non-negative everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
-from .preprocess import PseudoLabels
 from .signal_model import (
     AoAVector,
     ArrayConfig,
@@ -30,8 +27,6 @@ from .signal_model import (
     array_matrix,
     _frozen,
 )
-
-PriorSpec = Union[ChannelPrior, Sequence[ChannelPrior]]
 
 
 @dataclass(frozen=True)
@@ -113,37 +108,21 @@ class LossBreakdown:
         )
 
 
-@dataclass(frozen=True)
-class InitLossConfig:
-    """Weight gamma of the pseudo-label attachment penalty."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-
-
-def _prior_list(priors: PriorSpec, n_snapshots: int) -> list[ChannelPrior]:
-    if isinstance(priors, ChannelPrior):
-        return [priors] * n_snapshots
-    priors = list(priors)
-    if len(priors) != n_snapshots:
-        raise ValueError("need one prior per snapshot (or a single shared prior)")
-    return priors
-
-
 def kl_gaussian(q_mean: np.ndarray, q_cov: np.ndarray, prior: ChannelPrior) -> float:
     """KL divergence of CN(q_mean, q_cov) from the prior, constants kept.
 
-    Zero iff the two distributions coincide. Singular q_cov is rejected
-    (the KL is infinite there); the prior covariance is positive definite
-    by construction of ChannelPrior.
+    q_mean is a K-vector, or a K x M matrix whose columns share q_cov; the
+    divergence is then summed over the M columns. Zero iff the two
+    distributions coincide. Singular q_cov is rejected (the KL is infinite
+    there); the prior covariance is positive definite by construction of
+    ChannelPrior.
     """
-    q_mean = np.asarray(q_mean, dtype=complex).reshape(-1)
+    q_mean = np.asarray(q_mean, dtype=complex)
+    if q_mean.ndim == 1:
+        q_mean = q_mean[:, None]
     q_cov = np.asarray(q_cov, dtype=complex)
     k = prior.k_users
-    if q_mean.size != k or q_cov.shape != (k, k):
+    if q_mean.ndim != 2 or q_mean.shape[0] != k or q_cov.shape != (k, k):
         raise ValueError("q dimensions must match the prior")
     q_eigs = np.linalg.eigvalsh(q_cov)
     if np.min(q_eigs) <= 0:
@@ -153,12 +132,11 @@ def kl_gaussian(q_mean: np.ndarray, q_cov: np.ndarray, prior: ChannelPrior) -> f
     w = np.linalg.solve(chol_p, q_cov)
     w = np.linalg.solve(chol_p, w.conj().T).conj().T
     trace_term = float(np.real(np.trace(w)))
-    d = q_mean - prior.mean
-    z = np.linalg.solve(chol_p, d)
-    quad_term = float(np.real(z.conj() @ z))
     logdet_p = 2.0 * float(np.sum(np.log(np.real(np.diag(chol_p)))))
     logdet_q = float(np.sum(np.log(q_eigs)))
-    return trace_term + quad_term - k + (logdet_p - logdet_q)
+    z = np.linalg.solve(chol_p, q_mean - prior.mean[:, None])
+    quad = float(np.real(np.sum(np.conj(z) * z)))
+    return q_mean.shape[1] * (trace_term - k + logdet_p - logdet_q) + quad
 
 
 def expected_reconstruction_observed(
@@ -233,50 +211,16 @@ def population_reconstruction(
     return raw / noise_variance
 
 
-def total_loss(obs: ObservationSet, state: VariationalState, priors: PriorSpec) -> LossBreakdown:
+def total_loss(obs: ObservationSet, state: VariationalState, prior: ChannelPrior) -> LossBreakdown:
     """Negative evidence bound: summed per-snapshot KL plus the normalized
-    expected reconstruction error."""
-    plist = _prior_list(priors, state.n_snapshots)
+    expected reconstruction error. This is the reference evaluator: it
+    takes each snapshot's own covariance, so it also scores states whose
+    covariances differ across snapshots."""
     kl = 0.0
-    for m, prior in enumerate(plist):
+    for m in range(state.n_snapshots):
         kl += kl_gaussian(state.channel_means[:, m], state.channel_covariances[m], prior)
     recon = expected_reconstruction_observed(obs, state)
     return LossBreakdown.from_parts(kl, recon)
-
-
-def init_loss(
-    obs: ObservationSet,
-    state: VariationalState,
-    priors: PriorSpec,
-    pseudo: PseudoLabels,
-    cfg: InitLossConfig,
-) -> float:
-    """Initialization objective: the loss with the AoA estimates replaced by
-    the pseudo-labels in the reconstruction, plus gamma times the squared
-    distance between the sorted estimates and the pseudo-labels."""
-    labels = np.asarray(pseudo.angles, dtype=float)
-    if labels.size != state.k_users:
-        raise ValueError("pseudo-label count must equal the user count")
-    surrogate = state.with_aoas(labels)
-    base = total_loss(obs, surrogate, priors).total
-    est_sorted = np.sort(state.aoa_estimate.angles)
-    penalty = float(np.sum((labels - est_sorted) ** 2))
-    return base + cfg.gamma * penalty
-
-
-def matched_gamma(
-    obs: ObservationSet,
-    state: VariationalState,
-    priors: PriorSpec,
-    pseudo: PseudoLabels,
-    reference_offset: float,
-) -> float:
-    """Gamma that puts the two initialization terms on the same order when the
-    estimates sit one reference_offset (e.g. one grid step) off the labels."""
-    surrogate = state.with_aoas(np.asarray(pseudo.angles, dtype=float))
-    base = total_loss(obs, surrogate, priors).total
-    k = np.asarray(pseudo.angles).size
-    return base / (k * reference_offset**2)
 
 
 def reparameterize_sample(

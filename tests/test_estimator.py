@@ -6,16 +6,17 @@ import pytest
 from aoavi.estimator import (
     EstimationResult,
     OptimizerConfig,
-    aoa_descent_step,
+    _backtrack,
+    _sector_bounds,
     aoa_gradient_observed,
     closed_form_channel_update,
     estimate,
 )
 from aoavi.landscape import enumerate_global_optima, stationary_points
 from aoavi.loss import (
-    InitLossConfig,
     LossBreakdown,
     VariationalState,
+    expected_reconstruction_observed,
     total_loss,
 )
 from aoavi.preprocess import AngleGrid, Sector, sector_grid
@@ -35,9 +36,10 @@ from conftest import make_rng, random_pd, random_prior, random_problem
 
 
 class TestOptimizerConfig:
-    def test_phase1_bounded_by_budget(self):
+    def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
-            OptimizerConfig(max_outer_iterations=5, phase1_iterations=6)
+            OptimizerConfig(max_outer_iterations=0)
+        OptimizerConfig(max_outer_iterations=1)
 
     def test_positive_fields(self):
         with pytest.raises(ValueError):
@@ -91,14 +93,6 @@ class TestClosedFormChannelUpdate:
             assert np.max(np.abs(means[:, m] - direct)) < 1e-12
         direct_cov = s2 * np.linalg.inv(lhs)
         assert np.max(np.abs(covs[0] - direct_cov)) < 1e-12
-
-    def test_prior_list_matches_shared_path(self):
-        rng = make_rng(72)
-        obs, state, prior, *_ = random_problem(rng, n=10, k=2, m=3)
-        m1, c1 = closed_form_channel_update(obs, state.aoa_estimate, prior)
-        m2, c2 = closed_form_channel_update(obs, state.aoa_estimate, [prior] * 3)
-        assert np.max(np.abs(m1 - m2)) < 1e-12
-        assert np.max(np.abs(np.asarray(c1) - np.asarray(c2))) < 1e-12
 
     def test_coordinate_optimality_by_finite_differences(self):
         """After the update the loss gradient in the means vanishes."""
@@ -199,6 +193,26 @@ class TestAoaGradientObserved:
         assert np.max(np.abs(g0 - g1 * obs.noise_variance)) < 1e-9 * np.max(np.abs(g0))
 
 
+def _descent_step(
+    obs, state, gradient, sector=Sector.full_range(), step0=OptimizerConfig().aoa_step_size
+):
+    """_backtrack from state's angles and channel, as estimate() calls it."""
+    lo, hi = _sector_bounds(sector)
+    base = expected_reconstruction_observed(obs, state, normalized=False)
+    return _backtrack(
+        obs.signal,
+        obs.array,
+        state.aoa_estimate.angles,
+        state.channel_means,
+        state.channel_covariances,
+        np.asarray(gradient, dtype=float),
+        step0,
+        lo,
+        hi,
+        base,
+    )
+
+
 class TestAoaDescentStep:
     def _state_and_obs(self, rng):
         obs, state, prior, *_ = random_problem(rng, n=12, k=1, m=4)
@@ -211,34 +225,31 @@ class TestAoaDescentStep:
     def test_zero_gradient_is_identity(self):
         rng = make_rng(78)
         obs, state, prior = self._state_and_obs(rng)
-        out, accepted = aoa_descent_step(
-            obs, state, np.zeros(1), OptimizerConfig(), Sector.full_range()
-        )
+        angles, recon, accepted = _descent_step(obs, state, np.zeros(1))
         assert accepted
-        assert np.array_equal(out.aoa_estimate.angles, state.aoa_estimate.angles)
+        assert np.array_equal(angles, state.aoa_estimate.angles)
+        assert recon == expected_reconstruction_observed(obs, state, normalized=False)
 
     def test_descent_reduces_loss(self):
         rng = make_rng(79)
         obs, state, prior = self._state_and_obs(rng)
         grad = aoa_gradient_observed(obs, state)
         assert abs(grad[0]) > 0
-        out, accepted = aoa_descent_step(
-            obs, state, grad, OptimizerConfig(), Sector.full_range()
-        )
+        angles, recon, accepted = _descent_step(obs, state, grad)
         assert accepted
+        assert not np.array_equal(angles, state.aoa_estimate.angles)
         before = total_loss(obs, state, prior).reconstruction_term
-        after = total_loss(obs, out, prior).reconstruction_term
+        after = total_loss(obs, state.with_aoas(angles), prior).reconstruction_term
         assert after <= before
 
     def test_channel_untouched(self):
+        """The returned sum scores the new angles at the given channel."""
         rng = make_rng(80)
         obs, state, prior = self._state_and_obs(rng)
         grad = aoa_gradient_observed(obs, state)
-        out, _ = aoa_descent_step(obs, state, grad, OptimizerConfig(), Sector.full_range())
-        assert np.array_equal(out.channel_means, state.channel_means)
-        assert np.array_equal(
-            np.asarray(out.channel_covariances), np.asarray(state.channel_covariances)
-        )
+        angles, recon, _ = _descent_step(obs, state, grad)
+        moved = state.with_aoas(angles)
+        assert recon == expected_reconstruction_observed(obs, moved, normalized=False)
 
     def test_clamps_exactly_to_sector_edge(self):
         rng = make_rng(81)
@@ -258,10 +269,9 @@ class TestAoaDescentStep:
         )
         grad = aoa_gradient_observed(obs, state)
         assert grad[0] < 0  # pull toward larger angles, out of the sector
-        big_step = OptimizerConfig(aoa_step_size=10.0)
-        out, accepted = aoa_descent_step(obs, state, grad, big_step, sector)
+        angles, _, accepted = _descent_step(obs, state, grad, sector, step0=10.0)
         assert accepted
-        assert out.aoa_estimate.angles[0] == sector.hi
+        assert angles[0] == sector.hi
 
     def test_underflow_returns_unchanged_with_flag(self):
         rng = make_rng(82)
@@ -276,10 +286,10 @@ class TestAoaDescentStep:
             channel_covariances=np.zeros((1, 1), complex),
         )
         # exact optimum: any move along a fake gradient raises the loss
-        fake = np.array([1.0])
-        out, accepted = aoa_descent_step(obs, state, fake, OptimizerConfig(), Sector.full_range())
+        angles, recon, accepted = _descent_step(obs, state, np.array([1.0]))
         assert not accepted
-        assert np.array_equal(out.aoa_estimate.angles, aoas.angles)
+        assert np.array_equal(angles, aoas.angles)
+        assert recon == expected_reconstruction_observed(obs, state, normalized=False)
 
 
 class TestEstimationResult:
@@ -347,14 +357,40 @@ class TestEstimate:
         assert all(math.isfinite(b.total) for b in result.loss_trace)
         assert result.path_gains.shape == (1, 40)
 
-    def test_phase1_repeats_anchor_loss(self):
+    def test_budget_of_one_keeps_start(self):
+        """The trace opens with one entry at the start; a budget of one
+        stops there."""
         rng = make_rng(85)
         obs, prior, aoas = self._scenario(rng, snr_db=15.0, m=10, n=16)
         sector = Sector(center=0.0, width=2 * math.pi / 3)
-        cfg = OptimizerConfig(phase1_iterations=3)
-        result = estimate(obs, prior, sector, sector_grid(sector, math.radians(0.5)), cfg)
-        t = [b.total for b in result.loss_trace]
-        assert t[0] == t[1] == t[2]
+        grid = sector_grid(sector, math.radians(0.5))
+        short = estimate(obs, prior, sector, grid, OptimizerConfig(max_outer_iterations=1))
+        full = estimate(obs, prior, sector, grid)
+        assert short.iterations_used == len(short.loss_trace) == 1
+        assert not short.converged
+        assert short.loss_trace[0] == full.loss_trace[0]
+        assert len(full.loss_trace) > 1
+
+    @pytest.mark.parametrize(
+        "truth_deg, start_deg", [([11.0], [11.4]), ([-20.0, 25.0], [-19.5, 24.6])]
+    )
+    def test_final_trace_entry_matches_total_loss(self, truth_deg, start_deg):
+        """The estimator's trace and the reference evaluator agree."""
+        rng = make_rng(91)
+        arr = ArrayConfig(16, 0.5)
+        aoas = AoAVector(np.radians(truth_deg))
+        prior = random_prior(len(truth_deg), rng)
+        ch = sample_channel(prior, 12, rng)
+        s2 = snr_to_noise_variance(10.0, arr, prior, aoas)
+        obs = synthesize_observation(arr, aoas, ch, s2, rng)
+        result = estimate(obs, prior, Sector.full_range(), initial_aoas=np.radians(start_deg))
+        last = result.loss_trace[-1]
+        ref = total_loss(obs, result.state, prior)
+        assert ref.kl_term > 0
+        assert abs(last.kl_term - ref.kl_term) <= 1e-10 * ref.kl_term
+        assert abs(last.reconstruction_term - ref.reconstruction_term) <= (
+            1e-10 * ref.reconstruction_term
+        )
 
     def test_noiseless_input_runs_unnormalized(self):
         rng = make_rng(86)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import aoavi.harness
 from aoavi.estimator import OptimizerConfig, estimate
 from aoavi.harness import (
     BENCHMARK_CSV_HEADER,
@@ -216,6 +217,24 @@ class TestRunBenchmark:
         assert proposed.failures == 0
         assert math.isfinite(proposed.mse_aoa)
 
+    def test_numerical_failure_counted(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(aoavi.harness, "estimate", singular)
+        rows = run_benchmark(_single_user_scenario(n_trials=2))
+        proposed = next(r for r in rows if r.method == PROPOSED)
+        assert proposed.failures == proposed.trials == 2
+        assert math.isnan(proposed.mse_aoa)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("estimate() got an unexpected keyword argument")
+
+        monkeypatch.setattr(aoavi.harness, "estimate", broken)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run_benchmark(_single_user_scenario(n_trials=1))
+
     def test_error_decreases_with_snr_paired_trials(self):
         # paired per-trial errors across the SNR axis, same seeds per trial
         array = ArrayConfig(n_antennas=32, spacing_ratio=0.5)
@@ -301,7 +320,12 @@ def _full_scenario_dict() -> dict:
         "master_seed": 42,
         "sector": {"center_deg": 10.0, "width_deg": 100.0},
         "grid_step_deg": 0.5,
-        "optimizer": {"gamma": 2.5, "phase1_iterations": 4, "aoa_step_size": 0.02},
+        "optimizer": {
+            "aoa_step_size": 0.02,
+            "max_outer_iterations": 300,
+            "aoa_gradient_tolerance": 1e-6,
+            "loss_tolerance": 1e-9,
+        },
         "suppression_radius_deg": 3.0,
     }
 
@@ -320,9 +344,12 @@ class TestScenarioFromDict:
         assert s.sector.center == pytest.approx(math.radians(10.0))
         assert s.sector.width == pytest.approx(math.radians(100.0))
         assert s.grid_step == pytest.approx(math.radians(0.5))
-        assert s.optimizer.init_config.gamma == 2.5
-        assert s.optimizer.phase1_iterations == 4
-        assert s.optimizer.aoa_step_size == 0.02
+        assert s.optimizer == OptimizerConfig(
+            aoa_step_size=0.02,
+            max_outer_iterations=300,
+            aoa_gradient_tolerance=1e-6,
+            loss_tolerance=1e-9,
+        )
         assert s.suppression_radius == pytest.approx(math.radians(3.0))
 
     def test_random_in_sector_leaves_aoas_unset(self):
@@ -353,6 +380,13 @@ class TestScenarioFromDict:
         d = _full_scenario_dict()
         d["optimizer"]["learning_rate"] = 0.1
         with pytest.raises(ConfigError, match="learning_rate"):
+            scenario_from_dict(d)
+
+    @pytest.mark.parametrize("key, value", [("gamma", 1.0), ("phase1_iterations", 3)])
+    def test_removed_optimizer_fields_rejected(self, key, value):
+        d = _full_scenario_dict()
+        d["optimizer"][key] = value
+        with pytest.raises(ConfigError, match=key):
             scenario_from_dict(d)
 
     def test_flat_prior_mean_rejected(self):
