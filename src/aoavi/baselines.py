@@ -50,10 +50,17 @@ def music_estimate(obs: ObservationSet, grid: AngleGrid, k_sources: int) -> Musi
     """Subspace AoA estimation over the grid.
 
     The empirical covariance is eigendecomposed; the eigenvectors of the
-    N-K smallest eigenvalues span the noise subspace E. The spectrum is
+    N-K smallest eigenvalues span the noise subspace E, those of the K
+    largest the signal subspace U. The spectrum is
     1 / max(||E^H a(theta)||^2, 1e-8) and the estimates are the K largest
     strict local maxima (3-point test, endpoints eligible), ties broken
     toward the smaller angle.
+
+    Every ULA steering vector has ||a||^2 = N, and E E^H = I - U U^H, so
+    the noise projection is evaluated as N - ||U^H a(theta)||^2: a K x G
+    product instead of an (N-K) x G one. Near a noiseless peak that
+    difference can round to just below zero; the 1e-8 floor absorbs the
+    round-off as it absorbs exact orthogonality.
     """
     if k_sources < 1:
         raise ValueError("k_sources must be at least 1")
@@ -67,10 +74,10 @@ def music_estimate(obs: ObservationSet, grid: AngleGrid, k_sources: int) -> Musi
 
     cov = empirical_covariance(obs)
     _eigvals, eigvecs = np.linalg.eigh(cov)
-    noise_basis = eigvecs[:, : n - k_sources]
+    signal_basis = eigvecs[:, n - k_sources :]
 
     steer = grid_steering(obs.array, grid)
-    denom = np.sum(np.abs(noise_basis.conj().T @ steer) ** 2, axis=0)
+    denom = n - np.sum(np.abs(signal_basis.conj().T @ steer) ** 2, axis=0)
     values = 1.0 / np.maximum(denom, _EIGEN_FLOOR)
     angles = grid.angles()
 

@@ -233,6 +233,9 @@ def estimate(
     with the closed-form channel update until the gradient max-norm falls
     below aoa_gradient_tolerance, one iteration lowers the loss by less
     than loss_tolerance, or the trace holds max_outer_iterations entries.
+    Only the first two count as converged. A line search that cannot lower
+    the loss in 40 halvings stops the descent unconverged, before the
+    channel update, so no repeated trace entry is appended.
 
     At zero noise variance the objective is the plain reconstruction sum
     (the noise-scaled loss limit) and the divergence term is reported as 0.
@@ -267,9 +270,13 @@ def estimate(
         if float(np.max(np.abs(grad))) < cfg.aoa_gradient_tolerance:
             converged = True
             break
-        angles, recon_raw, _accepted = _backtrack(
+        angles, recon_raw, accepted = _backtrack(
             obs.signal, obs.array, angles, means, covs, grad, cfg.aoa_step_size, lo, hi, recon_raw
         )
+        if not accepted:
+            # a stalled line search leaves the angles unchanged; the
+            # repeated loss would otherwise pass the decrement test
+            break
         means, covs = closed_form_channel_update(obs, AoAVector(angles), prior)
         recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, covs)
         trace.append(breakdown(means, covs, recon_raw))

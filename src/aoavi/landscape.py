@@ -373,24 +373,26 @@ def evaluate_surface(
     gains = true_channel.gains
     m = true_channel.n_snapshots
     n = array.n_antennas
-    steer_true = np.column_stack([array_response(array, t) for t in true_aoas.angles])
-    clean = steer_true @ gains
     noise_floor = noise_variance * n * m
 
     if len(axes) == 1 and axes[0].target == "aoa":
         # everything else exact: the loss reduces to the varied user's
-        # power times the steering-vector gap, plus the noise floor
+        # power times the steering-vector gap, plus the noise floor;
+        # Re a(v)^H a(true) = sum_n cos(alpha * n * (sin v - sin true)) is
+        # accumulated one element at a time, so no N x T matrix is built
         ax = axes[0]
         k = ax.user_index
         power = float(np.sum(np.abs(gains[k]) ** 2))
-        vals = ax.values()
-        grid_steer = np.exp(
-            -2j * np.pi * array.spacing_ratio * np.outer(np.arange(n), np.sin(vals))
-        )
-        overlap = np.real(grid_steer.conj().T @ steer_true[:, k])
+        alpha = 2.0 * np.pi * array.spacing_ratio
+        gap = alpha * (np.sin(ax.values()) - math.sin(true_aoas.angles[k]))
+        overlap = np.zeros_like(gap)
+        for i in range(n):
+            overlap += np.cos(i * gap)
         values = power * (2.0 * n - 2.0 * overlap) + noise_floor
         return LossSurface(axes=axes, values=values)
 
+    steer_true = np.column_stack([array_response(array, t) for t in true_aoas.angles])
+    clean = steer_true @ gains
     covs = np.zeros((m, k_users, k_users), dtype=complex)
     shape = tuple(ax.num for ax in axes)
     values = np.empty(shape, dtype=float)

@@ -95,11 +95,21 @@ def empirical_covariance(obs: ObservationSet) -> np.ndarray:
 def _grid_steering(n_antennas: int, spacing_ratio: float, min_angle: float, step: float, n_points: int) -> np.ndarray:
     """Steering matrix over a grid, cached across Monte Carlo trials.
 
-    Returned array is shared; treat as read-only.
+    The phase is built once as a real N x G array in the operation order
+    of array_matrix, and its cos and sin fill the real and imaginary parts,
+    so every column is bit-identical to array_matrix at that grid angle
+    (signed zeros included) without a complex N x G exponent. The returned
+    array is shared and read-only.
     """
     angles = min_angle + step * np.arange(n_points)
     n = np.arange(n_antennas)[:, None]
-    out = np.exp(-2j * np.pi * spacing_ratio * n * np.sin(angles)[None, :])
+    phase = (-2.0 * np.pi * spacing_ratio) * n * np.sin(angles)[None, :]
+    # the complex product in array_matrix adds +0.0 terms, which turn a
+    # -0.0 phase (n = 0, or a zero sine) into +0.0; match its sign bits
+    phase += 0.0
+    out = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
     out.setflags(write=False)
     return out
 

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from aoavi.baselines import MusicSpectrum, ls_channel, music_estimate
 from aoavi.estimator import closed_form_channel_update
-from aoavi.preprocess import AngleGrid, Sector, sector_grid
+from aoavi.preprocess import AngleGrid, Sector, empirical_covariance, grid_steering, sector_grid
 from aoavi.signal_model import (
     AoAVector,
     ArrayConfig,
@@ -61,6 +62,75 @@ class TestMusicEstimate:
             got = np.sort(spectrum.peaks)
             worst_by_trial.append(np.max(np.abs(got - truth)))
         assert np.median(worst_by_trial) < math.radians(0.5)
+
+    @staticmethod
+    def _noise_subspace_oracle(obs, grid, k):
+        """The textbook spectrum 1 / max(||E_n^H a||^2, 1e-8) over the N-K
+        noise eigenvectors, with the same peak rule."""
+        n = obs.array.n_antennas
+        _w, vecs = np.linalg.eigh(empirical_covariance(obs))
+        noise = vecs[:, : n - k]
+        denom = np.sum(np.abs(noise.conj().T @ grid_steering(obs.array, grid)) ** 2, axis=0)
+        values = 1.0 / np.maximum(denom, 1e-8)
+        angles = grid.angles()
+        padded = np.concatenate(([-np.inf], values, [-np.inf]))
+        maxima = np.nonzero((values > padded[:-2]) & (values > padded[2:]))[0]
+
+        def rank(i):
+            return -values[i], angles[i]
+
+        chosen = sorted(maxima, key=rank)[:k]
+        degraded = len(chosen) < k
+        rest = sorted(set(range(values.size)) - set(chosen), key=rank)
+        chosen += rest[: k - len(chosen)]
+        return denom, values, tuple(sorted(float(angles[i]) for i in chosen)), degraded
+
+    @pytest.mark.parametrize("spacing", [0.5, 2.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_signal_subspace_matches_noise_subspace_oracle(self, k, spacing):
+        arr = ArrayConfig(32, spacing)
+        if spacing == 0.5:
+            grid = sector_grid(Sector.full_range(), math.radians(0.05))
+        else:
+            grid = sector_grid(Sector(center=0.0, width=math.radians(28.0)), math.radians(0.01))
+        prior = ChannelPrior(mean=np.zeros(k, complex), covariance=np.eye(k, dtype=complex))
+        rng = make_rng(130 + k)
+        # noiseless block with on-grid sources first: there the floor binds
+        for snr_db in (None, 0.0, 10.0, 20.0):
+            picks = np.sort(rng.choice(np.arange(100, grid.n_points - 100, 300), k, replace=False))
+            aoas = AoAVector(grid.angles()[picks])
+            s2 = 0.0 if snr_db is None else snr_to_noise_variance(snr_db, arr, prior, aoas)
+            obs = synthesize_observation(arr, aoas, sample_channel(prior, 40, rng), s2, rng)
+            denom, ref, peaks, degraded = self._noise_subspace_oracle(obs, grid, k)
+            spectrum = music_estimate(obs, grid, k)
+            if snr_db is None:
+                assert np.all(ref[picks] == 1e8) and np.all(spectrum.values[picks] == 1e8)
+            resolved = denom > 1e-6
+            rel = np.abs(spectrum.values - ref)[resolved] / ref[resolved]
+            assert np.max(rel) <= 1e-9
+            assert spectrum.peaks == peaks
+            assert spectrum.degraded == degraded
+
+    def test_spectrum_working_memory_is_o_k_g(self):
+        """With the grid steering cached, the scan allocates far less than
+        the N x G steering matrix itself; an (N-K) x G complex product
+        would not fit."""
+        rng = make_rng(133)
+        arr = ArrayConfig(32, 2.0)
+        grid = sector_grid(Sector.full_range(), math.radians(0.01))
+        assert grid.n_points == 18001
+        prior = ChannelPrior(mean=np.zeros(1, complex), covariance=np.eye(1, dtype=complex))
+        aoas = AoAVector(np.radians([11.0]))
+        s2 = snr_to_noise_variance(10.0, arr, prior, aoas)
+        obs = synthesize_observation(arr, aoas, sample_channel(prior, 40, rng), s2, rng)
+        grid_steering(arr, grid)
+        tracemalloc.start()
+        try:
+            music_estimate(obs, grid, 1)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * grid.n_points * 16 / 4
 
     def test_scaling_invariance(self):
         rng = make_rng(112)

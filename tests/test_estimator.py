@@ -6,6 +6,7 @@ import pytest
 from aoavi.estimator import (
     EstimationResult,
     OptimizerConfig,
+    _aoa_gradient_raw,
     _backtrack,
     _sector_bounds,
     aoa_gradient_observed,
@@ -391,6 +392,22 @@ class TestEstimate:
         assert abs(last.reconstruction_term - ref.reconstruction_term) <= (
             1e-10 * ref.reconstruction_term
         )
+
+    def test_stalled_line_search_is_not_converged(self, monkeypatch):
+        """With the gradient negated every line-search trial ascends; the
+        stall must stop the descent unconverged, without repeating the
+        last trace entry."""
+        monkeypatch.setattr(
+            "aoavi.estimator._aoa_gradient_raw", lambda *args: -_aoa_gradient_raw(*args)
+        )
+        rng = make_rng(92)
+        obs, prior, aoas = self._scenario(rng, snr_db=10.0)
+        sector = Sector(center=0.0, width=2 * math.pi / 3)
+        result = estimate(obs, prior, sector, initial_aoas=[aoas.angles[0] + 0.01])
+        totals = [b.total for b in result.loss_trace]
+        assert result.converged is False
+        assert result.iterations_used == len(result.loss_trace) == 1
+        assert all(b <= a for a, b in zip(totals, totals[1:]))
 
     def test_noiseless_input_runs_unnormalized(self):
         rng = make_rng(86)

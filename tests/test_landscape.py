@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,39 @@ class TestEvaluateSurface:
         surface = evaluate_surface([axis], arr, aoas, ch)
         direct = _population_slice(arr, THETA_11, axis.values()) * 2  # two snapshots
         assert np.max(np.abs(surface.values - direct)) < 1e-9 * np.max(direct)
+
+    def test_fast_path_matches_generic_loop_second_user_wide_spacing(self):
+        rng = make_rng(141)
+        arr = ArrayConfig(32, 2.0)
+        aoas = AoAVector(np.radians([-20.0, 11.0]))
+        ch = ChannelRealization.from_gains(rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
+        axis = AxisSpec(target="aoa", user_index=1, start=-1.2, stop=1.2, num=301)
+        surface = evaluate_surface([axis], arr, aoas, ch, noise_variance=0.3)
+        direct = []
+        for v in axis.values():
+            angles = np.array(aoas.angles)
+            angles[1] = v
+            state = VariationalState(
+                aoa_estimate=AoAVector(angles),
+                channel_means=ch.gains,
+                channel_covariances=np.zeros((2, 2), complex),
+            )
+            direct.append(population_reconstruction(aoas, ch, state, arr, 0.3))
+        direct = np.asarray(direct)
+        assert np.max(np.abs(surface.values - direct)) < 1e-9 * np.max(direct)
+
+    def test_one_dimensional_scan_builds_no_steering_matrix(self):
+        arr = ArrayConfig(32, 0.5)
+        aoas = AoAVector(np.array([THETA_11]))
+        axis = AxisSpec(target="aoa", user_index=0, start=-math.pi / 2, stop=math.pi / 2, num=3601)
+        ch = _unit_channel(m=40)
+        tracemalloc.start()
+        try:
+            evaluate_surface([axis], arr, aoas, ch)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * axis.num * 16
 
     def _count_global_minima(self, n, spacing, num=36001):
         arr = ArrayConfig(n, spacing)

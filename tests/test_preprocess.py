@@ -19,6 +19,7 @@ from aoavi.signal_model import (
     ChannelPrior,
     ChannelRealization,
     ObservationSet,
+    array_matrix,
     array_response,
     sample_channel,
     synthesize_observation,
@@ -271,3 +272,22 @@ class TestGridSteering:
         mat = grid_steering(arr, grid)
         for i, theta in enumerate(grid.angles()):
             assert np.max(np.abs(mat[:, i] - array_response(arr, theta))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "spacing, center_deg, width_deg, step_deg",
+        [(2.0, 15.0, 30.0, 0.01), (0.5, 0.0, 180.0, 0.05), (0.75, -20.0, 50.0, 0.1)],
+    )
+    def test_bit_identical_to_array_matrix_and_read_only(
+        self, spacing, center_deg, width_deg, step_deg
+    ):
+        arr = ArrayConfig(32, spacing)
+        sector = Sector(center=math.radians(center_deg), width=math.radians(width_deg))
+        grid = sector_grid(sector, math.radians(step_deg))
+        mat = grid_steering(arr, grid)
+        for g, theta in enumerate(grid.angles()):
+            column = array_matrix(arr, AoAVector([theta]))[:, 0]
+            # byte equality: stricter than np.array_equal, it also pins signed zeros
+            assert mat[:, g].tobytes() == column.tobytes()
+        assert not mat.flags.writeable
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
