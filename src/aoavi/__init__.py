@@ -29,7 +29,6 @@ from .preprocess import (
     PseudoLabels,
     Sector,
     empirical_covariance,
-    codebook_correlation,
     pseudo_labels,
     sector_grid,
 )
@@ -40,14 +39,12 @@ from .loss import (
     expected_reconstruction_observed,
     population_reconstruction,
     total_loss,
-    reparameterize_sample,
     recover_path_parameters,
 )
 from .estimator import (
     OptimizerConfig,
     EstimationResult,
     closed_form_channel_update,
-    aoa_gradient_observed,
     estimate,
 )
 from .landscape import (
@@ -81,7 +78,6 @@ __all__ = [
     "PseudoLabels",
     "Sector",
     "empirical_covariance",
-    "codebook_correlation",
     "pseudo_labels",
     "sector_grid",
     "VariationalState",
@@ -90,12 +86,10 @@ __all__ = [
     "expected_reconstruction_observed",
     "population_reconstruction",
     "total_loss",
-    "reparameterize_sample",
     "recover_path_parameters",
     "OptimizerConfig",
     "EstimationResult",
     "closed_form_channel_update",
-    "aoa_gradient_observed",
     "estimate",
     "GlobalOptimaSet",
     "StationaryPointSet",

@@ -28,7 +28,6 @@ from .estimator import estimate
 from .harness import (
     ConfigError,
     LandscapeConfig,
-    Scenario,
     benchmark_csv,
     benchmark_rows_json,
     complex_to_pairs,
@@ -37,11 +36,9 @@ from .harness import (
     run_landscape_export,
     run_metadata,
     scenario_from_dict,
-    trial_rng,
-    _draw_aoas,
+    _trial_block,
 )
 from .preprocess import sector_grid
-from .signal_model import sample_channel, snr_to_noise_variance, synthesize_observation
 
 
 class UsageError(Exception):
@@ -98,18 +95,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _trial_setup(scenario: Scenario, snr_index: int, trial_index: int):
-    """Replicates the benchmark's per-trial synthesis exactly."""
-    rng = trial_rng(scenario.master_seed, snr_index, trial_index)
-    aoas = _draw_aoas(scenario, rng)
-    channel = sample_channel(scenario.prior, scenario.n_snapshots, rng)
-    s2 = snr_to_noise_variance(
-        scenario.snr_db_list[snr_index], scenario.array, scenario.prior, aoas
-    )
-    obs = synthesize_observation(scenario.array, aoas, channel, s2, rng)
-    return aoas, channel, s2, obs
-
-
 def _cmd_simulate(args, config: dict) -> int:
     scenario = scenario_from_dict(config)
     out = _out_dir(args)
@@ -117,7 +102,7 @@ def _cmd_simulate(args, config: dict) -> int:
     blocks = []
     for si, snr in enumerate(scenario.snr_db_list):
         for t in range(scenario.n_trials):
-            aoas, _channel, s2, obs = _trial_setup(scenario, si, t)
+            aoas, _channel, s2, obs = _trial_block(scenario, si, t)
             blocks.append(
                 {
                     "snr_db": float(snr),
@@ -139,7 +124,7 @@ def _cmd_estimate(args, config: dict) -> int:
     scenario = scenario_from_dict(config)
     out = _out_dir(args)
     t0 = time.perf_counter()
-    aoas, _channel, s2, obs = _trial_setup(scenario, 0, 0)
+    aoas, _channel, s2, obs = _trial_block(scenario, 0, 0)
     grid = sector_grid(scenario.sector, scenario.grid_step)
     result = estimate(
         obs,

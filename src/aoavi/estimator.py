@@ -95,18 +95,15 @@ def closed_form_channel_update(
     limit is the pseudo-inverse projection mean_m = A^+ y_m with zero
     covariance.
 
-    Returns (means K x M, covariances M x K x K).
+    Returns (means K x M, the shared covariance K x K).
     """
     a_hat = array_matrix(obs.array, aoa_estimate)
     k = aoa_estimate.k_users
-    m = obs.n_snapshots
     s2 = obs.noise_variance
     y = obs.signal
 
     if s2 == 0.0:
-        means = np.linalg.pinv(a_hat) @ y
-        covs = np.zeros((m, k, k), dtype=complex)
-        return means, covs
+        return np.linalg.pinv(a_hat) @ y, np.zeros((k, k), dtype=complex)
 
     gram = a_hat.conj().T @ a_hat
     aty = a_hat.conj().T @ y
@@ -118,8 +115,7 @@ def closed_form_channel_update(
     means = np.linalg.solve(lhs, rhs)
     cov = s2 * np.linalg.inv(lhs)
     cov = 0.5 * (cov + cov.conj().T)
-    covs = np.broadcast_to(cov, (m, k, k)).copy()
-    return means, covs
+    return means, cov
 
 
 def _aoa_gradient_raw(
@@ -127,10 +123,13 @@ def _aoa_gradient_raw(
     array,
     angles: np.ndarray,
     means: np.ndarray,
-    covs: np.ndarray,
+    cov: np.ndarray,
     noise_variance: float,
     normalized: bool,
 ) -> np.ndarray:
+    """Exact gradient of the reconstruction sum with respect to each AoA,
+    divided by noise_variance when normalized (the loss term's gradient;
+    the divergence part does not involve the AoAs)."""
     a_hat = array_matrix(array, AoAVector(angles))
     n = array.n_antennas
     # phase-slope vector per user: 2*pi*(d/lambda)*cos(theta_k) * [0..N-1]
@@ -141,37 +140,13 @@ def _aoa_gradient_raw(
     cross = np.conj(resid).T @ d_mat
     term1 = np.imag(np.sum(means.T * cross, axis=0))
 
-    cov_sum = covs.sum(axis=0)
-    term2 = np.imag(np.sum(d_mat * np.conj(a_hat @ cov_sum), axis=0))
+    # sum_m Cov_m = M Cov
+    term2 = np.imag(np.sum(d_mat * np.conj(a_hat @ (means.shape[1] * cov)), axis=0))
 
     grad = 2.0 * (term1 + term2)
     if normalized:
         grad = grad / noise_variance
     return grad
-
-
-def aoa_gradient_observed(
-    obs: ObservationSet, state: VariationalState, *, normalized: bool = True
-) -> np.ndarray:
-    """Exact gradient of the loss with respect to each AoA estimate.
-
-    The divergence part of the loss does not involve the AoAs, so only the
-    reconstruction term contributes. normalized=False differentiates the
-    unnormalized reconstruction sum instead (the zero-noise objective);
-    normalized=True requires a positive noise variance. Matches central
-    finite differences to first order.
-    """
-    if normalized and obs.noise_variance == 0:
-        raise ValueError("normalized gradient undefined at zero noise variance")
-    return _aoa_gradient_raw(
-        obs.signal,
-        obs.array,
-        state.aoa_estimate.angles,
-        state.channel_means,
-        state.channel_covariances,
-        obs.noise_variance,
-        normalized,
-    )
 
 
 def _sector_bounds(sector: Sector) -> tuple[float, float]:
@@ -183,7 +158,7 @@ def _backtrack(
     array,
     angles: np.ndarray,
     means: np.ndarray,
-    covs: np.ndarray,
+    cov: np.ndarray,
     gradient: np.ndarray,
     step0: float,
     lo: float,
@@ -207,7 +182,7 @@ def _backtrack(
     step = min(step0, _MAX_FIRST_STEP_RAD / gmax)
     for _ in range(_MAX_HALVINGS + 1):
         trial = np.clip(angles - step * gradient, lo, hi)
-        recon = _reconstruction_sum_raw(signal, array, trial, means, covs)
+        recon = _reconstruction_sum_raw(signal, array, trial, means, cov)
         if recon <= base_recon:
             return trial, recon, True
         step *= 0.5
@@ -255,37 +230,37 @@ def estimate(
         start = np.asarray(labels.angles, dtype=float)
     angles = np.clip(start, lo, hi)
 
-    def breakdown(means, covs, recon_raw) -> LossBreakdown:
+    def breakdown(means, cov, recon_raw) -> LossBreakdown:
         if s2 == 0.0:
             return LossBreakdown.from_parts(0.0, recon_raw)
-        return LossBreakdown.from_parts(kl_gaussian(means, covs[0], prior), recon_raw / s2)
+        return LossBreakdown.from_parts(kl_gaussian(means, cov, prior), recon_raw / s2)
 
-    means, covs = closed_form_channel_update(obs, AoAVector(angles), prior)
-    recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, covs)
-    trace = [breakdown(means, covs, recon_raw)]
+    means, cov = closed_form_channel_update(obs, AoAVector(angles), prior)
+    recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, cov)
+    trace = [breakdown(means, cov, recon_raw)]
 
     converged = False
     for _ in range(cfg.max_outer_iterations - 1):
-        grad = _aoa_gradient_raw(obs.signal, obs.array, angles, means, covs, s2, s2 > 0)
+        grad = _aoa_gradient_raw(obs.signal, obs.array, angles, means, cov, s2, s2 > 0)
         if float(np.max(np.abs(grad))) < cfg.aoa_gradient_tolerance:
             converged = True
             break
         angles, recon_raw, accepted = _backtrack(
-            obs.signal, obs.array, angles, means, covs, grad, cfg.aoa_step_size, lo, hi, recon_raw
+            obs.signal, obs.array, angles, means, cov, grad, cfg.aoa_step_size, lo, hi, recon_raw
         )
         if not accepted:
             # a stalled line search leaves the angles unchanged; the
             # repeated loss would otherwise pass the decrement test
             break
-        means, covs = closed_form_channel_update(obs, AoAVector(angles), prior)
-        recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, covs)
-        trace.append(breakdown(means, covs, recon_raw))
+        means, cov = closed_form_channel_update(obs, AoAVector(angles), prior)
+        recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, cov)
+        trace.append(breakdown(means, cov, recon_raw))
         if trace[-2].total - trace[-1].total < cfg.loss_tolerance:
             converged = True
             break
 
     state = VariationalState(
-        aoa_estimate=AoAVector(angles), channel_means=means, channel_covariances=covs
+        aoa_estimate=AoAVector(angles), channel_means=means, channel_covariance=cov
     )
     path_gains, path_angles = recover_path_parameters(means)
     return EstimationResult(

@@ -167,6 +167,19 @@ def _draw_aoas(scenario: Scenario, rng: np.random.Generator) -> AoAVector:
     return AoAVector(draw)
 
 
+def _trial_block(scenario: Scenario, snr_index: int, trial_index: int):
+    """The seeded draw of one trial: true AoAs, channel, noise variance and
+    the observation block, in the order the seeding contract fixes."""
+    rng = trial_rng(scenario.master_seed, snr_index, trial_index)
+    aoas = _draw_aoas(scenario, rng)
+    channel = sample_channel(scenario.prior, scenario.n_snapshots, rng)
+    s2 = snr_to_noise_variance(
+        scenario.snr_db_list[snr_index], scenario.array, scenario.prior, aoas
+    )
+    obs = synthesize_observation(scenario.array, aoas, channel, s2, rng)
+    return aoas, channel, s2, obs
+
+
 def run_benchmark(scenario: Scenario) -> list[MetricRow]:
     """Full Monte Carlo sweep: for every SNR and trial, synthesize one
     observation block and run both methods on it. Per-trial numerical
@@ -182,11 +195,7 @@ def run_benchmark(scenario: Scenario) -> list[MetricRow]:
             for name in (PROPOSED, MUSIC_LS)
         }
         for t in range(scenario.n_trials):
-            rng = trial_rng(scenario.master_seed, si, t)
-            aoas = _draw_aoas(scenario, rng)
-            channel = sample_channel(scenario.prior, scenario.n_snapshots, rng)
-            s2 = snr_to_noise_variance(snr, scenario.array, scenario.prior, aoas)
-            obs = synthesize_observation(scenario.array, aoas, channel, s2, rng)
+            aoas, channel, _s2, obs = _trial_block(scenario, si, t)
 
             t0 = time.perf_counter()
             try:

@@ -351,7 +351,7 @@ def evaluate_surface(
 ) -> LossSurface:
     """Population loss over a dense 1-D or 2-D grid, every non-varied
     parameter held at its true value (posterior means equal the true gains,
-    posterior covariances zero).
+    posterior covariance zero).
 
     The grid may not exceed 1e7 points.
     """
@@ -393,7 +393,7 @@ def evaluate_surface(
 
     steer_true = np.column_stack([array_response(array, t) for t in true_aoas.angles])
     clean = steer_true @ gains
-    covs = np.zeros((m, k_users, k_users), dtype=complex)
+    cov = np.zeros((k_users, k_users), dtype=complex)
     shape = tuple(ax.num for ax in axes)
     values = np.empty(shape, dtype=float)
     axis_vals = [ax.values() for ax in axes]
@@ -408,6 +408,6 @@ def evaluate_surface(
                 row = gains[ax.user_index]
                 means[ax.user_index] = np.abs(row) * np.exp(1j * v)
         values[idx] = (
-            _reconstruction_sum_raw(clean, array, angles, means, covs) + noise_floor
+            _reconstruction_sum_raw(clean, array, angles, means, cov) + noise_floor
         )
     return LossSurface(axes=axes, values=values)

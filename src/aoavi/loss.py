@@ -1,7 +1,7 @@
 """The variational objective: a per-snapshot Gaussian KL term plus the
 expected reconstruction error of the received block, with exact analytical
-expectations. Also: reparameterized sampling for Monte Carlo verification
-and polar recovery of path parameters. All snapshots share one channel prior.
+expectations. Also: polar recovery of path parameters. All snapshots share
+one channel prior and one K x K posterior covariance.
 
 All KL quantities are for circularly symmetric complex Gaussians, where
 
@@ -32,37 +32,35 @@ from .signal_model import (
 @dataclass(frozen=True)
 class VariationalState:
     """Factorized posterior parameters: point AoA estimates plus a complex
-    Gaussian CN(mean_m, cov_m) per snapshot for the channel gains.
+    Gaussian CN(mean_m, cov) per snapshot for the channel gains.
 
     channel_means is K x M (column m belongs to snapshot m);
-    channel_covariances is M x K x K (a single K x K is broadcast to all
-    snapshots). Covariances must be Hermitian PSD within 1e-10.
+    channel_covariance is one K x K matrix shared by every snapshot, as
+    the closed-form channel update produces it. It must be Hermitian PSD
+    within 1e-10.
     """
 
     aoa_estimate: AoAVector
     channel_means: np.ndarray
-    channel_covariances: np.ndarray
+    channel_covariance: np.ndarray
 
     def __post_init__(self):
         mu = np.asarray(self.channel_means, dtype=complex)
         if mu.ndim != 2:
             raise ValueError("channel_means must be K x M")
-        k, m = mu.shape
+        k = mu.shape[0]
         if k != self.aoa_estimate.k_users:
             raise ValueError("channel_means row count must equal the user count")
-        cov = np.asarray(self.channel_covariances, dtype=complex)
-        if cov.shape == (k, k):
-            cov = np.broadcast_to(cov, (m, k, k)).copy()
-        if cov.shape != (m, k, k):
-            raise ValueError("channel_covariances must be M x K x K (or K x K)")
-        herm_err = np.max(np.abs(cov - np.conj(np.swapaxes(cov, -1, -2))))
-        if herm_err > 1e-10:
-            raise ValueError("covariances must be Hermitian within 1e-10")
-        scale = max(1.0, float(np.max(np.abs(cov))) if cov.size else 1.0)
+        cov = np.asarray(self.channel_covariance, dtype=complex)
+        if cov.shape != (k, k):
+            raise ValueError("channel_covariance must be K x K")
+        if np.max(np.abs(cov - cov.conj().T)) > 1e-10:
+            raise ValueError("covariance must be Hermitian within 1e-10")
+        scale = max(1.0, float(np.max(np.abs(cov))))
         if np.min(np.linalg.eigvalsh(cov)) < -1e-10 * scale:
-            raise ValueError("covariances must be positive semidefinite")
+            raise ValueError("covariance must be positive semidefinite")
         object.__setattr__(self, "channel_means", _frozen(mu))
-        object.__setattr__(self, "channel_covariances", _frozen(cov))
+        object.__setattr__(self, "channel_covariance", _frozen(cov))
 
     @property
     def n_snapshots(self) -> int:
@@ -77,7 +75,7 @@ class VariationalState:
         return VariationalState(
             aoa_estimate=AoAVector(angles),
             channel_means=self.channel_means,
-            channel_covariances=self.channel_covariances,
+            channel_covariance=self.channel_covariance,
         )
 
 
@@ -146,12 +144,18 @@ def expected_reconstruction_observed(
 
     Normalized form (the loss term):
 
-        (1/sigma^2) * sum_m [ ||y_m - A_hat mu_m||^2 + tr(A_hat Cov_m A_hat^H) ]
+        (1/sigma^2) * [ ||Y - A_hat mu||_F^2 + M tr(A_hat Cov A_hat^H) ]
 
     normalized=False drops the 1/sigma^2 factor (used for noiseless paths and
     landscape work). sigma^2 = 0 with normalized=True is rejected.
     """
-    raw = _reconstruction_sum(obs.signal, state, obs.array)
+    raw = _reconstruction_sum_raw(
+        obs.signal,
+        obs.array,
+        state.aoa_estimate.angles,
+        state.channel_means,
+        state.channel_covariance,
+    )
     if not normalized:
         return raw
     if obs.noise_variance == 0:
@@ -164,26 +168,16 @@ def _reconstruction_sum_raw(
     array: ArrayConfig,
     angles: np.ndarray,
     means: np.ndarray,
-    covariances: np.ndarray,
+    cov: np.ndarray,
 ) -> float:
     """Reconstruction sum on raw arrays; hot path for line searches."""
     a_hat = array_matrix(array, AoAVector(np.asarray(angles, dtype=float)))
     resid = signal - a_hat @ means
     sq = float(np.real(np.vdot(resid, resid)))
     gram = a_hat.conj().T @ a_hat
-    # sum_m tr(A Cov_m A^H) = sum_m tr(gram Cov_m)
-    trace = float(np.real(np.einsum("ij,mji->", gram, covariances)))
+    # sum_m tr(A Cov A^H) = M tr(gram Cov)
+    trace = means.shape[1] * float(np.real(np.sum(gram * cov.T)))
     return sq + trace
-
-
-def _reconstruction_sum(signal: np.ndarray, state: VariationalState, array: ArrayConfig) -> float:
-    return _reconstruction_sum_raw(
-        signal,
-        array,
-        state.aoa_estimate.angles,
-        state.channel_means,
-        state.channel_covariances,
-    )
 
 
 def population_reconstruction(
@@ -198,12 +192,21 @@ def population_reconstruction(
     """Noise-averaged reconstruction error (the landscape objective).
 
     Per snapshot: (A h_m - A_hat mu_m)^H (A h_m - A_hat mu_m) + sigma^2 N
-    + tr(A_hat Cov_m A_hat^H). Returned unnormalized by default;
+    + tr(A_hat Cov A_hat^H). Returned unnormalized by default;
     normalized=True divides by sigma^2.
     """
     clean = array_matrix(array, true_aoas) @ true_channel.gains
     m = true_channel.n_snapshots
-    raw = _reconstruction_sum(clean, state, array) + noise_variance * array.n_antennas * m
+    raw = (
+        _reconstruction_sum_raw(
+            clean,
+            array,
+            state.aoa_estimate.angles,
+            state.channel_means,
+            state.channel_covariance,
+        )
+        + noise_variance * array.n_antennas * m
+    )
     if not normalized:
         return raw
     if noise_variance == 0:
@@ -212,32 +215,12 @@ def population_reconstruction(
 
 
 def total_loss(obs: ObservationSet, state: VariationalState, prior: ChannelPrior) -> LossBreakdown:
-    """Negative evidence bound: summed per-snapshot KL plus the normalized
-    expected reconstruction error. This is the reference evaluator: it
-    takes each snapshot's own covariance, so it also scores states whose
-    covariances differ across snapshots."""
-    kl = 0.0
-    for m in range(state.n_snapshots):
-        kl += kl_gaussian(state.channel_means[:, m], state.channel_covariances[m], prior)
-    recon = expected_reconstruction_observed(obs, state)
-    return LossBreakdown.from_parts(kl, recon)
-
-
-def reparameterize_sample(
-    state: VariationalState, snapshot: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One posterior draw of snapshot m's gains: mu_m + L eps with L L^H the
-    covariance and eps circular standard complex Gaussian."""
-    cov = state.channel_covariances[snapshot]
-    k = state.k_users
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        # PSD but singular: eigenvalue square root, tiny negatives clipped
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-    eps = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) * np.sqrt(0.5)
-    return state.channel_means[:, snapshot] + factor @ eps
+    """Negative evidence bound: the KL of every snapshot's posterior from
+    the prior, summed over snapshots, plus the normalized expected
+    reconstruction error. estimate() scores its loss trace with the same
+    two calls, so its entries equal this evaluator's value exactly."""
+    kl = kl_gaussian(state.channel_means, state.channel_covariance, prior)
+    return LossBreakdown.from_parts(kl, expected_reconstruction_observed(obs, state))
 
 
 def recover_path_parameters(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

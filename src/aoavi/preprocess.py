@@ -119,18 +119,9 @@ def grid_steering(array: ArrayConfig, grid: AngleGrid) -> np.ndarray:
     return _grid_steering(array.n_antennas, array.spacing_ratio, grid.min_angle, grid.step, grid.n_points)
 
 
-def codebook_correlation(obs: ObservationSet, theta: float) -> float:
-    """Empirical correlation r(theta, Y) = (1/M) |1_M^T Y^H a(theta)|.
-
-    Invariant to a global phase rotation of Y.
-    """
-    n = np.arange(obs.array.n_antennas)
-    a = np.exp(-2j * np.pi * obs.array.spacing_ratio * n * np.sin(theta))
-    return float(np.abs(np.sum(obs.signal.conj().T @ a)) / obs.n_snapshots)
-
-
 def _correlation_profile(obs: ObservationSet, grid: AngleGrid) -> np.ndarray:
-    """codebook_correlation evaluated at every grid angle (vectorized)."""
+    """Empirical codebook correlation r(theta, Y) = (1/M) |1_M^T Y^H a(theta)|
+    at every grid angle. Invariant to a global phase rotation of Y."""
     steer = grid_steering(obs.array, grid)
     # sum_m y_m^H a(theta) = (column-summed Y)^H a(theta)
     colsum = np.sum(obs.signal, axis=1)

@@ -65,11 +65,13 @@ def random_problem(
     means = channel.gains + 0.3 * (
         rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
     )
-    covs = np.stack([random_pd(k, rng, scale=0.05) for _ in range(m)])
+    # M draws, so callers that keep using rng see the same stream; every
+    # snapshot shares the first
+    covs = [random_pd(k, rng, scale=0.05) for _ in range(m)]
     state = VariationalState(
         aoa_estimate=AoAVector(np.sort(est_angles)),
         channel_means=means,
-        channel_covariances=covs,
+        channel_covariance=covs[0],
     )
     return obs, state, prior, aoas, channel
 

@@ -16,7 +16,7 @@ from scipy import optimize, stats
 from aoavi.cli import main as cli_main
 from aoavi.estimator import (
     OptimizerConfig,
-    aoa_gradient_observed,
+    _aoa_gradient_raw,
     closed_form_channel_update,
     estimate,
 )
@@ -40,7 +40,6 @@ from aoavi.loss import (
     expected_reconstruction_observed,
     kl_gaussian,
     population_reconstruction,
-    total_loss,
 )
 from aoavi.preprocess import AngleGrid, Sector, grid_steering, sector_grid
 from aoavi.signal_model import (
@@ -74,8 +73,10 @@ def _random_pd(k: int, rng: np.random.Generator) -> np.ndarray:
 
 def _random_state(k: int, m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     means = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) / math.sqrt(2)
-    covs = np.stack([0.2 * _random_pd(k, rng) for _ in range(m)])
-    return means, covs
+    # M draws keep the random stream of later instances fixed; every
+    # snapshot shares the first
+    covs = [0.2 * _random_pd(k, rng) for _ in range(m)]
+    return means, covs[0]
 
 
 def _vec_population_gradient(array: ArrayConfig, true_angle: float, th: np.ndarray) -> np.ndarray:
@@ -142,7 +143,7 @@ def test_01_alias_enumeration_and_landscape_scan(report):
             state = VariationalState(
                 AoAVector([angles[j]]),
                 np.ones((1, 1), dtype=complex),
-                np.zeros((1, 1, 1), dtype=complex),
+                np.zeros((1, 1), dtype=complex),
             )
             lib = population_reconstruction(
                 AoAVector([true_angle]), channel, state, array, 0.0
@@ -164,7 +165,7 @@ def test_01_alias_enumeration_and_landscape_scan(report):
     base_state = VariationalState(
         AoAVector([true_angle]),
         np.ones((1, 1), dtype=complex),
-        np.zeros((1, 1, 1), dtype=complex),
+        np.zeros((1, 1), dtype=complex),
     )
     at_truth = population_reconstruction(
         AoAVector([true_angle]), channel, base_state, array, 1.0
@@ -173,7 +174,7 @@ def test_01_alias_enumeration_and_landscape_scan(report):
         state = VariationalState(
             AoAVector([alias]),
             np.ones((1, 1), dtype=complex),
-            np.zeros((1, 1, 1), dtype=complex),
+            np.zeros((1, 1), dtype=complex),
         )
         val = population_reconstruction(
             AoAVector([true_angle]), channel, state, array, 1.0
@@ -219,19 +220,27 @@ def test_02_gradients_match_finite_differences(report):
         obs = synthesize_observation(array, true_aoas, channel, s2, rng)
 
         est_angles = np.sort(rng.uniform(-1.2, 1.2, k))
-        means, covs = _random_state(k, m, rng)
-        state = VariationalState(AoAVector(est_angles), means, covs)
-        grad = aoa_gradient_observed(obs, state)
+        means, cov = _random_state(k, m, rng)
+        state = VariationalState(AoAVector(est_angles), means, cov)
+        grad = _aoa_gradient_raw(
+            obs.signal,
+            array,
+            state.aoa_estimate.angles,
+            state.channel_means,
+            state.channel_covariance,
+            s2,
+            s2 > 0,
+        )
         fd = np.empty(k)
         for j in range(k):
             hi, lo = est_angles.copy(), est_angles.copy()
             hi[j] += step
             lo[j] -= step
             f_hi = expected_reconstruction_observed(
-                obs, VariationalState(AoAVector(hi), means, covs)
+                obs, VariationalState(AoAVector(hi), means, cov)
             )
             f_lo = expected_reconstruction_observed(
-                obs, VariationalState(AoAVector(lo), means, covs)
+                obs, VariationalState(AoAVector(lo), means, cov)
             )
             fd[j] = (f_hi - f_lo) / (2.0 * step)
         worst_obs = max(
@@ -253,7 +262,7 @@ def test_02_gradients_match_finite_differences(report):
             st = VariationalState(
                 AoAVector([x]),
                 pop_channel.gains,
-                np.zeros((m, 1, 1), dtype=complex),
+                np.zeros((1, 1), dtype=complex),
             )
             return population_reconstruction(
                 AoAVector([theta]), pop_channel, st, pop_array, 0.0
@@ -314,15 +323,22 @@ def test_03_channel_update_matches_numerical_minimizer(report):
         channel = sample_channel(prior, m, rng)
         s2 = float(rng.uniform(0.2, 1.5))
         obs = synthesize_observation(array, aoas, channel, s2, rng)
-        cf_means, cf_covs = closed_form_channel_update(obs, aoas, prior)
+        cf_means, cf_cov = closed_form_channel_update(obs, aoas, prior)
+        steering = array_matrix(array, aoas)
+        gram = steering.conj().T @ steering
 
         def objective(x: np.ndarray) -> float:
+            # the loss with one covariance per snapshot, so the minimizer
+            # is free to give snapshots different covariances
             means, covs = _unpack_variational(x, k, m)
             try:
-                state = VariationalState(aoas, means, covs)
-                return total_loss(obs, state, prior).total
+                kl = sum(kl_gaussian(means[:, i], covs[i], prior) for i in range(m))
             except ValueError:
                 return 1e12
+            resid = obs.signal - steering @ means
+            # sum_m tr(gram Cov_m)
+            trace = float(np.real(np.sum(gram.T * covs)))
+            return kl + (float(np.real(np.vdot(resid, resid))) + trace) / s2
 
         x0 = np.concatenate(
             [
@@ -368,7 +384,7 @@ def test_03_channel_update_matches_numerical_minimizer(report):
         )
         nm_means, nm_covs = _unpack_variational(res.x, k, m)
         worst_mean = max(worst_mean, float(np.max(np.abs(nm_means - cf_means))))
-        worst_cov = max(worst_cov, float(np.max(np.abs(nm_covs - cf_covs))))
+        worst_cov = max(worst_cov, float(np.max(np.abs(nm_covs - cf_cov))))
 
     # infinite-SNR limit: the update returns the true gains themselves
     rng2 = np.random.default_rng(MASTER_SEED + 1)
@@ -490,9 +506,12 @@ def test_05_divergence_and_reconstruction_statistics(report):
             np.tril(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / 2.0
             for _ in range(m)
         ]
-        covs = np.stack([f @ f.conj().T for f in factors])
+        # M factors keep the random stream of later instances fixed; every
+        # snapshot shares the first
         state = VariationalState(
-            AoAVector(np.sort(rng.uniform(-1.0, 1.0, k))), means, covs
+            AoAVector(np.sort(rng.uniform(-1.0, 1.0, k))),
+            means,
+            factors[0] @ factors[0].conj().T,
         )
         analytic = expected_reconstruction_observed(obs, state)
 
@@ -503,7 +522,7 @@ def test_05_divergence_and_reconstruction_statistics(report):
                 rng.standard_normal((k, n_samples))
                 + 1j * rng.standard_normal((k, n_samples))
             ) / math.sqrt(2)
-            draws = means[:, i : i + 1] + factors[i] @ z
+            draws = means[:, i : i + 1] + factors[0] @ z
             resid = obs.signal[:, i : i + 1] - steering @ draws
             totals += np.sum(np.abs(resid) ** 2, axis=0)
         totals /= s2

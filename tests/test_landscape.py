@@ -37,7 +37,7 @@ def _population_slice(array, theta, estimates):
         state = VariationalState(
             aoa_estimate=AoAVector(np.array([est])),
             channel_means=ch.gains,
-            channel_covariances=np.zeros((1, 1), complex),
+            channel_covariance=np.zeros((1, 1), complex),
         )
         out.append(population_reconstruction(aoas, ch, state, array, 0.0))
     return np.asarray(out)
@@ -274,7 +274,7 @@ class TestEvaluateSurface:
             state = VariationalState(
                 aoa_estimate=AoAVector(angles),
                 channel_means=ch.gains,
-                channel_covariances=np.zeros((2, 2), complex),
+                channel_covariance=np.zeros((2, 2), complex),
             )
             direct.append(population_reconstruction(aoas, ch, state, arr, 0.3))
         direct = np.asarray(direct)

@@ -11,7 +11,6 @@ from aoavi.loss import (
     kl_gaussian,
     population_reconstruction,
     recover_path_parameters,
-    reparameterize_sample,
     total_loss,
 )
 from aoavi.signal_model import (
@@ -28,7 +27,7 @@ from conftest import make_rng, random_pd, random_prior, random_problem
 
 
 def _chol_like(cov):
-    """Square-root factor matching the library's sampling convention."""
+    """Square-root factor L with L L^H = cov; eigen fallback when singular."""
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -38,38 +37,49 @@ def _chol_like(cov):
 
 class TestVariationalState:
     def test_rejects_non_hermitian_covariance(self):
-        cov = np.array([[[1.0, 0.2j], [0.3j, 1.0]]])
+        cov = np.array([[1.0, 0.2j], [0.3j, 1.0]])
         with pytest.raises(ValueError):
             VariationalState(
                 aoa_estimate=AoAVector(np.array([0.1, 0.2])),
                 channel_means=np.zeros((2, 1), complex),
-                channel_covariances=cov,
+                channel_covariance=cov,
             )
 
     def test_rejects_indefinite_covariance(self):
-        cov = np.array([[[1.0 + 0j, 0.0], [0.0, -0.5]]])
+        cov = np.array([[1.0 + 0j, 0.0], [0.0, -0.5]])
         with pytest.raises(ValueError):
             VariationalState(
                 aoa_estimate=AoAVector(np.array([0.1, 0.2])),
                 channel_means=np.zeros((2, 1), complex),
-                channel_covariances=cov,
+                channel_covariance=cov,
             )
 
     def test_shared_covariance_broadcast(self):
+        """One K x K covariance serves every snapshot and is stored as is."""
         state = VariationalState(
             aoa_estimate=AoAVector(np.array([0.0])),
             channel_means=np.zeros((1, 4), complex),
-            channel_covariances=np.eye(1, dtype=complex),
+            channel_covariance=np.eye(1, dtype=complex),
         )
         assert state.n_snapshots == 4
         assert state.k_users == 1
+        assert state.channel_covariance.shape == (1, 1)
+
+    def test_rejects_per_snapshot_covariances(self):
+        covs = np.stack([np.eye(2, dtype=complex)] * 3)
+        with pytest.raises(ValueError):
+            VariationalState(
+                aoa_estimate=AoAVector(np.array([0.1, 0.2])),
+                channel_means=np.zeros((2, 3), complex),
+                channel_covariance=covs,
+            )
 
     def test_with_aoas_swaps_angles_only(self):
         rng = make_rng(40)
         state = VariationalState(
             aoa_estimate=AoAVector(np.array([0.1])),
             channel_means=(rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))),
-            channel_covariances=np.eye(1, dtype=complex),
+            channel_covariance=np.eye(1, dtype=complex),
         )
         moved = state.with_aoas(np.array([0.5]))
         assert moved.aoa_estimate.angles[0] == 0.5
@@ -174,7 +184,7 @@ class TestExpectedReconstructionObserved:
         state = VariationalState(
             aoa_estimate=aoas,
             channel_means=gains,
-            channel_covariances=np.zeros((2, 2), complex),
+            channel_covariance=np.zeros((2, 2), complex),
         )
         assert expected_reconstruction_observed(obs, state) < 1e-18
 
@@ -184,13 +194,13 @@ class TestExpectedReconstructionObserved:
         base = VariationalState(
             aoa_estimate=aoas,
             channel_means=gains,
-            channel_covariances=np.zeros((2, 2), complex),
+            channel_covariance=np.zeros((2, 2), complex),
         )
         c = 0.17
         lifted = VariationalState(
             aoa_estimate=aoas,
             channel_means=gains,
-            channel_covariances=c * np.eye(2, dtype=complex),
+            channel_covariance=c * np.eye(2, dtype=complex),
         )
         n, k, m = 8, 2, 4
         got = expected_reconstruction_observed(obs, lifted) - expected_reconstruction_observed(obs, base)
@@ -205,9 +215,8 @@ class TestExpectedReconstructionObserved:
         a_hat = array_matrix(obs.array, state.aoa_estimate)
         s = 10**5
         totals = np.zeros(s)
+        l = _chol_like(state.channel_covariance)
         for m in range(state.n_snapshots):
-            cov = state.channel_covariances[m]
-            l = _chol_like(cov)
             eps = (rng.normal(size=(2, s)) + 1j * rng.normal(size=(2, s))) * math.sqrt(0.5)
             draws = state.channel_means[:, m][:, None] + l @ eps
             resid = obs.signal[:, m][:, None] - a_hat @ draws
@@ -215,23 +224,6 @@ class TestExpectedReconstructionObserved:
         se = totals.std(ddof=1) / math.sqrt(s)
         assert abs(totals.mean() - analytic) < 3 * se
         assert abs(totals.mean() - analytic) < 0.005 * analytic
-
-    def test_sampler_api_consistency(self):
-        # the vectorized check above must agree with reparameterize_sample
-        rng = make_rng(47)
-        obs, state, *_ = random_problem(rng, n=10, k=2, m=3)
-        analytic = expected_reconstruction_observed(obs, state)
-        a_hat = array_matrix(obs.array, state.aoa_estimate)
-        vals = []
-        for _ in range(3000):
-            total = 0.0
-            for m in range(state.n_snapshots):
-                h = reparameterize_sample(state, m, rng)
-                total += np.sum(np.abs(obs.signal[:, m] - a_hat @ h) ** 2)
-            vals.append(total / obs.noise_variance)
-        vals = np.asarray(vals)
-        se = vals.std(ddof=1) / math.sqrt(len(vals))
-        assert abs(vals.mean() - analytic) < 4 * se
 
     def test_noise_scaling(self):
         rng = make_rng(48)
@@ -265,7 +257,7 @@ class TestPopulationReconstruction:
         state = VariationalState(
             aoa_estimate=aoas,
             channel_means=gains,
-            channel_covariances=np.zeros((1, 1), complex),
+            channel_covariance=np.zeros((1, 1), complex),
         )
         s2 = 0.37
         val = population_reconstruction(aoas, ch, state, arr, s2)
@@ -282,7 +274,7 @@ class TestPopulationReconstruction:
         state = VariationalState(
             aoa_estimate=est,
             channel_means=means,
-            channel_covariances=np.zeros((2, 2), complex),
+            channel_covariance=np.zeros((2, 2), complex),
         )
         val = population_reconstruction(aoas, ch, state, arr, 0.0)
         resid = array_matrix(arr, aoas) @ gains - array_matrix(arr, est) @ means
@@ -305,7 +297,7 @@ class TestPopulationReconstruction:
             VariationalState(
                 aoa_estimate=aoas,
                 channel_means=gains,
-                channel_covariances=np.zeros((1, 1), complex),
+                channel_covariance=np.zeros((1, 1), complex),
             ),
             arr,
             0.0,
@@ -314,7 +306,7 @@ class TestPopulationReconstruction:
             state = VariationalState(
                 aoa_estimate=AoAVector(np.array([alias])),
                 channel_means=gains,
-                channel_covariances=np.zeros((1, 1), complex),
+                channel_covariance=np.zeros((1, 1), complex),
             )
             val = population_reconstruction(aoas, ch, state, arr, 0.0)
             assert abs(val - at_truth) <= 1e-9 * scale
@@ -339,9 +331,7 @@ class TestTotalLoss:
         )
         assert abs(b.reconstruction_term - expected_reconstruction_observed(obs, state)) < 1e-9
         per_m = sum(
-            kl_gaussian(
-                state.channel_means[:, m], state.channel_covariances[m], prior
-            )
+            kl_gaussian(state.channel_means[:, m], state.channel_covariance, prior)
             for m in range(state.n_snapshots)
         )
         assert abs(b.kl_term - per_m) < 1e-9 * max(1.0, per_m)
@@ -358,37 +348,6 @@ class TestTotalLoss:
         assert abs(b.reconstruction_term - a.reconstruction_term / 2) < 1e-10 * max(
             1.0, a.reconstruction_term
         )
-
-
-class TestReparameterizeSample:
-    def test_zero_covariance_returns_mean(self):
-        rng = make_rng(59)
-        means = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-        state = VariationalState(
-            aoa_estimate=AoAVector(np.array([0.0, 0.2])),
-            channel_means=means,
-            channel_covariances=np.zeros((2, 2), complex),
-        )
-        h = reparameterize_sample(state, 1, rng)
-        assert np.array_equal(h, means[:, 1])
-
-    def test_moments(self):
-        rng = make_rng(60)
-        cov = random_pd(2, rng)
-        mean = rng.normal(size=2) + 1j * rng.normal(size=2)
-        state = VariationalState(
-            aoa_estimate=AoAVector(np.array([0.0, 0.1])),
-            channel_means=np.repeat(mean[:, None], 2, axis=1),
-            channel_covariances=cov,
-        )
-        n = 10**5
-        draws = np.stack([reparameterize_sample(state, 0, rng) for _ in range(n)], axis=1)
-        emp_mean = draws.mean(axis=1)
-        sigma = math.sqrt(np.trace(cov).real)
-        assert np.linalg.norm(emp_mean - mean) < 3 * sigma / math.sqrt(n)
-        centered = draws - emp_mean[:, None]
-        emp_cov = centered @ centered.conj().T / n
-        assert np.linalg.norm(emp_cov - cov) < 0.05 * np.linalg.norm(cov)
 
 
 class TestRecoverPathParameters:

@@ -7,7 +7,7 @@ from aoavi.preprocess import (
     AngleGrid,
     PseudoLabels,
     Sector,
-    codebook_correlation,
+    _correlation_profile,
     empirical_covariance,
     grid_steering,
     pseudo_labels,
@@ -98,12 +98,17 @@ class TestEmpiricalCovariance:
         assert np.linalg.eigvalsh((r + r.conj().T) / 2).min() >= -1e-10
 
 
+def _correlation_at(obs, theta):
+    """The correlation profile at theta, the first point of its grid."""
+    return float(_correlation_profile(obs, AngleGrid(theta, theta + 0.01, 0.01))[0])
+
+
 class TestCodebookCorrelation:
     def test_zero_signal(self):
         obs = ObservationSet(
             signal=np.zeros((4, 2), dtype=complex), noise_variance=1.0, array=ArrayConfig(4, 0.5)
         )
-        assert codebook_correlation(obs, 0.3) == 0.0
+        assert _correlation_at(obs, 0.3) == 0.0
 
     def test_matched_angle_peaks_at_n(self):
         rng = make_rng(24)
@@ -111,10 +116,10 @@ class TestCodebookCorrelation:
         theta0 = math.radians(-8.0)
         obs = _noiseless_obs(arr, [-8.0], [[1.0]], rng)
         a0 = array_response(arr, theta0)
-        assert abs(codebook_correlation(obs, theta0) - arr.n_antennas) < 1e-10
+        assert abs(_correlation_at(obs, theta0) - arr.n_antennas) < 1e-10
         for theta in np.radians([-30.0, 3.0, 60.0]):
             expected = abs(np.vdot(array_response(arr, theta), a0))
-            got = codebook_correlation(obs, theta)
+            got = _correlation_at(obs, theta)
             assert abs(got - expected) < 1e-10
             assert got <= arr.n_antennas + 1e-10
 
@@ -129,7 +134,7 @@ class TestCodebookCorrelation:
         )
         for theta in (-0.3, 0.0, 0.9):
             assert abs(
-                codebook_correlation(obs, theta) - codebook_correlation(rotated, theta)
+                _correlation_at(obs, theta) - _correlation_at(rotated, theta)
             ) < 1e-10
 
 
@@ -144,7 +149,8 @@ class TestPseudoLabels:
         assert labels.angles[0] == theta0
 
     def test_matches_exhaustive_scan(self):
-        # oracle: brute-force top-K of the correlation profile, stable ties
+        # oracle: brute-force top-K of (1/M) |sum_m y_m^H a(theta)| built
+        # from array_response, stable ties
         rng = make_rng(27)
         arr = ArrayConfig(8, 0.5)
         grid = AngleGrid(-1.0, 1.0, 0.02)
@@ -154,7 +160,11 @@ class TestPseudoLabels:
             aoas = AoAVector(np.sort(rng.uniform(-0.9, 0.9, size=2)))
             obs = synthesize_observation(arr, aoas, ch, 0.3, rng)
             profile = np.array(
-                [codebook_correlation(obs, t) for t in grid.angles()]
+                [
+                    abs(np.sum(obs.signal.conj().T @ array_response(arr, t)))
+                    / obs.n_snapshots
+                    for t in grid.angles()
+                ]
             )
             top = np.argsort(-profile, kind="stable")[:2]
             expected = np.sort(grid.angles()[top])
