@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import AngleGrid, empirical_covariance, grid_steering
+from .preprocess import AngleGrid, _pick_peaks, empirical_covariance, grid_steering
 from .signal_model import AoAVector, ObservationSet, array_matrix
 from .signal_model import _frozen
 
@@ -18,10 +18,10 @@ _MAX_LS_CONDITION = 1e12
 
 @dataclass(frozen=True)
 class MusicSpectrum:
-    """Pseudo-spectrum over a grid plus its top-K peak angles.
+    """Pseudo-spectrum over a grid plus its K peak angles.
 
-    degraded is set when the grid produced fewer strict local maxima than
-    requested and the remainder was padded with the highest off-peak
+    degraded is set when ``_pick_peaks`` found fewer strict local maxima
+    than requested and padded the remainder with the highest off-peak
     values.
     """
 
@@ -52,9 +52,9 @@ def music_estimate(obs: ObservationSet, grid: AngleGrid, k_sources: int) -> Musi
     The empirical covariance is eigendecomposed; the eigenvectors of the
     N-K smallest eigenvalues span the noise subspace E, those of the K
     largest the signal subspace U. The spectrum is
-    1 / max(||E^H a(theta)||^2, 1e-8) and the estimates are the K largest
-    strict local maxima (3-point test, endpoints eligible), ties broken
-    toward the smaller angle.
+    1 / max(||E^H a(theta)||^2, 1e-8) and the estimates are its K largest
+    strict local maxima, picked by ``_pick_peaks`` with no minimum
+    separation.
 
     Every ULA steering vector has ||a||^2 = N, and E E^H = I - U U^H, so
     the noise projection is evaluated as N - ||U^H a(theta)||^2: a K x G
@@ -80,27 +80,8 @@ def music_estimate(obs: ObservationSet, grid: AngleGrid, k_sources: int) -> Musi
     denom = n - np.sum(np.abs(signal_basis.conj().T @ steer) ** 2, axis=0)
     values = 1.0 / np.maximum(denom, _EIGEN_FLOOR)
     angles = grid.angles()
-
-    g = values.size
-    interior = np.zeros(g, dtype=bool)
-    if g >= 2:
-        interior[0] = values[0] > values[1]
-        interior[-1] = values[-1] > values[-2]
-    if g >= 3:
-        interior[1:-1] = (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
-    maxima_idx = np.nonzero(interior)[0]
-
-    # tie toward the smaller angle: stable lexsort, value descending first
-    order = np.lexsort((angles[maxima_idx], -values[maxima_idx]))
-    chosen = list(maxima_idx[order][:k_sources])
-    degraded = len(chosen) < k_sources
-    if degraded:
-        rest = np.setdiff1d(np.arange(g), np.asarray(chosen, dtype=int))
-        fill_order = np.lexsort((angles[rest], -values[rest]))
-        need = k_sources - len(chosen)
-        chosen.extend(rest[fill_order][:need])
-
-    peak_angles = tuple(sorted(float(angles[i]) for i in chosen))
+    chosen, degraded = _pick_peaks(values, angles, k_sources)
+    peak_angles = tuple(float(angles[i]) for i in chosen)
     return MusicSpectrum(grid=grid, values=values, peaks=peak_angles, degraded=degraded)
 
 

@@ -70,7 +70,9 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     """One benchmark setup. aoas=None draws user angles uniformly in the
-    sector independently per trial (sorted ascending)."""
+    sector independently per trial (sorted ascending). suppression_radius
+    (radians) is the minimum separation between pseudo-label peaks; the
+    default 0 picks the K largest distinct local maxima."""
 
     array: ArrayConfig
     aoas: Optional[AoAVector]

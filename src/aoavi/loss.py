@@ -70,14 +70,6 @@ class VariationalState:
     def k_users(self) -> int:
         return self.channel_means.shape[0]
 
-    def with_aoas(self, angles: np.ndarray) -> "VariationalState":
-        """Same channel parameters, new AoA point estimates."""
-        return VariationalState(
-            aoa_estimate=AoAVector(angles),
-            channel_means=self.channel_means,
-            channel_covariance=self.channel_covariance,
-        )
-
 
 @dataclass(frozen=True)
 class LossBreakdown:

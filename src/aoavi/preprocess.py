@@ -40,7 +40,7 @@ class AngleGrid:
 
 @dataclass(frozen=True)
 class PseudoLabels:
-    """Top-K codebook angles and their correlation values, sorted ascending."""
+    """One codebook angle per user and its correlation value, sorted ascending."""
 
     angles: np.ndarray
     correlations: np.ndarray
@@ -128,24 +128,49 @@ def _correlation_profile(obs: ObservationSet, grid: AngleGrid) -> np.ndarray:
     return np.abs(colsum.conj() @ steer) / obs.n_snapshots
 
 
+def _pick_peaks(
+    values: np.ndarray, angles: np.ndarray, k: int, min_separation: float = 0.0
+) -> tuple[np.ndarray, bool]:
+    """Indices of k peaks of ``values`` over the ascending grid ``angles``.
+
+    Candidates are the strict local maxima (3-point test, endpoints
+    eligible), ranked by value with ties toward the smaller angle. A
+    greedy pass skips any candidate closer than ``min_separation`` to an
+    earlier pick. If fewer than k survive, the remaining slots are filled
+    from the largest other grid values in the same order and ``degraded``
+    is True. Returns (indices in ascending angle order, degraded).
+    """
+    strict = np.ones(values.size, dtype=bool)
+    strict[:-1] &= values[:-1] > values[1:]
+    strict[1:] &= values[1:] > values[:-1]
+    maxima = np.flatnonzero(strict)
+    chosen: list[int] = []
+    for i in maxima[np.lexsort((angles[maxima], -values[maxima]))]:
+        if len(chosen) == k:
+            break
+        if all(abs(angles[i] - angles[j]) >= min_separation for j in chosen):
+            chosen.append(int(i))
+    degraded = len(chosen) < k
+    if degraded:
+        rest = np.setdiff1d(np.arange(values.size), np.asarray(chosen, dtype=int))
+        fill = rest[np.lexsort((angles[rest], -values[rest]))]
+        chosen.extend(int(i) for i in fill[: k - len(chosen)])
+    picked = np.asarray(chosen, dtype=int)
+    return picked[np.argsort(angles[picked])], degraded
+
+
 def pseudo_labels(
     obs: ObservationSet,
     grid: AngleGrid,
     k_users: int,
     suppression_radius: float = 0.0,
 ) -> PseudoLabels:
-    """K grid angles with the largest codebook correlations.
+    """One grid angle per user: the K largest distinct peaks of the
+    codebook correlation, picked by ``_pick_peaks`` (ties toward the
+    smaller angle; the result is sorted ascending).
 
-    Ties break toward the smaller angle; the result is sorted ascending.
-    Equivalent to maximizing the sum of K correlations over distinct grid
-    angles, since the objective is separable.
-
-    With ``suppression_radius > 0`` selection is greedy in correlation
-    order and any candidate closer than the radius (radians) to an
-    already selected angle is skipped, so two picks never straddle one
-    physical source. The default keeps the literal top-K behaviour. If
-    suppression exhausts the grid before K picks, the remaining slots
-    are filled by the best suppressed candidates (deterministically).
+    ``suppression_radius`` (radians) is the minimum separation between
+    picks; the default 0 takes the K largest strict local maxima.
     """
     if grid.n_points < k_users:
         raise ValueError("grid must contain at least k_users points")
@@ -153,27 +178,7 @@ def pseudo_labels(
         raise ValueError("suppression_radius must be non-negative")
     corr = _correlation_profile(obs, grid)
     angles = grid.angles()
-    # stable mergesort on -corr keeps ascending-angle order among exact ties
-    ranked = np.argsort(-corr, kind="stable")
-    if suppression_radius > 0.0:
-        chosen: list[int] = []
-        for idx in ranked:
-            if all(abs(angles[idx] - angles[j]) >= suppression_radius for j in chosen):
-                chosen.append(int(idx))
-                if len(chosen) == k_users:
-                    break
-        if len(chosen) < k_users:
-            taken = set(chosen)
-            for idx in ranked:
-                if int(idx) not in taken:
-                    chosen.append(int(idx))
-                    taken.add(int(idx))
-                    if len(chosen) == k_users:
-                        break
-        order = np.asarray(chosen, dtype=int)
-    else:
-        order = ranked[:k_users]
-    order = order[np.argsort(angles[order])]
+    order, _degraded = _pick_peaks(corr, angles, k_users, suppression_radius)
     return PseudoLabels(angles=angles[order], correlations=corr[order])
 
 

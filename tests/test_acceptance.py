@@ -759,3 +759,42 @@ def test_09_deterministic_outputs_and_headers(report, tmp_path):
     assert ok_csv
     assert ok_json
     assert ok_headers
+
+
+def test_10_multi_user_default_initializer(report):
+    # the two multi-user sweep configs (K = 2, 3) with default settings:
+    # the pseudo-labels must start each user on its own lobe
+    t0 = time.perf_counter()
+    cells, worst = [], 0.0
+    for k in (2, 3):
+        scenario = Scenario(
+            array=ArrayConfig(32, 0.5),
+            aoas=None,
+            prior=_los_prior(k),
+            n_snapshots=40,
+            snr_db_list=(0.0, 10.0, 20.0),
+            n_trials=20,
+            master_seed=301,
+            sector=Sector(center=0.0, width=math.radians(120.0)),
+            grid_step=math.radians(0.5),
+            optimizer=OptimizerConfig(),
+        )
+        rows = run_benchmark(scenario)
+        for snr in scenario.snr_db_list:
+            proposed = next(r for r in rows if r.method == PROPOSED and r.snr_db == snr)
+            music = next(r for r in rows if r.method == MUSIC_LS and r.snr_db == snr)
+            worst = max(worst, proposed.mse_aoa)
+            cells.append(f"K={k} {snr:.0f} dB {proposed.mse_aoa:.1e} (MUSIC {music.mse_aoa:.1e})")
+    ok_mse = worst < 5e-2
+
+    elapsed = time.perf_counter() - t0
+    ok = ok_mse and elapsed < 300
+    report(
+        10,
+        "multi-user default initializer",
+        ok,
+        elapsed,
+        f"proposed AoA MSE rad^2 per cell, worst {worst:.2e} (need < 5e-2): " + ", ".join(cells),
+    )
+    assert ok_mse
+    assert elapsed < 300

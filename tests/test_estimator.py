@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -164,6 +165,12 @@ def _gradient(obs, state, normalized=None):
     )
 
 
+def _recon_at(obs, state, angles, prior) -> float:
+    """Reconstruction term of state with its AoAs replaced by angles."""
+    moved = dataclasses.replace(state, aoa_estimate=AoAVector(angles))
+    return total_loss(obs, moved, prior).reconstruction_term
+
+
 class TestAoaGradientObserved:
     def test_matches_finite_differences(self):
         rng = make_rng(75)
@@ -180,8 +187,7 @@ class TestAoaGradientObserved:
                 down = state.aoa_estimate.angles.copy()
                 down[j] -= h
                 fd = (
-                    total_loss(obs, state.with_aoas(up), prior).reconstruction_term
-                    - total_loss(obs, state.with_aoas(down), prior).reconstruction_term
+                    _recon_at(obs, state, up, prior) - _recon_at(obs, state, down, prior)
                 ) / (2 * h)
                 assert abs(grad[j] - fd) < 1e-5 * max(1.0, abs(fd))
 
@@ -256,7 +262,7 @@ class TestAoaDescentStep:
         assert accepted
         assert not np.array_equal(angles, state.aoa_estimate.angles)
         before = total_loss(obs, state, prior).reconstruction_term
-        after = total_loss(obs, state.with_aoas(angles), prior).reconstruction_term
+        after = _recon_at(obs, state, angles, prior)
         assert after <= before
 
     def test_channel_untouched(self):
@@ -265,7 +271,7 @@ class TestAoaDescentStep:
         obs, state, prior = self._state_and_obs(rng)
         grad = _gradient(obs, state)
         angles, recon, _ = _descent_step(obs, state, grad)
-        moved = state.with_aoas(angles)
+        moved = dataclasses.replace(state, aoa_estimate=AoAVector(angles))
         assert recon == expected_reconstruction_observed(obs, moved, normalized=False)
 
     def test_clamps_exactly_to_sector_edge(self):

@@ -74,17 +74,6 @@ class TestVariationalState:
                 channel_covariance=covs,
             )
 
-    def test_with_aoas_swaps_angles_only(self):
-        rng = make_rng(40)
-        state = VariationalState(
-            aoa_estimate=AoAVector(np.array([0.1])),
-            channel_means=(rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))),
-            channel_covariance=np.eye(1, dtype=complex),
-        )
-        moved = state.with_aoas(np.array([0.5]))
-        assert moved.aoa_estimate.angles[0] == 0.5
-        assert np.array_equal(moved.channel_means, state.channel_means)
-
 
 class TestLossBreakdown:
     def test_sum_must_hold(self):

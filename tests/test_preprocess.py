@@ -8,6 +8,7 @@ from aoavi.preprocess import (
     PseudoLabels,
     Sector,
     _correlation_profile,
+    _pick_peaks,
     empirical_covariance,
     grid_steering,
     pseudo_labels,
@@ -149,32 +150,37 @@ class TestPseudoLabels:
         assert labels.angles[0] == theta0
 
     def test_matches_exhaustive_scan(self):
-        # oracle: brute-force top-K of (1/M) |sum_m y_m^H a(theta)| built
-        # from array_response, stable ties
+        # oracle: the two largest strict local maxima (endpoints eligible,
+        # ties toward the smaller angle) of (1/M) |sum_m y_m^H a(theta)|,
+        # built point by point from array_response
         rng = make_rng(27)
         arr = ArrayConfig(8, 0.5)
         grid = AngleGrid(-1.0, 1.0, 0.02)
+        angles = grid.angles()
         prior = ChannelPrior(mean=np.zeros(2, complex), covariance=np.eye(2, dtype=complex))
         for trial in range(5):
             ch = sample_channel(prior, 6, rng)
             aoas = AoAVector(np.sort(rng.uniform(-0.9, 0.9, size=2)))
             obs = synthesize_observation(arr, aoas, ch, 0.3, rng)
-            profile = np.array(
-                [
-                    abs(np.sum(obs.signal.conj().T @ array_response(arr, t)))
-                    / obs.n_snapshots
-                    for t in grid.angles()
-                ]
-            )
-            top = np.argsort(-profile, kind="stable")[:2]
-            expected = np.sort(grid.angles()[top])
+            profile = [
+                abs(np.sum(obs.signal.conj().T @ array_response(arr, t))) / obs.n_snapshots
+                for t in angles
+            ]
+            maxima = [
+                g
+                for g in range(len(profile))
+                if (g == 0 or profile[g] > profile[g - 1])
+                and (g == len(profile) - 1 or profile[g] > profile[g + 1])
+            ]
+            assert len(maxima) >= 2
+            top = sorted(maxima, key=lambda g: (-profile[g], angles[g]))[:2]
+            expected = np.sort(angles[top])
             got = pseudo_labels(obs, grid, 2)
             assert np.max(np.abs(got.angles - expected)) < 1e-12
 
     def test_well_separated_sources_located(self):
         # The snapshot-coherent correlation statistic needs gains that do
-        # not cancel across snapshots, and literal top-2 tends to straddle
-        # the stronger lobe; a one-lobe suppression radius fixes the latter.
+        # not cancel across snapshots; each source is then its own peak.
         arr = ArrayConfig(32, 0.5)
         grid = AngleGrid(math.radians(-60.0), math.radians(60.0), math.radians(0.1))
         prior = ChannelPrior(
@@ -186,8 +192,9 @@ class TestPseudoLabels:
             rng = make_rng(seed)
             ch = sample_channel(prior, 40, rng)
             obs = synthesize_observation(arr, AoAVector(truth), ch, 0.01, rng)
-            labels = pseudo_labels(obs, grid, 2, suppression_radius=math.radians(4.0))
-            assert np.max(np.abs(labels.angles - truth)) < tol
+            for radius in (0.0, math.radians(4.0)):
+                labels = pseudo_labels(obs, grid, 2, suppression_radius=radius)
+                assert np.max(np.abs(labels.angles - truth)) < tol
 
     def test_sorted_and_on_grid(self):
         rng = make_rng(29)
@@ -211,10 +218,12 @@ class TestPseudoLabels:
         rng = make_rng(31)
         arr = ArrayConfig(32, 0.5)
         grid = AngleGrid(math.radians(-60.0), math.radians(60.0), math.radians(0.1))
-        # one strong source; literal top-2 straddles its main lobe
+        # one strong source: the second pick must come from another lobe,
+        # past the first null at |delta sin(theta)| = 1 / (N d/lambda)
         obs = _noiseless_obs(arr, [10.0], [[1.0] * 30], rng, noise_variance=0.01)
         plain = pseudo_labels(obs, grid, 2)
-        assert abs(plain.angles[1] - plain.angles[0]) < math.radians(1.0)
+        first_null = 1.0 / (arr.n_antennas * arr.spacing_ratio)
+        assert abs(np.diff(np.sin(plain.angles))[0]) > first_null
         spread = pseudo_labels(obs, grid, 2, suppression_radius=math.radians(5.0))
         assert abs(spread.angles[1] - spread.angles[0]) >= math.radians(5.0) - 1e-12
 
@@ -243,6 +252,33 @@ class TestPseudoLabels:
         obs = _noiseless_obs(arr, [0.0], [[1.0]], rng)
         with pytest.raises(ValueError):
             pseudo_labels(obs, AngleGrid(-1.0, 1.0, 0.1), 1, suppression_radius=-0.1)
+
+
+class TestPickPeaks:
+    @pytest.mark.parametrize(
+        "values, k, min_separation, expected, degraded",
+        [
+            # both endpoints are strict maxima
+            ([3.0, 1.0, 0.0, 1.0, 2.0], 2, 0.0, [0, 4], False),
+            # a two-point plateau has no strict maximum: filled, ties to the smaller angle
+            ([1.0, 2.0, 2.0, 1.0], 1, 0.0, [1], True),
+            # equal maxima: the smaller angle ranks first
+            ([1.0, 3.0, 1.0, 3.0, 1.0], 1, 0.0, [1], False),
+            # the maximum at 3 is closer than 2.5 to the pick at 1 and is skipped
+            ([0.0, 5.0, 0.0, 4.0, 0.0, 3.0, 0.0], 2, 2.5, [1, 5], False),
+            ([0.0, 5.0, 0.0, 4.0, 0.0, 3.0, 0.0], 2, 0.0, [1, 3], False),
+            # fill by value, ties toward the smaller angle, skipping the pick
+            ([4.0, 1.0, 3.0, 3.0, 2.0, 0.0], 3, 0.0, [0, 2, 3], True),
+            # a separation that leaves one pick fills from the skipped maximum
+            ([0.0, 5.0, 0.0, 4.0, 0.0], 2, 10.0, [1, 3], True),
+        ],
+    )
+    def test_rule_on_hand_built_vectors(self, values, k, min_separation, expected, degraded):
+        values = np.asarray(values)
+        angles = np.arange(values.size, dtype=float)
+        got, got_degraded = _pick_peaks(values, angles, k, min_separation)
+        assert got.tolist() == expected
+        assert got_degraded is degraded
 
 
 class TestPseudoLabelsType:
