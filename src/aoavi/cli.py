@@ -145,7 +145,9 @@ def _cmd_estimate(args, config: dict) -> int:
         "estimated_aoas_deg": est_deg,
         "abs_error_deg": [abs(e - t) for e, t in zip(est_deg, true_deg)],
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
         "iterations_used": result.iterations_used,
+        "line_search_evaluations": result.line_search_evaluations,
         "loss_trace": [
             {"kl": b.kl_term, "reconstruction": b.reconstruction_term, "total": b.total}
             for b in result.loss_trace
@@ -180,7 +182,10 @@ def _cmd_benchmark(args, config: dict) -> int:
         data_path = out / "benchmark.json"
         data_path.write_text(benchmark_rows_json(rows))
     runtimes = {f"{r.method}@{r.snr_db!r}dB": r.runtime_ms for r in rows}
-    (out / "benchmark_meta.json").write_text(run_metadata(config, runtimes))
+    diagnostics = {
+        f"{r.method}@{r.snr_db!r}dB": r.diagnostics for r in rows if r.diagnostics is not None
+    }
+    (out / "benchmark_meta.json").write_text(run_metadata(config, runtimes, diagnostics))
     print(f"wrote {data_path}")
     return 0
 

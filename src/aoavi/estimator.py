@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,14 +32,18 @@ _MAX_HALVINGS = 40
 _MAX_FIRST_STEP_RAD = math.radians(0.5)
 _HALF_PI = math.pi / 2.0
 
+# why estimate() stopped; only the first two count as converged
+STOP_REASONS = ("gradient", "loss_plateau", "line_search_stall", "budget")
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Knobs of the alternating optimizer.
 
-    aoa_step_size is radians per unit gradient before backtracking;
-    max_outer_iterations bounds the loss trace length, counting the
-    initial entry at the starting AoAs. The optimizer stops once the AoA
+    aoa_step_size is radians per unit gradient before backtracking; it caps
+    the first trial of every iteration's line search, not only the first
+    iteration's. max_outer_iterations bounds the loss trace length, counting
+    the initial entry at the starting AoAs. The optimizer stops once the AoA
     gradient max-norm falls below aoa_gradient_tolerance or one iteration
     lowers the loss by less than loss_tolerance.
     """
@@ -64,16 +68,28 @@ class EstimationResult:
 
     loss_trace holds one LossBreakdown per outer iteration and its totals
     are non-increasing within 1e-9 absolute slack (enforced here).
+    stop_reason is one of STOP_REASONS: the gradient fell below its
+    tolerance, one iteration lowered the loss by less than loss_tolerance,
+    the line search stalled, or the trace reached max_outer_iterations.
+    line_search_evaluations counts the trial reconstruction sums the line
+    searches scored.
     """
 
     state: VariationalState
     loss_trace: tuple[LossBreakdown, ...]
-    converged: bool
+    stop_reason: str
     iterations_used: int
+    line_search_evaluations: int
     path_gains: np.ndarray
     path_angles: np.ndarray
 
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason in STOP_REASONS[:2]
+
     def __post_init__(self):
+        if self.stop_reason not in STOP_REASONS:
+            raise ValueError(f"stop_reason must be one of {STOP_REASONS}")
         totals = [b.total for b in self.loss_trace]
         for earlier, later in zip(totals, totals[1:]):
             if later > earlier + 1e-9:
@@ -153,6 +169,18 @@ def _sector_bounds(sector: Sector) -> tuple[float, float]:
     return max(sector.lo, -_HALF_PI), min(sector.hi, _HALF_PI)
 
 
+class _LineSearch(NamedTuple):
+    """Outcome of one backtracking search. step is the accepted multiplier
+    of the gradient, 0.0 when nothing moved (zero gradient or a stall);
+    trials counts the reconstruction sums scored."""
+
+    angles: np.ndarray
+    recon: float
+    accepted: bool
+    step: float
+    trials: int
+
+
 def _backtrack(
     signal: np.ndarray,
     array,
@@ -164,29 +192,29 @@ def _backtrack(
     lo: float,
     hi: float,
     base_recon: float,
-) -> tuple[np.ndarray, float, bool]:
+) -> _LineSearch:
     """One projected descent step on the AoAs at fixed channel parameters.
 
     The candidate clip(angles - step * gradient, lo, hi) is accepted once
-    the reconstruction sum stops increasing, halving the step up to 40
-    times. Returns (angles, reconstruction sum, accepted); step underflow
-    returns the input angles and base_recon with accepted=False.
+    the reconstruction sum stops increasing, starting from step0 (capped so
+    no AoA moves more than 0.5 deg) and halving up to 40 times. Step
+    underflow returns the input angles and base_recon with accepted=False.
 
     Comparison uses the unnormalized sum: the divergence term is fixed
     during an AoA move and the 1/sigma^2 factor is order-preserving.
     """
     gmax = float(np.max(np.abs(gradient)))
     if gmax == 0.0:
-        return angles, base_recon, True
+        return _LineSearch(angles, base_recon, True, 0.0, 0)
     # keep the first trial displacement physically small
     step = min(step0, _MAX_FIRST_STEP_RAD / gmax)
-    for _ in range(_MAX_HALVINGS + 1):
+    for trials in range(1, _MAX_HALVINGS + 2):
         trial = np.clip(angles - step * gradient, lo, hi)
         recon = _reconstruction_sum_raw(signal, array, trial, means, cov)
         if recon <= base_recon:
-            return trial, recon, True
+            return _LineSearch(trial, recon, True, step, trials)
         step *= 0.5
-    return angles, base_recon, False
+    return _LineSearch(angles, base_recon, False, 0.0, _MAX_HALVINGS + 1)
 
 
 def estimate(
@@ -211,6 +239,11 @@ def estimate(
     Only the first two count as converged. A line search that cannot lower
     the loss in 40 halvings stops the descent unconverged, before the
     channel update, so no repeated trace entry is appended.
+
+    Each line search after the first starts from the step the previous one
+    accepted, scaled by the ratio of squared gradient norms (Nocedal &
+    Wright, Numerical Optimization, eq. 3.60), under the same caps as the
+    first; with no usable previous step it starts from aoa_step_size.
 
     At zero noise variance the objective is the plain reconstruction sum
     (the noise-scaled loss limit) and the divergence term is reported as 0.
@@ -239,24 +272,33 @@ def estimate(
     recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, cov)
     trace = [breakdown(means, cov, recon_raw)]
 
-    converged = False
+    stop_reason = "budget"
+    evaluations = 0
+    last_step = last_gsq = 0.0  # the previous search's accepted step and |g|^2
     for _ in range(cfg.max_outer_iterations - 1):
         grad = _aoa_gradient_raw(obs.signal, obs.array, angles, means, cov, s2, s2 > 0)
         if float(np.max(np.abs(grad))) < cfg.aoa_gradient_tolerance:
-            converged = True
+            stop_reason = "gradient"
             break
-        angles, recon_raw, accepted = _backtrack(
-            obs.signal, obs.array, angles, means, cov, grad, cfg.aoa_step_size, lo, hi, recon_raw
+        gsq = float(grad @ grad)
+        step0 = cfg.aoa_step_size
+        if last_step > 0.0:
+            step0 = min(step0, last_step * last_gsq / gsq)
+        search = _backtrack(
+            obs.signal, obs.array, angles, means, cov, grad, step0, lo, hi, recon_raw
         )
-        if not accepted:
+        evaluations += search.trials
+        if not search.accepted:
             # a stalled line search leaves the angles unchanged; the
             # repeated loss would otherwise pass the decrement test
+            stop_reason = "line_search_stall"
             break
+        angles, last_step, last_gsq = search.angles, search.step, gsq
         means, cov = closed_form_channel_update(obs, AoAVector(angles), prior)
         recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, cov)
         trace.append(breakdown(means, cov, recon_raw))
         if trace[-2].total - trace[-1].total < cfg.loss_tolerance:
-            converged = True
+            stop_reason = "loss_plateau"
             break
 
     state = VariationalState(
@@ -266,8 +308,9 @@ def estimate(
     return EstimationResult(
         state=state,
         loss_trace=tuple(trace),
-        converged=converged,
+        stop_reason=stop_reason,
         iterations_used=len(trace),
+        line_search_evaluations=evaluations,
         path_gains=path_gains,
         path_angles=path_angles,
     )

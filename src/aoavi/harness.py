@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import ls_channel, music_estimate
-from .estimator import OptimizerConfig, estimate
+from .estimator import STOP_REASONS, OptimizerConfig, estimate
 from .landscape import (
     AxisSpec,
     LossSurface,
@@ -104,7 +104,10 @@ class Scenario:
 @dataclass(frozen=True)
 class MetricRow:
     """Aggregated per-(method, SNR) errors. MSE fields are NaN when every
-    trial of the method failed; failures counts excluded trials."""
+    trial of the method failed; failures counts excluded trials.
+    diagnostics (proposed rows of run_benchmark only) summarizes how the
+    estimator stopped; like runtime_ms it goes to the metadata side-car,
+    never into the data files."""
 
     method: str
     snr_db: float
@@ -114,6 +117,7 @@ class MetricRow:
     trials: int
     failures: int
     runtime_ms: float
+    diagnostics: Optional[dict] = field(default=None, compare=False)
 
     def __post_init__(self):
         for v in (self.mse_aoa, self.mse_path_gain, self.mse_path_angle):
@@ -160,6 +164,27 @@ def aligned_squared_errors(
     return mse_aoa, mse_gain, mse_angle
 
 
+def _percentiles(values: list) -> Optional[dict]:
+    if not values:
+        return None
+    return {
+        "p50": float(np.percentile(values, 50)),
+        "p90": float(np.percentile(values, 90)),
+        "max": int(max(values)),
+    }
+
+
+def _estimator_diagnostics(runs: Sequence[tuple[str, int, int]]) -> dict:
+    """Stop-reason counts and the p50/p90/max of iterations_used and
+    line_search_evaluations over (stop_reason, iterations_used,
+    line_search_evaluations) triples."""
+    return {
+        "stop_reasons": {reason: sum(r[0] == reason for r in runs) for reason in STOP_REASONS},
+        "iterations_used": _percentiles([r[1] for r in runs]),
+        "line_search_evaluations": _percentiles([r[2] for r in runs]),
+    }
+
+
 def _draw_aoas(scenario: Scenario, rng: np.random.Generator) -> AoAVector:
     if scenario.aoas is not None:
         return scenario.aoas
@@ -187,7 +212,8 @@ def run_benchmark(scenario: Scenario) -> list[MetricRow]:
     observation block and run both methods on it. Per-trial numerical
     failures (ValueError, LinAlgError) are counted and excluded from the
     means; any other exception propagates. Output order: SNRs as listed,
-    proposed before the classical baseline."""
+    proposed before the classical baseline. Each proposed row carries the
+    stop diagnostics of its successful trials."""
     grid = sector_grid(scenario.sector, scenario.grid_step)
     k = scenario.prior.k_users
     rows: list[MetricRow] = []
@@ -196,6 +222,7 @@ def run_benchmark(scenario: Scenario) -> list[MetricRow]:
             name: {"aoa": [], "gain": [], "angle": [], "failures": 0, "ms": 0.0}
             for name in (PROPOSED, MUSIC_LS)
         }
+        runs = []
         for t in range(scenario.n_trials):
             aoas, channel, _s2, obs = _trial_block(scenario, si, t)
 
@@ -218,6 +245,9 @@ def run_benchmark(scenario: Scenario) -> list[MetricRow]:
             except _NUMERICAL_FAILURES:
                 acc[PROPOSED]["failures"] += 1
             else:
+                runs.append(
+                    (result.stop_reason, result.iterations_used, result.line_search_evaluations)
+                )
                 acc[PROPOSED]["aoa"].append(errs[0])
                 acc[PROPOSED]["gain"].append(errs[1])
                 acc[PROPOSED]["angle"].append(errs[2])
@@ -249,6 +279,7 @@ def run_benchmark(scenario: Scenario) -> list[MetricRow]:
                     trials=scenario.n_trials,
                     failures=a["failures"],
                     runtime_ms=a["ms"],
+                    diagnostics=_estimator_diagnostics(runs) if name == PROPOSED else None,
                 )
             )
     return rows
@@ -283,13 +314,15 @@ def benchmark_rows_json(rows: Sequence[MetricRow]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def run_metadata(config_echo: dict, runtime_ms: dict) -> str:
+def run_metadata(config_echo: dict, runtime_ms: dict, diagnostics: Optional[dict] = None) -> str:
     payload = {
         "version": __version__,
         "snr_definition": SNR_DEFINITION,
         "config": config_echo,
         "runtime_ms": runtime_ms,
     }
+    if diagnostics is not None:
+        payload["diagnostics"] = diagnostics
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

@@ -114,6 +114,16 @@ class TestArtifacts:
         meta = json.loads((out / "estimate_meta.json").read_text())
         assert "estimate" in meta["runtime_ms"]
 
+    def test_estimate_reports_stop_reason_and_line_search_count(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, _scenario_payload())
+        out = tmp_path / "est"
+        assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 0
+        payload = json.loads((out / "estimate.json").read_text())
+        assert payload["stop_reason"] in ("gradient", "loss_plateau")
+        assert payload["converged"] is True
+        assert payload["iterations_used"] == len(payload["loss_trace"])
+        assert payload["line_search_evaluations"] >= payload["iterations_used"] - 1
+
     def test_estimate_repeat_runs_byte_identical(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, _scenario_payload())
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -135,6 +145,22 @@ class TestArtifacts:
         )
         meta = json.loads((out_a / "benchmark_meta.json").read_text())
         assert set(meta["runtime_ms"]) == {"proposed@20.0dB", "music_ls@20.0dB"}
+
+    def test_benchmark_meta_reports_estimator_diagnostics(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, _scenario_payload(snr_db_list=[0.0, 20.0]))
+        out = tmp_path / "out"
+        assert main(["benchmark", "--config", cfg, "--out-dir", str(out)]) == 0
+        meta = json.loads((out / "benchmark_meta.json").read_text())
+        diagnostics = meta["diagnostics"]
+        assert set(diagnostics) == {"proposed@0.0dB", "proposed@20.0dB"}
+        for cell in diagnostics.values():
+            assert sum(cell["stop_reasons"].values()) == 3
+            for name in ("iterations_used", "line_search_evaluations"):
+                spread = cell[name]
+                assert set(spread) == {"p50", "p90", "max"}
+                assert spread["p50"] <= spread["p90"] <= spread["max"]
+        header = (out / "benchmark.csv").read_text().splitlines()[0]
+        assert header == "method,snr_db,mse_aoa_rad2,mse_path_gain,mse_path_angle_rad2,trials,failures"
 
     def test_benchmark_json_format(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, _scenario_payload())

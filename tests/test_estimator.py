@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from aoavi.estimator import (
+    _MAX_FIRST_STEP_RAD,
+    _MAX_HALVINGS,
+    STOP_REASONS,
     EstimationResult,
     OptimizerConfig,
     _aoa_gradient_raw,
@@ -17,6 +20,7 @@ from aoavi.landscape import enumerate_global_optima, stationary_points
 from aoavi.loss import (
     LossBreakdown,
     VariationalState,
+    _reconstruction_sum_raw,
     expected_reconstruction_observed,
     total_loss,
 )
@@ -219,7 +223,8 @@ class TestAoaGradientObserved:
 def _descent_step(
     obs, state, gradient, sector=Sector.full_range(), step0=OptimizerConfig().aoa_step_size
 ):
-    """_backtrack from state's angles and channel, as estimate() calls it."""
+    """_backtrack from state's angles and channel, as estimate() calls it;
+    returns (angles, reconstruction sum, accepted)."""
     lo, hi = _sector_bounds(sector)
     base = expected_reconstruction_observed(obs, state, normalized=False)
     return _backtrack(
@@ -233,7 +238,7 @@ def _descent_step(
         lo,
         hi,
         base,
-    )
+    )[:3]
 
 
 class TestAoaDescentStep:
@@ -330,11 +335,34 @@ class TestEstimationResult:
             EstimationResult(
                 state=state,
                 loss_trace=rising,
-                converged=True,
+                stop_reason="gradient",
                 iterations_used=2,
+                line_search_evaluations=1,
                 path_gains=np.zeros((1, 1)),
                 path_angles=np.zeros((1, 1)),
             )
+
+    def test_converged_follows_stop_reason(self):
+        state = VariationalState(
+            aoa_estimate=AoAVector(np.zeros(1)),
+            channel_means=np.zeros((1, 1), complex),
+            channel_covariance=np.zeros((1, 1), complex),
+        )
+
+        def result(reason):
+            return EstimationResult(
+                state=state,
+                loss_trace=(LossBreakdown.from_parts(0.0, 1.0),),
+                stop_reason=reason,
+                iterations_used=1,
+                line_search_evaluations=0,
+                path_gains=np.zeros((1, 1)),
+                path_angles=np.zeros((1, 1)),
+            )
+
+        assert [result(r).converged for r in STOP_REASONS] == [True, True, False, False]
+        with pytest.raises(ValueError):
+            result("converged")
 
 
 class TestEstimate:
@@ -431,8 +459,44 @@ class TestEstimate:
         result = estimate(obs, prior, sector, initial_aoas=[aoas.angles[0] + 0.01])
         totals = [b.total for b in result.loss_trace]
         assert result.converged is False
+        assert result.stop_reason == "line_search_stall"
         assert result.iterations_used == len(result.loss_trace) == 1
+        assert result.line_search_evaluations == _MAX_HALVINGS + 1
         assert all(b <= a for a, b in zip(totals, totals[1:]))
+
+    def test_budget_hit_is_not_converged(self):
+        """A budget smaller than the descent needs stops at the budget,
+        unconverged, with a trace of exactly that length."""
+        rng = make_rng(92)
+        obs, prior, aoas = self._scenario(rng, snr_db=10.0)
+        sector = Sector(center=0.0, width=2 * math.pi / 3)
+        start = [aoas.angles[0] + 0.01]
+        full = estimate(obs, prior, sector, initial_aoas=start)
+        assert full.converged and full.iterations_used > 3
+        short = estimate(
+            obs, prior, sector, cfg=OptimizerConfig(max_outer_iterations=3), initial_aoas=start
+        )
+        assert short.stop_reason == "budget"
+        assert short.converged is False
+        assert short.iterations_used == len(short.loss_trace) == 3
+        assert short.loss_trace == full.loss_trace[:3]
+
+    def test_stop_reasons_of_converged_runs(self):
+        rng = make_rng(93)
+        obs, prior, aoas = self._scenario(rng, snr_db=10.0)
+        sector = Sector(center=0.0, width=2 * math.pi / 3)
+        start = [aoas.angles[0] + 0.01]
+        plateau = estimate(obs, prior, sector, initial_aoas=start)
+        assert plateau.stop_reason == "loss_plateau" and plateau.converged
+        flat = estimate(
+            obs,
+            prior,
+            sector,
+            cfg=OptimizerConfig(aoa_gradient_tolerance=1e12),
+            initial_aoas=start,
+        )
+        assert flat.stop_reason == "gradient" and flat.converged
+        assert flat.iterations_used == 1 and flat.line_search_evaluations == 0
 
     def test_noiseless_input_runs_unnormalized(self):
         rng = make_rng(86)
@@ -512,3 +576,95 @@ class TestEstimate:
             assert dist < math.radians(0.05)
             hits.append(got)
         assert len(hits) == 12
+
+
+class TestLineSearchStart:
+    """Where each outer iteration's line search starts, read from the trial
+    angles estimate() scores."""
+
+    def _block(self):
+        """One seeded block: K = 1, N = 32, d/lambda = 0.5, 20 dB."""
+        rng = make_rng(94)
+        arr = ArrayConfig(32, 0.5)
+        aoas = AoAVector(np.radians([17.0]))
+        prior = ChannelPrior(mean=np.zeros(1, complex), covariance=np.eye(1, dtype=complex))
+        ch = sample_channel(prior, 40, rng)
+        s2 = snr_to_noise_variance(20.0, arr, prior, aoas)
+        obs = synthesize_observation(arr, aoas, ch, s2, rng)
+        sector = Sector(center=0.0, width=2 * math.pi / 3)
+        return obs, prior, sector, sector_grid(sector, math.radians(0.5))
+
+    @staticmethod
+    def _record(monkeypatch):
+        """Wrap the gradient and the reconstruction sum; returns the list of
+        ("grad", angles, gradient) and ("recon", angles) events in call
+        order."""
+        events = []
+
+        def recording_recon(signal, array, angles, *rest):
+            events.append(("recon", np.array(angles)))
+            return _reconstruction_sum_raw(signal, array, angles, *rest)
+
+        def recording_grad(signal, array, angles, *rest):
+            g = _aoa_gradient_raw(signal, array, angles, *rest)
+            events.append(("grad", np.array(angles), g))
+            return g
+
+        monkeypatch.setattr("aoavi.estimator._reconstruction_sum_raw", recording_recon)
+        monkeypatch.setattr("aoavi.estimator._aoa_gradient_raw", recording_grad)
+        return events
+
+    @staticmethod
+    def _first_trials(events):
+        """(angles, gradient, first trial) of every line search."""
+        return [(e[1], e[2], f[1]) for e, f in zip(events, events[1:]) if e[0] == "grad"]
+
+    def test_trials_per_descent_step_average_at_most_four(self):
+        obs, prior, sector, grid = self._block()
+        result = estimate(obs, prior, sector, grid)
+        assert result.converged
+        searches = result.iterations_used - 1
+        assert searches > 0
+        assert result.line_search_evaluations / searches <= 4.0
+
+    @pytest.mark.parametrize("step_size", [OptimizerConfig().aoa_step_size, 1e-8])
+    def test_first_trial_is_capped(self, monkeypatch, step_size):
+        obs, prior, sector, grid = self._block()
+        events = self._record(monkeypatch)
+        cfg = OptimizerConfig(aoa_step_size=step_size)
+        result = estimate(obs, prior, sector, grid, cfg)
+        starts = self._first_trials(events)
+        assert len(starts) == result.iterations_used - 1
+        recon_calls = sum(e[0] == "recon" for e in events)
+        assert result.line_search_evaluations == recon_calls - result.iterations_used
+        warm = 0
+        for angles, g, trial in starts:
+            moved = np.abs(trial - angles)
+            cap = np.minimum(step_size * np.abs(g), _MAX_FIRST_STEP_RAD)
+            # the displacement is read back from rounded angles
+            assert np.all(moved <= cap + 4 * np.spacing(np.abs(angles)))
+            warm += bool(np.all(moved < 0.999 * cap))
+        assert warm > 0  # some searches start below the default first step
+
+    def test_search_after_a_zero_step_starts_from_the_default(self, monkeypatch):
+        """A search that reports no usable step (a zero step) makes the next
+        one start from the default first step, so the descent cannot freeze
+        at a zero multiplier. A stall reports step 0 as well, but it ends
+        the descent, so no search follows one."""
+        obs, prior, sector, grid = self._block()
+        cfg = OptimizerConfig()
+        reference = estimate(obs, prior, sector, grid, cfg)
+        monkeypatch.setattr(
+            "aoavi.estimator._backtrack", lambda *args: _backtrack(*args)._replace(step=0.0)
+        )
+        events = self._record(monkeypatch)
+        result = estimate(obs, prior, sector, grid, cfg)
+        lo, hi = _sector_bounds(sector)
+        starts = self._first_trials(events)
+        assert len(starts) > 2
+        for angles, g, trial in starts:
+            step = min(cfg.aoa_step_size, _MAX_FIRST_STEP_RAD / np.max(np.abs(g)))
+            assert np.array_equal(trial, np.clip(angles - step * g, lo, hi))
+        assert result.converged
+        err = abs(result.state.aoa_estimate.angles[0] - reference.state.aoa_estimate.angles[0])
+        assert err < 1e-6

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 import aoavi.harness
-from aoavi.estimator import OptimizerConfig, estimate
+from aoavi.estimator import STOP_REASONS, OptimizerConfig, estimate
 from aoavi.harness import (
     BENCHMARK_CSV_HEADER,
     MUSIC_LS,
@@ -27,6 +27,7 @@ from aoavi.harness import (
     run_landscape_export,
     run_metadata,
     scenario_from_dict,
+    _trial_block,
     trial_rng,
     wrap_angle,
 )
@@ -226,6 +227,44 @@ class TestRunBenchmark:
         proposed = next(r for r in rows if r.method == PROPOSED)
         assert proposed.failures == proposed.trials == 2
         assert math.isnan(proposed.mse_aoa)
+
+    def test_proposed_rows_carry_stop_diagnostics(self, monkeypatch):
+        scenario = _single_user_scenario(snr_db_list=(0.0, 20.0), n_trials=4)
+        grid = sector_grid(scenario.sector, scenario.grid_step)
+        rows = run_benchmark(scenario)
+        assert [r.diagnostics for r in rows if r.method == MUSIC_LS] == [None, None]
+        for si, row in enumerate(r for r in rows if r.method == PROPOSED):
+            results = [
+                estimate(
+                    _trial_block(scenario, si, t)[3],
+                    scenario.prior,
+                    scenario.sector,
+                    grid,
+                    scenario.optimizer,
+                )
+                for t in range(scenario.n_trials)
+            ]
+            diag = row.diagnostics
+            assert diag["stop_reasons"] == {
+                reason: sum(r.stop_reason == reason for r in results) for reason in STOP_REASONS
+            }
+            iterations = [r.iterations_used for r in results]
+            evaluations = [r.line_search_evaluations for r in results]
+            assert diag["iterations_used"] == {
+                "p50": float(np.median(iterations)),
+                "p90": float(np.percentile(iterations, 90)),
+                "max": max(iterations),
+            }
+            assert diag["line_search_evaluations"]["max"] == max(evaluations)
+            assert diag["line_search_evaluations"]["p50"] == float(np.median(evaluations))
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(aoavi.harness, "estimate", singular)
+        failed = run_benchmark(_single_user_scenario(n_trials=2))[0].diagnostics
+        assert sum(failed["stop_reasons"].values()) == 0
+        assert failed["iterations_used"] is None and failed["line_search_evaluations"] is None
 
     def test_programming_error_propagates(self, monkeypatch):
         def broken(*args, **kwargs):
