@@ -105,7 +105,8 @@ class Scenario:
 class MetricRow:
     """Aggregated per-(method, SNR) errors. MSE fields are NaN when every
     trial of the method failed; failures counts excluded trials.
-    diagnostics (proposed rows of run_benchmark only) summarizes how the
+    diagnostics (rows of run_benchmark only) counts the failures by
+    exception type and, for the proposed method, summarizes how the
     estimator stopped; like runtime_ms it goes to the metadata side-car,
     never into the data files."""
 
@@ -174,6 +175,11 @@ def _percentiles(values: list) -> Optional[dict]:
     }
 
 
+def _failure_name(exc: Exception) -> str:
+    # LinAlgError subclasses ValueError, so it is tested first
+    return "LinAlgError" if isinstance(exc, np.linalg.LinAlgError) else "ValueError"
+
+
 def _estimator_diagnostics(runs: Sequence[tuple[str, int, int]]) -> dict:
     """Stop-reason counts and the p50/p90/max of iterations_used and
     line_search_evaluations over (stop_reason, iterations_used,
@@ -212,14 +218,21 @@ def run_benchmark(scenario: Scenario) -> list[MetricRow]:
     observation block and run both methods on it. Per-trial numerical
     failures (ValueError, LinAlgError) are counted and excluded from the
     means; any other exception propagates. Output order: SNRs as listed,
-    proposed before the classical baseline. Each proposed row carries the
-    stop diagnostics of its successful trials."""
+    proposed before the classical baseline. Every row's diagnostics counts
+    its failures by type; each proposed row also carries the stop
+    diagnostics of its successful trials."""
     grid = sector_grid(scenario.sector, scenario.grid_step)
     k = scenario.prior.k_users
     rows: list[MetricRow] = []
     for si, snr in enumerate(scenario.snr_db_list):
         acc = {
-            name: {"aoa": [], "gain": [], "angle": [], "failures": 0, "ms": 0.0}
+            name: {
+                "aoa": [],
+                "gain": [],
+                "angle": [],
+                "failures": {cls.__name__: 0 for cls in _NUMERICAL_FAILURES},
+                "ms": 0.0,
+            }
             for name in (PROPOSED, MUSIC_LS)
         }
         runs = []
@@ -242,8 +255,8 @@ def run_benchmark(scenario: Scenario) -> list[MetricRow]:
                     result.state.aoa_estimate.angles,
                     result.state.channel_means,
                 )
-            except _NUMERICAL_FAILURES:
-                acc[PROPOSED]["failures"] += 1
+            except _NUMERICAL_FAILURES as exc:
+                acc[PROPOSED]["failures"][_failure_name(exc)] += 1
             else:
                 runs.append(
                     (result.stop_reason, result.iterations_used, result.line_search_evaluations)
@@ -259,8 +272,8 @@ def run_benchmark(scenario: Scenario) -> list[MetricRow]:
                 peak_angles = np.asarray(spectrum.peaks, dtype=float)
                 gains = ls_channel(obs, AoAVector(peak_angles))
                 errs = aligned_squared_errors(aoas, channel, peak_angles, gains)
-            except _NUMERICAL_FAILURES:
-                acc[MUSIC_LS]["failures"] += 1
+            except _NUMERICAL_FAILURES as exc:
+                acc[MUSIC_LS]["failures"][_failure_name(exc)] += 1
             else:
                 acc[MUSIC_LS]["aoa"].append(errs[0])
                 acc[MUSIC_LS]["gain"].append(errs[1])
@@ -269,6 +282,9 @@ def run_benchmark(scenario: Scenario) -> list[MetricRow]:
 
         for name in (PROPOSED, MUSIC_LS):
             a = acc[name]
+            diagnostics = {"failures": a["failures"]}
+            if name == PROPOSED:
+                diagnostics.update(_estimator_diagnostics(runs))
             rows.append(
                 MetricRow(
                     method=name,
@@ -277,9 +293,9 @@ def run_benchmark(scenario: Scenario) -> list[MetricRow]:
                     mse_path_gain=float(np.mean(a["gain"])) if a["gain"] else math.nan,
                     mse_path_angle=float(np.mean(a["angle"])) if a["angle"] else math.nan,
                     trials=scenario.n_trials,
-                    failures=a["failures"],
+                    failures=sum(a["failures"].values()),
                     runtime_ms=a["ms"],
-                    diagnostics=_estimator_diagnostics(runs) if name == PROPOSED else None,
+                    diagnostics=diagnostics,
                 )
             )
     return rows

@@ -31,9 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .loss import _reconstruction_sum_raw
 from .preprocess import AngleGrid
-from .signal_model import AoAVector, ArrayConfig, ChannelRealization, array_response, _frozen
+from .signal_model import AoAVector, ArrayConfig, ChannelRealization, array_matrix, _frozen
 
 _HALF_PI = math.pi / 2.0
 # |detector value| every returned root must satisfy
@@ -42,6 +41,8 @@ _RESIDUAL_TOL = 1e-8
 _GUARD_BAND = 1e-3
 # roots this close to the true angle are the optimum, not traps
 _TRUE_ANGLE_WINDOW = 1e-4
+# complex elements in one surface block's largest temporary (128 KiB)
+_SURFACE_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -234,24 +235,53 @@ def exact_population_gradient(
     return -2.0 * channel_power * series
 
 
-def _bisect(f, a: float, b: float, fa: float, fb: float, tol: float) -> tuple[float, float]:
-    """Bisection on a sign change, then extra halving until the residual is
-    well under the reporting tolerance or the interval hits machine width."""
-    floor_width = 4.0 * np.finfo(float).eps * max(1.0, abs(a), abs(b))
-    for _ in range(200):
+def _bracket_and_bisect(f, xs: np.ndarray, fx: np.ndarray, usable: np.ndarray, tol: float):
+    """Roots of the vectorized detector f on the scan intervals
+    [xs[i], xs[i+1]] with usable[i] set, given its scan values fx.
+
+    An exact zero at an interval's left end is a root as it stands; a strict
+    sign change is a bracket. All brackets are bisected in lockstep, one
+    call of f per step, each under the scalar rules: halve at the midpoint,
+    keep the half where fa * fm <= 0, report the endpoint with the smaller
+    |f|, and stop once the bracket is within 4 eps of machine width, or
+    within tol with a residual well under the reporting tolerance (at most
+    200 steps). Returns (interval index, root, residual) arrays.
+    """
+    fa, fb = fx[:-1], fx[1:]
+    at_zero = np.flatnonzero(usable & (fa == 0.0))
+    with np.errstate(invalid="ignore"):
+        which = np.flatnonzero(usable & (fa != 0.0) & (fa * fb < 0.0))
+    a, b, fa, fb = xs[which], xs[which + 1], fa[which], fb[which]
+    floor_width = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    roots = np.empty(which.size)
+    residuals = np.empty(which.size)
+    live = np.arange(which.size)
+    for step in range(200):
+        if live.size == 0:
+            break
         mid = 0.5 * (a + b)
         fm = f(mid)
-        if fa * fm <= 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
+        left = fa * fm <= 0.0
+        b, fb = np.where(left, mid, b), np.where(left, fm, fb)
+        a, fa = np.where(left, a, mid), np.where(left, fa, fm)
+        at_a = np.abs(fa) < np.abs(fb)
+        best = np.where(at_a, a, b)
+        best_res = np.where(at_a, np.abs(fa), np.abs(fb))
         width = b - a
-        best = (a, abs(fa)) if abs(fa) < abs(fb) else (b, abs(fb))
-        if width <= floor_width:
-            return best
-        if width <= tol and best[1] < 0.1 * _RESIDUAL_TOL:
-            return best
-    return best
+        done = (width <= floor_width) | ((width <= tol) & (best_res < 0.1 * _RESIDUAL_TOL))
+        if step == 199:
+            done[:] = True
+        roots[live[done]] = best[done]
+        residuals[live[done]] = best_res[done]
+        keep = ~done
+        live, a, b, fa, fb, floor_width = (
+            x[keep] for x in (live, a, b, fa, fb, floor_width)
+        )
+    return (
+        np.concatenate([at_zero, which]),
+        np.concatenate([xs[at_zero], roots]),
+        np.concatenate([np.zeros(at_zero.size), residuals]),
+    )
 
 
 def stationary_points(
@@ -259,9 +289,10 @@ def stationary_points(
 ) -> StationaryPointSet:
     """Locate the asymptotic condition's roots over the search grid.
 
-    Sign changes are scanned at the grid resolution, then bisected. The
-    scan step is asserted to be well under the condition's oscillation
-    period, about 1/(2 * (d/lambda) * (N-1)) radians near broadside.
+    Sign changes are scanned at the grid resolution, then all brackets are
+    bisected in lockstep. The scan step is asserted to be well under the
+    condition's oscillation period, about 1/(2 * (d/lambda) * (N-1))
+    radians near broadside.
     Intervals inside a pole guard band are screened with the exact finite
     sum instead of the divergent asymptotic ratio. The two ends +-pi/2
     (roots of the cos factor) are always included. A root within 1e-4 rad
@@ -281,53 +312,39 @@ def stationary_points(
     if not tol > 0:
         raise ValueError("tol must be positive")
 
-    poles = [0.0, -true_angle]
+    def lhs(x: np.ndarray) -> np.ndarray:
+        return stationary_condition_lhs(array, true_angle, x)
 
-    def in_guard(x: float) -> bool:
-        return any(abs(x - p) < _GUARD_BAND for p in poles)
-
-    def lhs(x: float) -> float:
-        return float(stationary_condition_lhs(array, true_angle, x))
-
-    def fsum_scaled(x: float) -> float:
-        return float(stationary_condition_finite_sum(array, true_angle, x)) / (n_ant - 1)
+    def fsum_scaled(x: np.ndarray) -> np.ndarray:
+        return stationary_condition_finite_sum(array, true_angle, x) / (n_ant - 1)
 
     xs = search.angles()
-    f_lhs = stationary_condition_lhs(array, true_angle, xs)
+    f_lhs = lhs(xs)
+    # an interval is guarded when either end is near a pole or non-finite
+    bad = ~np.isfinite(f_lhs)
+    for pole in (0.0, -true_angle):
+        bad |= np.abs(xs - pole) < _GUARD_BAND
+    guarded = bad[:-1] | bad[1:]
+    ends = np.zeros(xs.size, dtype=bool)
+    ends[:-1] |= guarded
+    ends[1:] |= guarded
+    f_sum = np.full(xs.size, np.nan)
+    f_sum[ends] = fsum_scaled(xs[ends])
 
-    roots: list[tuple[float, float]] = []
-    for i in range(xs.size - 1):
-        a, b = float(xs[i]), float(xs[i + 1])
-        guarded = (
-            in_guard(a)
-            or in_guard(b)
-            or not np.isfinite(f_lhs[i])
-            or not np.isfinite(f_lhs[i + 1])
-        )
-        if guarded:
-            fa, fb = fsum_scaled(a), fsum_scaled(b)
-            if fa == 0.0:
-                roots.append((a, abs(fa)))
-                continue
-            if fa * fb < 0.0:
-                roots.append(_bisect(fsum_scaled, a, b, fa, fb, tol))
-            continue
-        fa, fb = float(f_lhs[i]), float(f_lhs[i + 1])
-        if fa == 0.0:
-            roots.append((a, abs(fa)))
-            continue
-        if fa * fb < 0.0:
-            roots.append(_bisect(lhs, a, b, fa, fb, tol))
+    found = [
+        _bracket_and_bisect(lhs, xs, f_lhs, ~guarded, tol),
+        _bracket_and_bisect(fsum_scaled, xs, f_sum, guarded, tol),
+    ]
+    lo, hi = float(xs[0]) - search.step, float(xs[-1]) + search.step
+    edges = np.array([e for e in (-_HALF_PI, _HALF_PI) if lo <= e <= hi])
+    found.append((np.full(edges.size, xs.size), edges, np.abs(lhs(edges))))
+    order_key, angles, residuals = (np.concatenate(parts) for parts in zip(*found))
 
-    lo, hi = float(xs[0]), float(xs[-1])
-    for edge in (-_HALF_PI, _HALF_PI):
-        if lo - search.step <= edge <= hi + search.step:
-            roots.append((edge, abs(lhs(edge))))
-
-    roots = [rt for rt in roots if abs(rt[0] - true_angle) > _TRUE_ANGLE_WINDOW]
-    roots.sort(key=lambda rt: rt[0])
+    outside = np.abs(angles - true_angle) > _TRUE_ANGLE_WINDOW
+    # ascending angle; equal angles in interval order, the endpoints last
+    order = np.lexsort((order_key[outside], angles[outside]))
     dedup: list[tuple[float, float]] = []
-    for ang, res in roots:
+    for ang, res in zip(angles[outside][order].tolist(), residuals[outside][order].tolist()):
         if dedup and abs(ang - dedup[-1][0]) < max(2.0 * tol, 1e-9):
             if res < dedup[-1][1]:
                 dedup[-1] = (ang, res)
@@ -351,9 +368,13 @@ def evaluate_surface(
 ) -> LossSurface:
     """Population loss over a dense 1-D or 2-D grid, every non-varied
     parameter held at its true value (posterior means equal the true gains,
-    posterior covariance zero).
+    posterior covariance zero, so the loss is ||A h - A_hat mu||_F^2 plus
+    the noise floor).
 
-    The grid may not exceed 1e7 points.
+    The grid may not exceed 1e7 points, and the two axes must vary
+    different coordinates. Grid points are evaluated in blocks of
+    max(1, 8192 // (N * max(K, M))), so the working memory beyond the
+    returned values does not grow with the grid.
     """
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
@@ -362,9 +383,10 @@ def evaluate_surface(
     for ax in axes:
         if ax.user_index >= k_users:
             raise ValueError("axis user_index out of range")
-    total = 1
-    for ax in axes:
-        total *= ax.num
+    if len({(ax.target, ax.user_index) for ax in axes}) < len(axes):
+        raise ValueError("both axes vary the same coordinate")
+    shape = tuple(ax.num for ax in axes)
+    total = math.prod(shape)
     if total > 10**7:
         raise ValueError("surface grid exceeds the 1e7-point resource guard")
     if noise_variance < 0:
@@ -391,23 +413,24 @@ def evaluate_surface(
         values = power * (2.0 * n - 2.0 * overlap) + noise_floor
         return LossSurface(axes=axes, values=values)
 
-    steer_true = np.column_stack([array_response(array, t) for t in true_aoas.angles])
-    clean = steer_true @ gains
-    cov = np.zeros((k_users, k_users), dtype=complex)
-    shape = tuple(ax.num for ax in axes)
-    values = np.empty(shape, dtype=float)
+    clean = array_matrix(array, true_aoas) @ gains
+    # array_matrix's phase factor, in its operation order
+    phase = -2j * np.pi * array.spacing_ratio * np.arange(n)
     axis_vals = [ax.values() for ax in axes]
-    for idx in np.ndindex(shape):
-        angles = np.array(true_aoas.angles, dtype=float)
-        means = gains.copy()
-        for ai, (ax, pos) in enumerate(zip(axes, idx)):
-            v = float(axis_vals[ai][pos])
+    values = np.empty(total)
+    per_block = max(1, _SURFACE_BLOCK // (n * max(k_users, m)))
+    for lo in range(0, total, per_block):
+        flat = np.arange(lo, min(lo + per_block, total))
+        angles = np.repeat(true_aoas.angles[None, :], flat.size, axis=0)
+        means = np.repeat(gains[None], flat.size, axis=0)
+        for ax, vals, pos in zip(axes, axis_vals, np.unravel_index(flat, shape)):
+            v = vals[pos]
             if ax.target == "aoa":
-                angles[ax.user_index] = v
+                angles[:, ax.user_index] = v
             else:
-                row = gains[ax.user_index]
-                means[ax.user_index] = np.abs(row) * np.exp(1j * v)
-        values[idx] = (
-            _reconstruction_sum_raw(clean, array, angles, means, cov) + noise_floor
-        )
-    return LossSurface(axes=axes, values=values)
+                means[:, ax.user_index] = np.abs(gains[ax.user_index]) * np.exp(1j * v)[:, None]
+        a_hat = np.exp(phase[None, :, None] * np.sin(angles)[:, None, :])
+        resid = (clean - a_hat @ means).reshape(flat.size, -1).view(float)
+        values[lo : lo + flat.size] = np.einsum("bi,bi->b", resid, resid)
+    values += noise_floor
+    return LossSurface(axes=axes, values=values.reshape(shape))

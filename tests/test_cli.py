@@ -152,8 +152,14 @@ class TestArtifacts:
         assert main(["benchmark", "--config", cfg, "--out-dir", str(out)]) == 0
         meta = json.loads((out / "benchmark_meta.json").read_text())
         diagnostics = meta["diagnostics"]
-        assert set(diagnostics) == {"proposed@0.0dB", "proposed@20.0dB"}
-        for cell in diagnostics.values():
+        assert set(diagnostics) == {
+            f"{method}@{snr}dB" for method in ("proposed", "music_ls") for snr in ("0.0", "20.0")
+        }
+        for key, cell in diagnostics.items():
+            assert cell["failures"] == {"ValueError": 0, "LinAlgError": 0}
+            if key.startswith("music_ls"):
+                assert set(cell) == {"failures"}
+                continue
             assert sum(cell["stop_reasons"].values()) == 3
             for name in ("iterations_used", "line_search_evaluations"):
                 spread = cell[name]

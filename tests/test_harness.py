@@ -228,11 +228,35 @@ class TestRunBenchmark:
         assert proposed.failures == proposed.trials == 2
         assert math.isnan(proposed.mse_aoa)
 
+    def test_failures_counted_by_type(self, monkeypatch):
+        scenario = _single_user_scenario(n_trials=3)
+        clean = run_benchmark(scenario)
+        real_estimate = aoavi.harness.estimate
+        calls = []
+
+        def singular_on_second_trial(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise np.linalg.LinAlgError("singular matrix")
+            return real_estimate(*args, **kwargs)
+
+        monkeypatch.setattr(aoavi.harness, "estimate", singular_on_second_trial)
+        rows = run_benchmark(scenario)
+        proposed, music = rows
+        assert proposed.failures == 1
+        assert proposed.diagnostics["failures"] == {"ValueError": 0, "LinAlgError": 1}
+        assert sum(proposed.diagnostics["stop_reasons"].values()) == 2
+        assert music.diagnostics == {"failures": {"ValueError": 0, "LinAlgError": 0}}
+        assert benchmark_csv([music]) == benchmark_csv(clean[1:])
+        # the counts by type stay out of the data files
+        assert "LinAlgError" not in benchmark_csv(rows) + benchmark_rows_json(rows)
+
     def test_proposed_rows_carry_stop_diagnostics(self, monkeypatch):
         scenario = _single_user_scenario(snr_db_list=(0.0, 20.0), n_trials=4)
         grid = sector_grid(scenario.sector, scenario.grid_step)
         rows = run_benchmark(scenario)
-        assert [r.diagnostics for r in rows if r.method == MUSIC_LS] == [None, None]
+        no_failures = {"failures": {"ValueError": 0, "LinAlgError": 0}}
+        assert [r.diagnostics for r in rows if r.method == MUSIC_LS] == [no_failures] * 2
         for si, row in enumerate(r for r in rows if r.method == PROPOSED):
             results = [
                 estimate(

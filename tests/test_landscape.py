@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import aoavi.landscape
 from aoavi.landscape import (
     AxisSpec,
     GlobalOptimaSet,
@@ -22,6 +23,9 @@ from aoavi.signal_model import AoAVector, ArrayConfig, ChannelRealization
 from conftest import make_rng
 
 THETA_11 = math.radians(11.0)
+SCAN_STEP = math.radians(0.01)
+# (N, d/lambda, true angle) of the benchmark's three landscape exports
+BENCHMARK_LANDSCAPES = ((32, 2.0, THETA_11), (256, 0.5, THETA_11), (32, 0.5, THETA_11))
 
 
 def _unit_channel(m=1):
@@ -41,6 +45,69 @@ def _population_slice(array, theta, estimates):
         )
         out.append(population_reconstruction(aoas, ch, state, array, 0.0))
     return np.asarray(out)
+
+
+def _reference_bisect(f, a, b, fa, fb, tol):
+    """Scalar bisection, one bracket at a time: the rules stationary_points
+    applies to all brackets in lockstep."""
+    floor_width = 4.0 * np.finfo(float).eps * max(1.0, abs(a), abs(b))
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        fm = f(mid)
+        if fa * fm <= 0.0:
+            b, fb = mid, fm
+        else:
+            a, fa = mid, fm
+        width = b - a
+        best = (a, abs(fa)) if abs(fa) < abs(fb) else (b, abs(fb))
+        if width <= floor_width:
+            return best
+        if width <= tol and best[1] < 0.1 * 1e-8:
+            return best
+    return best
+
+
+def _reference_stationary_points(array, true_angle, search, tol=1e-10):
+    """Per-interval scalar oracle for stationary_points: (angles, residuals)."""
+    n_ant = array.n_antennas
+    poles = [0.0, -true_angle]
+
+    def in_guard(x):
+        return any(abs(x - p) < 1e-3 for p in poles)
+
+    def lhs(x):
+        return float(stationary_condition_lhs(array, true_angle, x))
+
+    def fsum_scaled(x):
+        return float(stationary_condition_finite_sum(array, true_angle, x)) / (n_ant - 1)
+
+    xs = search.angles()
+    f_lhs = stationary_condition_lhs(array, true_angle, xs)
+    roots = []
+    for i in range(xs.size - 1):
+        a, b = float(xs[i]), float(xs[i + 1])
+        finite = np.isfinite(f_lhs[i]) and np.isfinite(f_lhs[i + 1])
+        if in_guard(a) or in_guard(b) or not finite:
+            f, fa, fb = fsum_scaled, fsum_scaled(a), fsum_scaled(b)
+        else:
+            f, fa, fb = lhs, float(f_lhs[i]), float(f_lhs[i + 1])
+        if fa == 0.0:
+            roots.append((a, abs(fa)))
+        elif fa * fb < 0.0:
+            roots.append(_reference_bisect(f, a, b, fa, fb, tol))
+    lo, hi = float(xs[0]), float(xs[-1])
+    for edge in (-math.pi / 2, math.pi / 2):
+        if lo - search.step <= edge <= hi + search.step:
+            roots.append((edge, abs(lhs(edge))))
+    roots = sorted((rt for rt in roots if abs(rt[0] - true_angle) > 1e-4), key=lambda rt: rt[0])
+    dedup = []
+    for ang, res in roots:
+        if dedup and abs(ang - dedup[-1][0]) < max(2.0 * tol, 1e-9):
+            if res < dedup[-1][1]:
+                dedup[-1] = (ang, res)
+            continue
+        dedup.append((ang, res))
+    return [a for a, _ in dedup], [r for _, r in dedup]
 
 
 class TestEnumerateGlobalOptima:
@@ -228,6 +295,40 @@ class TestStationaryPoints:
         far = count_sign_changes(THETA_11 + math.radians(10.0), THETA_11 + math.radians(20.0))
         assert near >= far
 
+    @pytest.mark.parametrize(
+        "n, spacing, theta",
+        BENCHMARK_LANDSCAPES + ((48, 1.0, math.radians(-27.0)),),
+    )
+    def test_matches_per_interval_scalar_oracle(self, n, spacing, theta):
+        arr = ArrayConfig(n, spacing)
+        search = AngleGrid(-math.pi / 2, math.pi / 2, SCAN_STEP)
+        ref_angles, _ = _reference_stationary_points(arr, theta, search)
+        pts = stationary_points(arr, theta, search)
+        assert len(pts.angles) == len(ref_angles)
+        assert np.max(np.abs(np.subtract(pts.angles, ref_angles))) <= 1e-12
+        assert max(pts.residuals) < 1e-8
+        # every config has a root bisected on the finite sum inside the
+        # guard band of each pole
+        for pole in (0.0, -theta):
+            assert min(abs(a - pole) for a in ref_angles) < 1e-3
+
+    def test_detector_calls_bounded_by_bisection_depth(self, monkeypatch):
+        counted = aoavi.landscape.stationary_condition_lhs
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return counted(*args)
+
+        monkeypatch.setattr(aoavi.landscape, "stationary_condition_lhs", counting)
+        arr = ArrayConfig(32, 2.0)
+        pts = stationary_points(arr, THETA_11, AngleGrid(-math.pi / 2, math.pi / 2, SCAN_STEP))
+        assert len(pts.angles) == 295
+        # halvings from one scan step down to the 4-eps floor width
+        depth = math.ceil(math.log2(SCAN_STEP / (4.0 * np.finfo(float).eps)))
+        # plus the scan and the +-pi/2 endpoints
+        assert len(calls) <= depth + 2
+
     def test_type_rejects_large_residuals(self):
         with pytest.raises(ValueError):
             StationaryPointSet(
@@ -292,6 +393,76 @@ class TestEvaluateSurface:
         finally:
             tracemalloc.stop()
         assert peak < 32 * axis.num * 16
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("aoa", 0), ("path_angle", 0)),
+            (("aoa", 0), ("path_angle", 1)),
+            (("path_angle", 1), ("aoa", 0)),
+            (("aoa", 0), ("aoa", 1)),
+        ],
+    )
+    def test_two_dimensional_matches_per_point_oracle(self, first, second):
+        rng = make_rng(142)
+        arr = ArrayConfig(16, 2.0)
+        aoas = AoAVector(np.radians([-20.0, 11.0]))
+        ch = ChannelRealization.from_gains(rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
+
+        def axis(spec, num):
+            target, user = spec
+            lo, hi = (-1.2, 1.2) if target == "aoa" else (-3.0, 3.0)
+            return AxisSpec(target=target, user_index=user, start=lo, stop=hi, num=num)
+
+        axes = [axis(first, 13), axis(second, 11)]
+        surface = evaluate_surface(axes, arr, aoas, ch)
+        oracle = np.empty(surface.values.shape)
+        for i, u in enumerate(axes[0].values()):
+            for j, v in enumerate(axes[1].values()):
+                angles = np.array(aoas.angles)
+                means = ch.gains.copy()
+                for ax, val in ((axes[0], u), (axes[1], v)):
+                    if ax.target == "aoa":
+                        angles[ax.user_index] = val
+                    else:
+                        means[ax.user_index] = np.abs(means[ax.user_index]) * np.exp(1j * val)
+                state = VariationalState(
+                    aoa_estimate=AoAVector(angles),
+                    channel_means=means,
+                    channel_covariance=np.zeros((2, 2), complex),
+                )
+                oracle[i, j] = population_reconstruction(aoas, ch, state, arr, 0.0)
+        assert np.max(np.abs(surface.values - oracle) / np.abs(oracle)) <= 1e-12
+
+    def test_two_dimensional_surface_builds_no_full_steering_array(self):
+        arr = ArrayConfig(16, 0.5)
+        aoas = AoAVector(np.array([THETA_11]))
+        axes = [
+            AxisSpec(target="aoa", user_index=0, start=-math.pi / 2, stop=math.pi / 2, num=200),
+            AxisSpec(target="path_angle", user_index=0, start=-math.pi, stop=math.pi, num=200),
+        ]
+        tracemalloc.start()
+        try:
+            evaluate_surface(axes, arr, aoas, _unit_channel())
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < arr.n_antennas * 200 * 200 * 16 / 4
+
+    def test_duplicate_axes_rejected(self):
+        arr = ArrayConfig(8, 0.5)
+        aoas = AoAVector(np.zeros(2))
+        ch = ChannelRealization.from_gains(np.ones((2, 1), dtype=complex))
+        for target in ("aoa", "path_angle"):
+            axes = [
+                AxisSpec(target=target, user_index=1, start=-1.0, stop=1.0, num=5),
+                AxisSpec(target=target, user_index=1, start=-0.5, stop=0.5, num=4),
+            ]
+            with pytest.raises(ValueError, match="same coordinate"):
+                evaluate_surface(axes, arr, aoas, ch)
+        # the same target for different users is a valid surface
+        axes[1] = AxisSpec(target="path_angle", user_index=0, start=-0.5, stop=0.5, num=4)
+        assert evaluate_surface(axes, arr, aoas, ch).values.shape == (5, 4)
 
     def _count_global_minima(self, n, spacing, num=36001):
         arr = ArrayConfig(n, spacing)
