@@ -18,7 +18,6 @@ from .signal_model import (
     ChannelPrior,
     ChannelRealization,
     ObservationSet,
-    array_response,
     array_matrix,
     sample_channel,
     synthesize_observation,
@@ -55,8 +54,6 @@ from .landscape import (
     enumerate_global_optima,
     stationary_points,
     exact_population_gradient,
-    stationary_condition_lhs,
-    stationary_condition_finite_sum,
     evaluate_surface,
 )
 from .baselines import MusicSpectrum, music_estimate, ls_channel
@@ -69,7 +66,6 @@ __all__ = [
     "ChannelPrior",
     "ChannelRealization",
     "ObservationSet",
-    "array_response",
     "array_matrix",
     "sample_channel",
     "synthesize_observation",
@@ -98,8 +94,6 @@ __all__ = [
     "enumerate_global_optima",
     "stationary_points",
     "exact_population_gradient",
-    "stationary_condition_lhs",
-    "stationary_condition_finite_sum",
     "evaluate_surface",
     "MusicSpectrum",
     "music_estimate",

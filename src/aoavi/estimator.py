@@ -30,7 +30,6 @@ from .signal_model import AoAVector, ChannelPrior, ObservationSet, array_matrix
 # backtracking limits; not part of the public config
 _MAX_HALVINGS = 40
 _MAX_FIRST_STEP_RAD = math.radians(0.5)
-_HALF_PI = math.pi / 2.0
 
 # why estimate() stopped; only the first two count as converged
 STOP_REASONS = ("gradient", "loss_plateau", "line_search_stall", "budget")
@@ -72,20 +71,30 @@ class EstimationResult:
     tolerance, one iteration lowered the loss by less than loss_tolerance,
     the line search stalled, or the trace reached max_outer_iterations.
     line_search_evaluations counts the trial reconstruction sums the line
-    searches scored.
+    searches scored. converged, iterations_used (the trace length) and the
+    polar path parameters of the channel means are derived on access.
     """
 
     state: VariationalState
     loss_trace: tuple[LossBreakdown, ...]
     stop_reason: str
-    iterations_used: int
     line_search_evaluations: int
-    path_gains: np.ndarray
-    path_angles: np.ndarray
 
     @property
     def converged(self) -> bool:
         return self.stop_reason in STOP_REASONS[:2]
+
+    @property
+    def iterations_used(self) -> int:
+        return len(self.loss_trace)
+
+    @property
+    def path_gains(self) -> np.ndarray:
+        return recover_path_parameters(self.state.channel_means)[0]
+
+    @property
+    def path_angles(self) -> np.ndarray:
+        return recover_path_parameters(self.state.channel_means)[1]
 
     def __post_init__(self):
         if self.stop_reason not in STOP_REASONS:
@@ -141,11 +150,10 @@ def _aoa_gradient_raw(
     means: np.ndarray,
     cov: np.ndarray,
     noise_variance: float,
-    normalized: bool,
 ) -> np.ndarray:
     """Exact gradient of the reconstruction sum with respect to each AoA,
-    divided by noise_variance when normalized (the loss term's gradient;
-    the divergence part does not involve the AoAs)."""
+    divided by noise_variance when it is positive (the loss term's
+    gradient; the divergence part does not involve the AoAs)."""
     a_hat = array_matrix(array, AoAVector(angles))
     n = array.n_antennas
     # phase-slope vector per user: 2*pi*(d/lambda)*cos(theta_k) * [0..N-1]
@@ -160,13 +168,9 @@ def _aoa_gradient_raw(
     term2 = np.imag(np.sum(d_mat * np.conj(a_hat @ (means.shape[1] * cov)), axis=0))
 
     grad = 2.0 * (term1 + term2)
-    if normalized:
+    if noise_variance > 0:
         grad = grad / noise_variance
     return grad
-
-
-def _sector_bounds(sector: Sector) -> tuple[float, float]:
-    return max(sector.lo, -_HALF_PI), min(sector.hi, _HALF_PI)
 
 
 class _LineSearch(NamedTuple):
@@ -250,7 +254,7 @@ def estimate(
     """
     k = prior.k_users
     s2 = obs.noise_variance
-    lo, hi = _sector_bounds(sector)
+    lo, hi = sector.lo, sector.hi
 
     if initial_aoas is not None:
         start = np.sort(np.asarray(initial_aoas, dtype=float).reshape(-1))
@@ -276,7 +280,7 @@ def estimate(
     evaluations = 0
     last_step = last_gsq = 0.0  # the previous search's accepted step and |g|^2
     for _ in range(cfg.max_outer_iterations - 1):
-        grad = _aoa_gradient_raw(obs.signal, obs.array, angles, means, cov, s2, s2 > 0)
+        grad = _aoa_gradient_raw(obs.signal, obs.array, angles, means, cov, s2)
         if float(np.max(np.abs(grad))) < cfg.aoa_gradient_tolerance:
             stop_reason = "gradient"
             break
@@ -304,13 +308,9 @@ def estimate(
     state = VariationalState(
         aoa_estimate=AoAVector(angles), channel_means=means, channel_covariance=cov
     )
-    path_gains, path_angles = recover_path_parameters(means)
     return EstimationResult(
         state=state,
         loss_trace=tuple(trace),
         stop_reason=stop_reason,
-        iterations_used=len(trace),
         line_search_evaluations=evaluations,
-        path_gains=path_gains,
-        path_angles=path_angles,
     )

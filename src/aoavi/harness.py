@@ -194,9 +194,8 @@ def _estimator_diagnostics(runs: Sequence[tuple[str, int, int]]) -> dict:
 def _draw_aoas(scenario: Scenario, rng: np.random.Generator) -> AoAVector:
     if scenario.aoas is not None:
         return scenario.aoas
-    lo = max(scenario.sector.lo, -math.pi / 2)
-    hi = min(scenario.sector.hi, math.pi / 2)
-    draw = np.sort(rng.uniform(lo, hi, size=scenario.prior.k_users))
+    sector = scenario.sector
+    draw = np.sort(rng.uniform(sector.lo, sector.hi, size=scenario.prior.k_users))
     return AoAVector(draw)
 
 
@@ -580,11 +579,7 @@ def run_landscape_export(cfg: LandscapeConfig, out_dir: Path, config_echo: dict)
         t0 = time.perf_counter()
         channel = ChannelRealization.from_gains(np.ones((1, 1), dtype=complex))
         surface = evaluate_surface(
-            cfg.surface_axes,
-            cfg.array,
-            AoAVector([cfg.true_angle]),
-            channel,
-            noise_variance=0.0,
+            cfg.surface_axes, cfg.array, AoAVector([cfg.true_angle]), channel
         )
         text = surface_csv(surface)
         runtimes["surface"] = (time.perf_counter() - t0) * 1e3

@@ -37,6 +37,8 @@ from .signal_model import AoAVector, ArrayConfig, ChannelRealization, array_matr
 _HALF_PI = math.pi / 2.0
 # |detector value| every returned root must satisfy
 _RESIDUAL_TOL = 1e-8
+# bracket width at which bisection may stop, radians
+_ROOT_TOL = 1e-10
 # half-width of the pole guard bands, radians
 _GUARD_BAND = 1e-3
 # roots this close to the true angle are the optimum, not traps
@@ -132,7 +134,8 @@ class AxisSpec:
 class LossSurface:
     """Dense population-loss values over the axes' Cartesian grid,
     row-major: values[i, j] pairs axes[0].values()[i] with
-    axes[1].values()[j]."""
+    axes[1].values()[j]. A read-only float array is kept as given; any
+    other input is copied and locked."""
 
     axes: tuple[AxisSpec, ...]
     values: np.ndarray
@@ -142,7 +145,9 @@ class LossSurface:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != expect:
             raise ValueError("values shape must match the axis resolutions")
-        object.__setattr__(self, "values", _frozen(vals))
+        if vals.flags.writeable:
+            vals = _frozen(vals)
+        object.__setattr__(self, "values", vals)
 
 
 def enumerate_global_optima(array: ArrayConfig, true_angle: float) -> GlobalOptimaSet:
@@ -205,13 +210,17 @@ def stationary_condition_finite_sum(array: ArrayConfig, true_angle: float, theta
 
         cos(th) * sum_{n=0}^{N-1} n * [sin(e*n) - sin(z*n)].
 
-    Bounded everywhere, including at the asymptotic form's poles.
+    Bounded everywhere, including at the asymptotic form's poles. Each
+    point's value is bit-identical whether it is evaluated alone or in a
+    vector.
     """
     th = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     eta, zeta = _eta_zeta(array, true_angle, th)
     n = np.arange(array.n_antennas, dtype=float)
     term = np.sin(np.outer(eta, n)) - np.sin(np.outer(zeta, n))
-    out = np.cos(th) * (term @ n)
+    # a row-wise sum, not a matrix-vector product, so each point's value
+    # does not depend on how many points are evaluated with it
+    out = np.cos(th) * np.add.reduce(term * n, axis=1)
     return float(out[0]) if np.isscalar(theta_hat) else out
 
 
@@ -235,7 +244,7 @@ def exact_population_gradient(
     return -2.0 * channel_power * series
 
 
-def _bracket_and_bisect(f, xs: np.ndarray, fx: np.ndarray, usable: np.ndarray, tol: float):
+def _bracket_and_bisect(f, xs: np.ndarray, fx: np.ndarray, usable: np.ndarray):
     """Roots of the vectorized detector f on the scan intervals
     [xs[i], xs[i+1]] with usable[i] set, given its scan values fx.
 
@@ -244,8 +253,8 @@ def _bracket_and_bisect(f, xs: np.ndarray, fx: np.ndarray, usable: np.ndarray, t
     call of f per step, each under the scalar rules: halve at the midpoint,
     keep the half where fa * fm <= 0, report the endpoint with the smaller
     |f|, and stop once the bracket is within 4 eps of machine width, or
-    within tol with a residual well under the reporting tolerance (at most
-    200 steps). Returns (interval index, root, residual) arrays.
+    within _ROOT_TOL with a residual well under the reporting tolerance
+    (at most 200 steps). Returns (interval index, root, residual) arrays.
     """
     fa, fb = fx[:-1], fx[1:]
     at_zero = np.flatnonzero(usable & (fa == 0.0))
@@ -268,7 +277,7 @@ def _bracket_and_bisect(f, xs: np.ndarray, fx: np.ndarray, usable: np.ndarray, t
         best = np.where(at_a, a, b)
         best_res = np.where(at_a, np.abs(fa), np.abs(fb))
         width = b - a
-        done = (width <= floor_width) | ((width <= tol) & (best_res < 0.1 * _RESIDUAL_TOL))
+        done = (width <= floor_width) | ((width <= _ROOT_TOL) & (best_res < 0.1 * _RESIDUAL_TOL))
         if step == 199:
             done[:] = True
         roots[live[done]] = best[done]
@@ -285,14 +294,14 @@ def _bracket_and_bisect(f, xs: np.ndarray, fx: np.ndarray, usable: np.ndarray, t
 
 
 def stationary_points(
-    array: ArrayConfig, true_angle: float, search: AngleGrid, tol: float = 1e-10
+    array: ArrayConfig, true_angle: float, search: AngleGrid
 ) -> StationaryPointSet:
     """Locate the asymptotic condition's roots over the search grid.
 
     Sign changes are scanned at the grid resolution, then all brackets are
-    bisected in lockstep. The scan step is asserted to be well under the
-    condition's oscillation period, about 1/(2 * (d/lambda) * (N-1))
-    radians near broadside.
+    bisected in lockstep to 1e-10 rad. The scan step is asserted to be well
+    under the condition's oscillation period, about
+    1/(2 * (d/lambda) * (N-1)) radians near broadside.
     Intervals inside a pole guard band are screened with the exact finite
     sum instead of the divergent asymptotic ratio. The two ends +-pi/2
     (roots of the cos factor) are always included. A root within 1e-4 rad
@@ -309,8 +318,6 @@ def stationary_points(
             f"scan step {search.step:.3e} rad too coarse for oscillation period "
             f"{period:.3e} rad; need step < period/5"
         )
-    if not tol > 0:
-        raise ValueError("tol must be positive")
 
     def lhs(x: np.ndarray) -> np.ndarray:
         return stationary_condition_lhs(array, true_angle, x)
@@ -332,8 +339,8 @@ def stationary_points(
     f_sum[ends] = fsum_scaled(xs[ends])
 
     found = [
-        _bracket_and_bisect(lhs, xs, f_lhs, ~guarded, tol),
-        _bracket_and_bisect(fsum_scaled, xs, f_sum, guarded, tol),
+        _bracket_and_bisect(lhs, xs, f_lhs, ~guarded),
+        _bracket_and_bisect(fsum_scaled, xs, f_sum, guarded),
     ]
     lo, hi = float(xs[0]) - search.step, float(xs[-1]) + search.step
     edges = np.array([e for e in (-_HALF_PI, _HALF_PI) if lo <= e <= hi])
@@ -345,7 +352,7 @@ def stationary_points(
     order = np.lexsort((order_key[outside], angles[outside]))
     dedup: list[tuple[float, float]] = []
     for ang, res in zip(angles[outside][order].tolist(), residuals[outside][order].tolist()):
-        if dedup and abs(ang - dedup[-1][0]) < max(2.0 * tol, 1e-9):
+        if dedup and abs(ang - dedup[-1][0]) < 1e-9:
             if res < dedup[-1][1]:
                 dedup[-1] = (ang, res)
             continue
@@ -364,12 +371,11 @@ def evaluate_surface(
     array: ArrayConfig,
     true_aoas: AoAVector,
     true_channel: ChannelRealization,
-    noise_variance: float = 0.0,
 ) -> LossSurface:
-    """Population loss over a dense 1-D or 2-D grid, every non-varied
-    parameter held at its true value (posterior means equal the true gains,
-    posterior covariance zero, so the loss is ||A h - A_hat mu||_F^2 plus
-    the noise floor).
+    """Noiseless population loss over a dense 1-D or 2-D grid, every
+    non-varied parameter held at its true value (posterior means equal the
+    true gains, posterior covariance zero, so the loss is
+    ||A h - A_hat mu||_F^2).
 
     The grid may not exceed 1e7 points, and the two axes must vary
     different coordinates. Grid points are evaluated in blocks of
@@ -389,17 +395,14 @@ def evaluate_surface(
     total = math.prod(shape)
     if total > 10**7:
         raise ValueError("surface grid exceeds the 1e7-point resource guard")
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be non-negative")
 
     gains = true_channel.gains
     m = true_channel.n_snapshots
     n = array.n_antennas
-    noise_floor = noise_variance * n * m
 
     if len(axes) == 1 and axes[0].target == "aoa":
         # everything else exact: the loss reduces to the varied user's
-        # power times the steering-vector gap, plus the noise floor;
+        # power times the steering-vector gap;
         # Re a(v)^H a(true) = sum_n cos(alpha * n * (sin v - sin true)) is
         # accumulated one element at a time, so no N x T matrix is built
         ax = axes[0]
@@ -410,7 +413,8 @@ def evaluate_surface(
         overlap = np.zeros_like(gap)
         for i in range(n):
             overlap += np.cos(i * gap)
-        values = power * (2.0 * n - 2.0 * overlap) + noise_floor
+        values = power * (2.0 * n - 2.0 * overlap)
+        values.setflags(write=False)
         return LossSurface(axes=axes, values=values)
 
     clean = array_matrix(array, true_aoas) @ gains
@@ -432,5 +436,5 @@ def evaluate_surface(
         a_hat = np.exp(phase[None, :, None] * np.sin(angles)[:, None, :])
         resid = (clean - a_hat @ means).reshape(flat.size, -1).view(float)
         values[lo : lo + flat.size] = np.einsum("bi,bi->b", resid, resid)
-    values += noise_floor
+    values.setflags(write=False)
     return LossSurface(axes=axes, values=values.reshape(shape))

@@ -129,18 +129,17 @@ def kl_gaussian(q_mean: np.ndarray, q_cov: np.ndarray, prior: ChannelPrior) -> f
     return q_mean.shape[1] * (trace_term - k + logdet_p - logdet_q) + quad
 
 
-def expected_reconstruction_observed(
-    obs: ObservationSet, state: VariationalState, *, normalized: bool = True
-) -> float:
-    """Exact expectation over the posterior of the block reconstruction error.
+def expected_reconstruction_observed(obs: ObservationSet, state: VariationalState) -> float:
+    """Exact expectation over the posterior of the block reconstruction error,
+    the loss term
 
-    Normalized form (the loss term):
+        (1/sigma^2) * [ ||Y - A_hat mu||_F^2 + M tr(A_hat Cov A_hat^H) ].
 
-        (1/sigma^2) * [ ||Y - A_hat mu||_F^2 + M tr(A_hat Cov A_hat^H) ]
-
-    normalized=False drops the 1/sigma^2 factor (used for noiseless paths and
-    landscape work). sigma^2 = 0 with normalized=True is rejected.
+    sigma^2 = 0 is rejected; the bracketed sum alone is
+    _reconstruction_sum_raw.
     """
+    if obs.noise_variance == 0:
+        raise ValueError("normalized reconstruction undefined at zero noise variance")
     raw = _reconstruction_sum_raw(
         obs.signal,
         obs.array,
@@ -148,10 +147,6 @@ def expected_reconstruction_observed(
         state.channel_means,
         state.channel_covariance,
     )
-    if not normalized:
-        return raw
-    if obs.noise_variance == 0:
-        raise ValueError("normalized reconstruction undefined at zero noise variance")
     return raw / obs.noise_variance
 
 
@@ -178,18 +173,16 @@ def population_reconstruction(
     state: VariationalState,
     array: ArrayConfig,
     noise_variance: float,
-    *,
-    normalized: bool = False,
 ) -> float:
-    """Noise-averaged reconstruction error (the landscape objective).
+    """Noise-averaged reconstruction error (the landscape objective),
+    unnormalized.
 
     Per snapshot: (A h_m - A_hat mu_m)^H (A h_m - A_hat mu_m) + sigma^2 N
-    + tr(A_hat Cov A_hat^H). Returned unnormalized by default;
-    normalized=True divides by sigma^2.
+    + tr(A_hat Cov A_hat^H).
     """
     clean = array_matrix(array, true_aoas) @ true_channel.gains
     m = true_channel.n_snapshots
-    raw = (
+    return (
         _reconstruction_sum_raw(
             clean,
             array,
@@ -199,11 +192,6 @@ def population_reconstruction(
         )
         + noise_variance * array.n_antennas * m
     )
-    if not normalized:
-        return raw
-    if noise_variance == 0:
-        raise ValueError("normalized population loss undefined at zero noise variance")
-    return raw / noise_variance
 
 
 def total_loss(obs: ObservationSet, state: VariationalState, prior: ChannelPrior) -> LossBreakdown:

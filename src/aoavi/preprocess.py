@@ -60,7 +60,12 @@ class PseudoLabels:
 
 @dataclass(frozen=True)
 class Sector:
-    """Angular search sector [center - width/2, center + width/2], radians."""
+    """Angular search sector [center - width/2, center + width/2], radians.
+
+    The sector may spill past +-pi/2 by 1e-9 of rounding; lo and hi are
+    clipped to [-pi/2, pi/2], so every user of the bounds sees the same
+    range.
+    """
 
     center: float
     width: float
@@ -73,15 +78,11 @@ class Sector:
 
     @property
     def lo(self) -> float:
-        return self.center - self.width / 2
+        return max(self.center - self.width / 2, -_HALF_PI)
 
     @property
     def hi(self) -> float:
-        return self.center + self.width / 2
-
-    @classmethod
-    def full_range(cls) -> "Sector":
-        return cls(center=0.0, width=np.pi)
+        return min(self.center + self.width / 2, _HALF_PI)
 
 
 def empirical_covariance(obs: ObservationSet) -> np.ndarray:
@@ -115,7 +116,8 @@ def _grid_steering(n_antennas: int, spacing_ratio: float, min_angle: float, step
 
 
 def grid_steering(array: ArrayConfig, grid: AngleGrid) -> np.ndarray:
-    """N x G steering matrix with column g = array_response(grid angle g)."""
+    """N x G steering matrix whose column g is array_matrix's column at
+    grid angle g."""
     return _grid_steering(array.n_antennas, array.spacing_ratio, grid.min_angle, grid.step, grid.n_points)
 
 
@@ -186,7 +188,4 @@ def sector_grid(sector: Sector, step: float) -> AngleGrid:
     """Uniform grid spanning exactly the sector, inclusive endpoints."""
     if not step > 0:
         raise ValueError("step must be positive")
-    # clip rounding spill so the grid type invariant holds at +-pi/2
-    lo = max(sector.lo, -_HALF_PI)
-    hi = min(sector.hi, _HALF_PI)
-    return AngleGrid(min_angle=lo, max_angle=hi, step=step)
+    return AngleGrid(min_angle=sector.lo, max_angle=sector.hi, step=step)

@@ -152,18 +152,13 @@ class ObservationSet:
         return self.signal.shape[1]
 
 
-def array_response(array: ArrayConfig, theta: float) -> np.ndarray:
-    """Array response (steering) vector for a plane wave from angle theta.
-
-    Element n (0-indexed) is exp(-j * 2*pi * (d/lambda) * n * sin(theta)).
-    Element 0 is exactly 1, every element has unit magnitude.
-    """
-    n = np.arange(array.n_antennas)
-    return np.exp(-2j * np.pi * array.spacing_ratio * n * np.sin(theta))
-
-
 def array_matrix(array: ArrayConfig, aoas: AoAVector) -> np.ndarray:
-    """N x K matrix whose column k is array_response at aoas.angles[k]."""
+    """N x K matrix of array response (steering) vectors, column k for a
+    plane wave from aoas.angles[k].
+
+    Element (n, k), n 0-indexed, is exp(-j * 2*pi * (d/lambda) * n *
+    sin(theta_k)). Row 0 is exactly 1, every element has unit magnitude.
+    """
     n = np.arange(array.n_antennas)[:, None]
     return np.exp(-2j * np.pi * array.spacing_ratio * n * np.sin(aoas.angles)[None, :])
 

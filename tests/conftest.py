@@ -13,6 +13,7 @@ from aoavi.signal_model import (
     AoAVector,
     ArrayConfig,
     ChannelPrior,
+    array_matrix,
     sample_channel,
     synthesize_observation,
 )
@@ -21,6 +22,12 @@ from aoavi.loss import VariationalState
 
 def make_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def steering_vector(array: ArrayConfig, theta: float) -> np.ndarray:
+    """The array response to one plane wave from theta: array_matrix's
+    only column."""
+    return array_matrix(array, AoAVector([theta]))[:, 0]
 
 
 def random_pd(k: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

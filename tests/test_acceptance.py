@@ -229,7 +229,6 @@ def test_02_gradients_match_finite_differences(report):
             state.channel_means,
             state.channel_covariance,
             s2,
-            s2 > 0,
         )
         fd = np.empty(k)
         for j in range(k):

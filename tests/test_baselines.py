@@ -51,7 +51,7 @@ class TestMusicEstimate:
         truth = np.radians([-20.0, 30.0])
         aoas = AoAVector(truth)
         prior = ChannelPrior(mean=np.zeros(2, complex), covariance=np.eye(2, dtype=complex))
-        grid = sector_grid(Sector.full_range(), math.radians(0.05))
+        grid = sector_grid(Sector(center=0.0, width=math.pi), math.radians(0.05))
         s2 = snr_to_noise_variance(20.0, arr, prior, aoas)
         worst_by_trial = []
         for seed in range(40):
@@ -90,7 +90,7 @@ class TestMusicEstimate:
     def test_signal_subspace_matches_noise_subspace_oracle(self, k, spacing):
         arr = ArrayConfig(32, spacing)
         if spacing == 0.5:
-            grid = sector_grid(Sector.full_range(), math.radians(0.05))
+            grid = sector_grid(Sector(center=0.0, width=math.pi), math.radians(0.05))
         else:
             grid = sector_grid(Sector(center=0.0, width=math.radians(28.0)), math.radians(0.01))
         prior = ChannelPrior(mean=np.zeros(k, complex), covariance=np.eye(k, dtype=complex))
@@ -117,7 +117,7 @@ class TestMusicEstimate:
         would not fit."""
         rng = make_rng(133)
         arr = ArrayConfig(32, 2.0)
-        grid = sector_grid(Sector.full_range(), math.radians(0.01))
+        grid = sector_grid(Sector(center=0.0, width=math.pi), math.radians(0.01))
         assert grid.n_points == 18001
         prior = ChannelPrior(mean=np.zeros(1, complex), covariance=np.eye(1, dtype=complex))
         aoas = AoAVector(np.radians([11.0]))

@@ -12,7 +12,6 @@ from aoavi.estimator import (
     OptimizerConfig,
     _aoa_gradient_raw,
     _backtrack,
-    _sector_bounds,
     closed_form_channel_update,
     estimate,
 )
@@ -21,7 +20,7 @@ from aoavi.loss import (
     LossBreakdown,
     VariationalState,
     _reconstruction_sum_raw,
-    expected_reconstruction_observed,
+    recover_path_parameters,
     total_loss,
 )
 from aoavi.preprocess import AngleGrid, Sector, sector_grid
@@ -38,6 +37,8 @@ from aoavi.signal_model import (
 )
 
 from conftest import make_rng, random_pd, random_prior, random_problem
+
+HALF_SPACE = Sector(center=0.0, width=math.pi)
 
 
 class TestOptimizerConfig:
@@ -154,18 +155,27 @@ class TestClosedFormChannelUpdate:
             assert total_loss(obs, perturbed, prior).total >= f_best - 1e-12
 
 
-def _gradient(obs, state, normalized=None):
-    """_aoa_gradient_raw at the state, normalized as estimate() calls it
-    unless the flag is given."""
-    s2 = obs.noise_variance
+def _gradient(obs, state, noise_variance=None):
+    """_aoa_gradient_raw at the state, as estimate() calls it unless another
+    noise variance is given."""
     return _aoa_gradient_raw(
         obs.signal,
         obs.array,
         state.aoa_estimate.angles,
         state.channel_means,
         state.channel_covariance,
-        s2,
-        s2 > 0 if normalized is None else normalized,
+        obs.noise_variance if noise_variance is None else noise_variance,
+    )
+
+
+def _raw_sum(obs, state) -> float:
+    """The unnormalized reconstruction sum the line search compares."""
+    return _reconstruction_sum_raw(
+        obs.signal,
+        obs.array,
+        state.aoa_estimate.angles,
+        state.channel_means,
+        state.channel_covariance,
     )
 
 
@@ -216,17 +226,13 @@ class TestAoaGradientObserved:
         rng = make_rng(77)
         obs, state, *_ = random_problem(rng, n=8, k=2, m=3)
         g1 = _gradient(obs, state)
-        g0 = _gradient(obs, state, normalized=False)
+        g0 = _gradient(obs, state, noise_variance=0.0)
         assert np.max(np.abs(g0 - g1 * obs.noise_variance)) < 1e-9 * np.max(np.abs(g0))
 
 
-def _descent_step(
-    obs, state, gradient, sector=Sector.full_range(), step0=OptimizerConfig().aoa_step_size
-):
+def _descent_step(obs, state, gradient, sector=HALF_SPACE, step0=OptimizerConfig().aoa_step_size):
     """_backtrack from state's angles and channel, as estimate() calls it;
     returns (angles, reconstruction sum, accepted)."""
-    lo, hi = _sector_bounds(sector)
-    base = expected_reconstruction_observed(obs, state, normalized=False)
     return _backtrack(
         obs.signal,
         obs.array,
@@ -235,9 +241,9 @@ def _descent_step(
         state.channel_covariance,
         np.asarray(gradient, dtype=float),
         step0,
-        lo,
-        hi,
-        base,
+        sector.lo,
+        sector.hi,
+        _raw_sum(obs, state),
     )[:3]
 
 
@@ -256,7 +262,7 @@ class TestAoaDescentStep:
         angles, recon, accepted = _descent_step(obs, state, np.zeros(1))
         assert accepted
         assert np.array_equal(angles, state.aoa_estimate.angles)
-        assert recon == expected_reconstruction_observed(obs, state, normalized=False)
+        assert recon == _raw_sum(obs, state)
 
     def test_descent_reduces_loss(self):
         rng = make_rng(79)
@@ -277,7 +283,7 @@ class TestAoaDescentStep:
         grad = _gradient(obs, state)
         angles, recon, _ = _descent_step(obs, state, grad)
         moved = dataclasses.replace(state, aoa_estimate=AoAVector(angles))
-        assert recon == expected_reconstruction_observed(obs, moved, normalized=False)
+        assert recon == _raw_sum(obs, moved)
 
     def test_clamps_exactly_to_sector_edge(self):
         rng = make_rng(81)
@@ -317,7 +323,7 @@ class TestAoaDescentStep:
         angles, recon, accepted = _descent_step(obs, state, np.array([1.0]))
         assert not accepted
         assert np.array_equal(angles, aoas.angles)
-        assert recon == expected_reconstruction_observed(obs, state, normalized=False)
+        assert recon == _raw_sum(obs, state)
 
 
 class TestEstimationResult:
@@ -336,10 +342,7 @@ class TestEstimationResult:
                 state=state,
                 loss_trace=rising,
                 stop_reason="gradient",
-                iterations_used=2,
                 line_search_evaluations=1,
-                path_gains=np.zeros((1, 1)),
-                path_angles=np.zeros((1, 1)),
             )
 
     def test_converged_follows_stop_reason(self):
@@ -354,15 +357,28 @@ class TestEstimationResult:
                 state=state,
                 loss_trace=(LossBreakdown.from_parts(0.0, 1.0),),
                 stop_reason=reason,
-                iterations_used=1,
                 line_search_evaluations=0,
-                path_gains=np.zeros((1, 1)),
-                path_angles=np.zeros((1, 1)),
             )
 
         assert [result(r).converged for r in STOP_REASONS] == [True, True, False, False]
         with pytest.raises(ValueError):
             result("converged")
+
+    def test_derived_fields_follow_trace_and_state(self):
+        means = np.array([[1.0 - 1.0j, -2.0 + 0.0j, 0.5j], [0.0j, -1.0 - 1.0j, 3.0 + 4.0j]])
+        state = VariationalState(
+            aoa_estimate=AoAVector(np.array([-0.2, 0.3])),
+            channel_means=means,
+            channel_covariance=np.zeros((2, 2), complex),
+        )
+        trace = (LossBreakdown.from_parts(0.0, 2.0), LossBreakdown.from_parts(0.0, 1.0))
+        result = EstimationResult(
+            state=state, loss_trace=trace, stop_reason="budget", line_search_evaluations=3
+        )
+        gains, angles = recover_path_parameters(state.channel_means)
+        assert result.iterations_used == len(trace) == 2
+        assert np.array_equal(result.path_gains, gains)
+        assert np.array_equal(result.path_angles, angles)
 
 
 class TestEstimate:
@@ -404,7 +420,6 @@ class TestEstimate:
         obs, prior, aoas = self._scenario(rng, snr_db=10.0)
         sector = Sector(center=0.0, width=2 * math.pi / 3)
         result = estimate(obs, prior, sector, sector_grid(sector, math.radians(0.1)))
-        assert result.iterations_used == len(result.loss_trace)
         assert all(math.isfinite(b.total) for b in result.loss_trace)
         assert result.path_gains.shape == (1, 40)
 
@@ -440,7 +455,7 @@ class TestEstimate:
         ch = sample_channel(prior, 12, rng)
         s2 = snr_to_noise_variance(10.0, arr, prior, aoas)
         obs = synthesize_observation(arr, aoas, ch, s2, rng)
-        result = estimate(obs, prior, Sector.full_range(), initial_aoas=np.radians(start_deg))
+        result = estimate(obs, prior, HALF_SPACE, initial_aoas=np.radians(start_deg))
         last = result.loss_trace[-1]
         ref = total_loss(obs, result.state, prior)
         assert ref.kl_term > 0
@@ -524,7 +539,7 @@ class TestEstimate:
     def test_initial_aoas_validated(self):
         rng = make_rng(88)
         obs, prior, aoas = self._scenario(rng, snr_db=20.0)
-        sector = Sector.full_range()
+        sector = HALF_SPACE
         with pytest.raises(ValueError):
             estimate(obs, prior, sector, initial_aoas=[0.1, 0.2])
 
@@ -532,7 +547,7 @@ class TestEstimate:
         rng = make_rng(89)
         obs, prior, aoas = self._scenario(rng, snr_db=20.0)
         with pytest.raises(ValueError):
-            estimate(obs, prior, Sector.full_range())
+            estimate(obs, prior, HALF_SPACE)
 
     def test_stationary_point_trap(self):
         """Adversarial start at an interior stationary point converges to a
@@ -549,7 +564,7 @@ class TestEstimate:
         ]
         start = min(interior, key=lambda a: abs(a + math.radians(40.0)))
         obs, prior, aoas = self._scenario(rng, snr_db=25.0)
-        sector = Sector.full_range()
+        sector = HALF_SPACE
         result = estimate(obs, prior, sector, initial_aoas=[start])
         err = abs(result.state.aoa_estimate.angles[0] - theta)
         assert result.converged
@@ -561,7 +576,7 @@ class TestEstimate:
         theta = math.radians(11.0)
         arr = ArrayConfig(32, 2.0)
         optima = enumerate_global_optima(arr, theta)
-        sector = Sector.full_range()
+        sector = HALF_SPACE
         grid = sector_grid(sector, math.radians(0.05))
         prior = ChannelPrior(mean=np.zeros(1, complex), covariance=np.eye(1, dtype=complex))
         hits = []
@@ -659,7 +674,7 @@ class TestLineSearchStart:
         )
         events = self._record(monkeypatch)
         result = estimate(obs, prior, sector, grid, cfg)
-        lo, hi = _sector_bounds(sector)
+        lo, hi = sector.lo, sector.hi
         starts = self._first_trials(events)
         assert len(starts) > 2
         for angles, g, trial in starts:

@@ -8,6 +8,7 @@ import aoavi.landscape
 from aoavi.landscape import (
     AxisSpec,
     GlobalOptimaSet,
+    LossSurface,
     StationaryPointSet,
     enumerate_global_optima,
     evaluate_surface,
@@ -200,6 +201,14 @@ class TestStationaryConditionFiniteSum:
             got = float(stationary_condition_finite_sum(arr, THETA_11, theta_hat))
             assert abs(got - brute) < 1e-10 * max(1.0, abs(brute))
 
+    @pytest.mark.parametrize("n, spacing, theta", BENCHMARK_LANDSCAPES)
+    def test_vector_evaluation_is_bit_equal_to_point_by_point(self, n, spacing, theta):
+        arr = ArrayConfig(n, spacing)
+        xs = np.linspace(-math.pi / 2, math.pi / 2, 2001)
+        together = stationary_condition_finite_sum(arr, theta, xs)
+        alone = [stationary_condition_finite_sum(arr, theta, x) for x in xs]
+        assert np.array_equal(together, alone)
+
 
 class TestExactPopulationGradient:
     def test_zero_at_truth(self):
@@ -367,7 +376,7 @@ class TestEvaluateSurface:
         aoas = AoAVector(np.radians([-20.0, 11.0]))
         ch = ChannelRealization.from_gains(rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
         axis = AxisSpec(target="aoa", user_index=1, start=-1.2, stop=1.2, num=301)
-        surface = evaluate_surface([axis], arr, aoas, ch, noise_variance=0.3)
+        surface = evaluate_surface([axis], arr, aoas, ch)
         direct = []
         for v in axis.values():
             angles = np.array(aoas.angles)
@@ -377,7 +386,7 @@ class TestEvaluateSurface:
                 channel_means=ch.gains,
                 channel_covariance=np.zeros((2, 2), complex),
             )
-            direct.append(population_reconstruction(aoas, ch, state, arr, 0.3))
+            direct.append(population_reconstruction(aoas, ch, state, arr, 0.0))
         direct = np.asarray(direct)
         assert np.max(np.abs(surface.values - direct)) < 1e-9 * np.max(direct)
 
@@ -448,6 +457,29 @@ class TestEvaluateSurface:
         finally:
             tracemalloc.stop()
         assert peak < arr.n_antennas * 200 * 200 * 16 / 4
+
+    def test_two_dimensional_surface_is_not_copied(self):
+        """The returned values are the only grid-sized array: the surface
+        keeps evaluate_surface's locked array instead of copying it."""
+        axes = [
+            AxisSpec(target="aoa", user_index=0, start=-math.pi / 2, stop=math.pi / 2, num=1000),
+            AxisSpec(target="path_angle", user_index=0, start=-math.pi, stop=math.pi, num=1000),
+        ]
+        args = (ArrayConfig(8, 0.5), AoAVector(np.array([THETA_11])), _unit_channel())
+        tracemalloc.start()
+        try:
+            surface = evaluate_surface(axes, *args)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not surface.values.flags.writeable
+        assert peak < 1.25 * surface.values.nbytes
+        # writable input is still copied, so the caller cannot change it
+        values = np.zeros((1000, 1000))
+        copied = LossSurface(axes=tuple(axes), values=values)
+        values[0, 0] = 1.0
+        assert copied.values[0, 0] == 0.0 and not copied.values.flags.writeable
+        assert LossSurface(axes=tuple(axes), values=surface.values).values is surface.values
 
     def test_duplicate_axes_rejected(self):
         arr = ArrayConfig(8, 0.5)

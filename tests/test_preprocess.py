@@ -21,12 +21,11 @@ from aoavi.signal_model import (
     ChannelRealization,
     ObservationSet,
     array_matrix,
-    array_response,
     sample_channel,
     synthesize_observation,
 )
 
-from conftest import make_rng
+from conftest import make_rng, steering_vector
 
 
 def _noiseless_obs(arr, angles_deg, gains, rng, noise_variance=0.0):
@@ -56,10 +55,13 @@ class TestSector:
         with pytest.raises(ValueError):
             Sector(center=math.radians(80.0), width=math.radians(40.0))
 
-    def test_full_range(self):
-        s = Sector.full_range()
+    def test_bounds_clip_to_half_space(self):
+        s = Sector(center=0.0, width=math.pi)
         assert abs(s.lo + math.pi / 2) < 1e-12
         assert abs(s.hi - math.pi / 2) < 1e-12
+        # rounding spill the invariant tolerates is clipped exactly
+        spill = Sector(center=1e-10, width=math.pi + 1e-9)
+        assert (spill.lo, spill.hi) == (-math.pi / 2, math.pi / 2)
 
 
 class TestEmpiricalCovariance:
@@ -83,7 +85,7 @@ class TestEmpiricalCovariance:
         phases = np.exp(1j * rng.uniform(0, 2 * math.pi, size=9))
         obs = _noiseless_obs(arr, [17.0], phases[None, :], rng)
         r = empirical_covariance(obs)
-        a = array_response(arr, math.radians(17.0))
+        a = steering_vector(arr, math.radians(17.0))
         assert np.max(np.abs(r - np.outer(a, a.conj()))) < 1e-10  # sum|h|^2/M = 1
         ev = np.linalg.eigvalsh((r + r.conj().T) / 2)
         assert ev[-1] > 1e-6 and np.all(ev[:-1] < 1e-10)
@@ -116,10 +118,10 @@ class TestCodebookCorrelation:
         arr = ArrayConfig(16, 0.5)
         theta0 = math.radians(-8.0)
         obs = _noiseless_obs(arr, [-8.0], [[1.0]], rng)
-        a0 = array_response(arr, theta0)
+        a0 = steering_vector(arr, theta0)
         assert abs(_correlation_at(obs, theta0) - arr.n_antennas) < 1e-10
         for theta in np.radians([-30.0, 3.0, 60.0]):
-            expected = abs(np.vdot(array_response(arr, theta), a0))
+            expected = abs(np.vdot(steering_vector(arr, theta), a0))
             got = _correlation_at(obs, theta)
             assert abs(got - expected) < 1e-10
             assert got <= arr.n_antennas + 1e-10
@@ -152,7 +154,7 @@ class TestPseudoLabels:
     def test_matches_exhaustive_scan(self):
         # oracle: the two largest strict local maxima (endpoints eligible,
         # ties toward the smaller angle) of (1/M) |sum_m y_m^H a(theta)|,
-        # built point by point from array_response
+        # built point by point from steering vectors
         rng = make_rng(27)
         arr = ArrayConfig(8, 0.5)
         grid = AngleGrid(-1.0, 1.0, 0.02)
@@ -163,7 +165,7 @@ class TestPseudoLabels:
             aoas = AoAVector(np.sort(rng.uniform(-0.9, 0.9, size=2)))
             obs = synthesize_observation(arr, aoas, ch, 0.3, rng)
             profile = [
-                abs(np.sum(obs.signal.conj().T @ array_response(arr, t))) / obs.n_snapshots
+                abs(np.sum(obs.signal.conj().T @ steering_vector(arr, t))) / obs.n_snapshots
                 for t in angles
             ]
             maxima = [
@@ -305,7 +307,7 @@ class TestSectorGrid:
         assert grid.n_points == 2
 
     def test_full_half_space(self):
-        grid = sector_grid(Sector.full_range(), math.radians(1.0))
+        grid = sector_grid(Sector(center=0.0, width=math.pi), math.radians(1.0))
         assert abs(grid.min_angle + math.pi / 2) < 1e-12
         assert abs(grid.max_angle - math.pi / 2) < 1e-12
         assert grid.n_points == 181
@@ -317,7 +319,7 @@ class TestGridSteering:
         grid = AngleGrid(-0.4, 0.4, 0.1)
         mat = grid_steering(arr, grid)
         for i, theta in enumerate(grid.angles()):
-            assert np.max(np.abs(mat[:, i] - array_response(arr, theta))) < 1e-12
+            assert np.max(np.abs(mat[:, i] - steering_vector(arr, theta))) < 1e-12
 
     @pytest.mark.parametrize(
         "spacing, center_deg, width_deg, step_deg",

@@ -10,13 +10,12 @@ from aoavi.signal_model import (
     ChannelRealization,
     ObservationSet,
     array_matrix,
-    array_response,
     sample_channel,
     snr_to_noise_variance,
     synthesize_observation,
 )
 
-from conftest import make_rng, random_pd
+from conftest import make_rng, random_pd, steering_vector
 
 
 class TestArrayConfig:
@@ -84,33 +83,33 @@ class TestArrayResponse:
     """Hand-checkable phase patterns for a half-wavelength line array."""
 
     def test_broadside_is_all_ones(self):
-        v = array_response(ArrayConfig(4, 0.5), 0.0)
+        v = steering_vector(ArrayConfig(4, 0.5), 0.0)
         assert np.array_equal(v, np.ones(4, dtype=complex))
 
     def test_endfire_two_elements(self):
-        v = array_response(ArrayConfig(2, 0.5), math.pi / 2)
+        v = steering_vector(ArrayConfig(2, 0.5), math.pi / 2)
         assert np.max(np.abs(v - np.array([1.0, -1.0]))) < 1e-12
 
     def test_thirty_degrees_three_elements(self):
-        v = array_response(ArrayConfig(3, 0.5), math.pi / 6)
+        v = steering_vector(ArrayConfig(3, 0.5), math.pi / 6)
         expected = np.array([1.0, -1.0j, -1.0])
         assert np.max(np.abs(v - expected)) < 1e-12
 
     def test_first_element_exactly_one(self):
-        v = array_response(ArrayConfig(16, 1.7), 0.374)
+        v = steering_vector(ArrayConfig(16, 1.7), 0.374)
         assert v[0] == 1.0 + 0.0j
 
     def test_unit_modulus(self):
         rng = make_rng(3)
         for theta in rng.uniform(-math.pi / 2, math.pi / 2, size=20):
-            v = array_response(ArrayConfig(32, 0.5), theta)
+            v = steering_vector(ArrayConfig(32, 0.5), theta)
             assert np.max(np.abs(np.abs(v) - 1.0)) < 1e-12
 
     def test_conjugate_symmetry(self):
         arr = ArrayConfig(9, 0.5)
         for theta in (0.1, 0.7, -1.2):
             assert np.max(
-                np.abs(array_response(arr, -theta) - np.conj(array_response(arr, theta)))
+                np.abs(steering_vector(arr, -theta) - np.conj(steering_vector(arr, theta)))
             ) < 1e-12
 
 
@@ -129,7 +128,7 @@ class TestArrayMatrix:
         aoas = AoAVector(np.array([-math.pi / 2, math.radians(11.0)]))
         a = array_matrix(arr, aoas)
         for k, theta in enumerate(aoas.angles):
-            assert np.array_equal(a[:, k], array_response(arr, theta))
+            assert np.array_equal(a[:, k], steering_vector(arr, theta))
 
 
 class TestSampleChannel:
@@ -173,7 +172,7 @@ class TestSynthesizeObservation:
         theta = math.radians(23.0)
         ch = ChannelRealization.from_gains(np.array([[1.0 + 0j]]))
         obs = synthesize_observation(arr, AoAVector(np.array([theta])), ch, 0.0, make_rng(8))
-        assert np.max(np.abs(obs.signal[:, 0] - array_response(arr, theta))) < 1e-12
+        assert np.max(np.abs(obs.signal[:, 0] - steering_vector(arr, theta))) < 1e-12
 
     def test_noiseless_factorization(self):
         rng = make_rng(9)
