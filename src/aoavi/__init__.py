@@ -25,7 +25,6 @@ from .signal_model import (
 )
 from .preprocess import (
     AngleGrid,
-    PseudoLabels,
     Sector,
     empirical_covariance,
     pseudo_labels,
@@ -71,7 +70,6 @@ __all__ = [
     "synthesize_observation",
     "snr_to_noise_variance",
     "AngleGrid",
-    "PseudoLabels",
     "Sector",
     "empirical_covariance",
     "pseudo_labels",

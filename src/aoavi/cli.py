@@ -38,7 +38,6 @@ from .harness import (
     scenario_from_dict,
     _trial_block,
 )
-from .preprocess import sector_grid
 
 
 class UsageError(Exception):
@@ -125,12 +124,11 @@ def _cmd_estimate(args, config: dict) -> int:
     out = _out_dir(args)
     t0 = time.perf_counter()
     aoas, _channel, s2, obs = _trial_block(scenario, 0, 0)
-    grid = sector_grid(scenario.sector, scenario.grid_step)
     result = estimate(
         obs,
         scenario.prior,
         scenario.sector,
-        grid,
+        scenario.grid,
         scenario.optimizer,
         suppression_radius=scenario.suppression_radius,
     )

@@ -263,8 +263,7 @@ def estimate(
     else:
         if grid is None:
             raise ValueError("need a pseudo-label grid when initial_aoas is not given")
-        labels = pseudo_labels(obs, grid, k, suppression_radius=suppression_radius)
-        start = np.asarray(labels.angles, dtype=float)
+        start = pseudo_labels(obs, grid, k, suppression_radius=suppression_radius).angles
     angles = np.clip(start, lo, hi)
 
     def breakdown(means, cov, recon_raw) -> LossBreakdown:

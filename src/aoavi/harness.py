@@ -17,6 +17,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -72,7 +73,8 @@ class Scenario:
     """One benchmark setup. aoas=None draws user angles uniformly in the
     sector independently per trial (sorted ascending). suppression_radius
     (radians) is the minimum separation between pseudo-label peaks; the
-    default 0 picks the K largest distinct local maxima."""
+    default 0 picks the K largest distinct local maxima. grid, the
+    sector's grid at grid_step, is built once on construction."""
 
     array: ArrayConfig
     aoas: Optional[AoAVector]
@@ -93,12 +95,15 @@ class Scenario:
             raise ValueError("snr_db_list must be nonempty")
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be at least 1")
-        if not self.grid_step > 0:
-            raise ValueError("grid_step must be positive")
+        self.grid  # AngleGrid rejects a step that does not fit the sector
         if self.suppression_radius < 0:
             raise ValueError("suppression_radius must be non-negative")
         if self.aoas is not None and self.aoas.k_users != self.prior.k_users:
             raise ValueError("aoas and prior must agree on the user count")
+
+    @cached_property
+    def grid(self) -> AngleGrid:
+        return sector_grid(self.sector, self.grid_step)
 
 
 @dataclass(frozen=True)
@@ -148,8 +153,9 @@ def aligned_squared_errors(
     """Per-trial mean squared errors after sorted-angle user alignment.
 
     Users on both sides are ordered by ascending angle and paired by rank;
-    the same permutation is applied to the gain rows. Path-angle errors use
-    wrapped differences.
+    the same permutation is applied to the gain rows, and both sides' polar
+    forms come from recover_path_parameters. Path-angle errors use wrapped
+    differences.
     """
     t_order = np.argsort(true_aoas.angles, kind="stable")
     e_order = np.argsort(np.asarray(est_angles, dtype=float), kind="stable")
@@ -158,8 +164,7 @@ def aligned_squared_errors(
     mse_aoa = float(np.mean((e_ang - t_ang) ** 2))
 
     beta_hat, psi_hat = recover_path_parameters(np.asarray(est_gains)[e_order, :])
-    beta = true_channel.path_gains[t_order, :]
-    psi = true_channel.path_angles[t_order, :]
+    beta, psi = recover_path_parameters(true_channel.gains[t_order, :])
     mse_gain = float(np.mean((beta_hat - beta) ** 2))
     mse_angle = float(np.mean(wrap_angle(psi_hat - psi) ** 2))
     return mse_aoa, mse_gain, mse_angle
@@ -212,85 +217,80 @@ def _trial_block(scenario: Scenario, snr_index: int, trial_index: int):
     return aoas, channel, s2, obs
 
 
+def _score_proposed(scenario: Scenario, obs, aoas, channel):
+    """Errors of the variational estimate and its stop diagnostics, a
+    (stop_reason, iterations_used, line_search_evaluations) triple."""
+    result = estimate(
+        obs,
+        scenario.prior,
+        scenario.sector,
+        scenario.grid,
+        scenario.optimizer,
+        suppression_radius=scenario.suppression_radius,
+    )
+    errs = aligned_squared_errors(
+        aoas, channel, result.state.aoa_estimate.angles, result.state.channel_means
+    )
+    return errs, (result.stop_reason, result.iterations_used, result.line_search_evaluations)
+
+
+def _score_music_ls(scenario: Scenario, obs, aoas, channel):
+    """Errors of MUSIC peaks plus least-squares gains; no stop diagnostics."""
+    spectrum = music_estimate(obs, scenario.grid, scenario.prior.k_users)
+    peak_angles = np.asarray(spectrum.peaks, dtype=float)
+    gains = ls_channel(obs, AoAVector(peak_angles))
+    return aligned_squared_errors(aoas, channel, peak_angles, gains), None
+
+
+_METHODS = ((PROPOSED, _score_proposed), (MUSIC_LS, _score_music_ls))
+
+
 def run_benchmark(scenario: Scenario) -> list[MetricRow]:
     """Full Monte Carlo sweep: for every SNR and trial, synthesize one
     observation block and run both methods on it. Per-trial numerical
     failures (ValueError, LinAlgError) are counted and excluded from the
-    means; any other exception propagates. Output order: SNRs as listed,
-    proposed before the classical baseline. Every row's diagnostics counts
-    its failures by type; each proposed row also carries the stop
-    diagnostics of its successful trials."""
-    grid = sector_grid(scenario.sector, scenario.grid_step)
-    k = scenario.prior.k_users
+    means; any other exception propagates. A method's runtime covers its
+    scoring. Output order: SNRs as listed, proposed before the classical
+    baseline. Every row's diagnostics counts its failures by type; each
+    proposed row also carries the stop diagnostics of its scored trials."""
     rows: list[MetricRow] = []
     for si, snr in enumerate(scenario.snr_db_list):
         acc = {
             name: {
-                "aoa": [],
-                "gain": [],
-                "angle": [],
+                "errs": [],
+                "runs": [],
                 "failures": {cls.__name__: 0 for cls in _NUMERICAL_FAILURES},
                 "ms": 0.0,
             }
-            for name in (PROPOSED, MUSIC_LS)
+            for name, _ in _METHODS
         }
-        runs = []
         for t in range(scenario.n_trials):
             aoas, channel, _s2, obs = _trial_block(scenario, si, t)
+            for name, score in _METHODS:
+                a = acc[name]
+                t0 = time.perf_counter()
+                try:
+                    errs, run = score(scenario, obs, aoas, channel)
+                except _NUMERICAL_FAILURES as exc:
+                    a["failures"][_failure_name(exc)] += 1
+                else:
+                    a["errs"].append(errs)
+                    a["runs"].append(run)
+                a["ms"] += (time.perf_counter() - t0) * 1e3
 
-            t0 = time.perf_counter()
-            try:
-                result = estimate(
-                    obs,
-                    scenario.prior,
-                    scenario.sector,
-                    grid,
-                    scenario.optimizer,
-                    suppression_radius=scenario.suppression_radius,
-                )
-                errs = aligned_squared_errors(
-                    aoas,
-                    channel,
-                    result.state.aoa_estimate.angles,
-                    result.state.channel_means,
-                )
-            except _NUMERICAL_FAILURES as exc:
-                acc[PROPOSED]["failures"][_failure_name(exc)] += 1
-            else:
-                runs.append(
-                    (result.stop_reason, result.iterations_used, result.line_search_evaluations)
-                )
-                acc[PROPOSED]["aoa"].append(errs[0])
-                acc[PROPOSED]["gain"].append(errs[1])
-                acc[PROPOSED]["angle"].append(errs[2])
-            acc[PROPOSED]["ms"] += (time.perf_counter() - t0) * 1e3
-
-            t0 = time.perf_counter()
-            try:
-                spectrum = music_estimate(obs, grid, k)
-                peak_angles = np.asarray(spectrum.peaks, dtype=float)
-                gains = ls_channel(obs, AoAVector(peak_angles))
-                errs = aligned_squared_errors(aoas, channel, peak_angles, gains)
-            except _NUMERICAL_FAILURES as exc:
-                acc[MUSIC_LS]["failures"][_failure_name(exc)] += 1
-            else:
-                acc[MUSIC_LS]["aoa"].append(errs[0])
-                acc[MUSIC_LS]["gain"].append(errs[1])
-                acc[MUSIC_LS]["angle"].append(errs[2])
-            acc[MUSIC_LS]["ms"] += (time.perf_counter() - t0) * 1e3
-
-        for name in (PROPOSED, MUSIC_LS):
+        for name, _ in _METHODS:
             a = acc[name]
             diagnostics = {"failures": a["failures"]}
             if name == PROPOSED:
-                diagnostics.update(_estimator_diagnostics(runs))
+                diagnostics.update(_estimator_diagnostics(a["runs"]))
+            mse = [float(np.mean(col)) for col in zip(*a["errs"])] or [math.nan] * 3
             rows.append(
                 MetricRow(
                     method=name,
                     snr_db=float(snr),
-                    mse_aoa=float(np.mean(a["aoa"])) if a["aoa"] else math.nan,
-                    mse_path_gain=float(np.mean(a["gain"])) if a["gain"] else math.nan,
-                    mse_path_angle=float(np.mean(a["angle"])) if a["angle"] else math.nan,
+                    mse_aoa=mse[0],
+                    mse_path_gain=mse[1],
+                    mse_path_angle=mse[2],
                     trials=scenario.n_trials,
                     failures=sum(a["failures"].values()),
                     runtime_ms=a["ms"],
@@ -351,23 +351,16 @@ def _require(d: dict, key: str, path: str):
     return d[key]
 
 
-def _as_complex_vector(obj, path: str) -> np.ndarray:
+def _as_complex(obj, path: str, depth: int) -> np.ndarray:
+    """``depth``-dimensional complex array (1 vector, 2 matrix) from nested
+    lists ending in [re, im] pairs."""
+    message = f"field '{path}' must be a {'list' if depth == 1 else 'matrix'} of [re, im] pairs"
     try:
         arr = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field '{path}' must be a list of [re, im] pairs") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ConfigError(f"field '{path}' must be a list of [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
-
-
-def _as_complex_matrix(obj, path: str) -> np.ndarray:
-    try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field '{path}' must be nested [re, im] pairs") from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ConfigError(f"field '{path}' must be a matrix of [re, im] pairs")
+        raise ConfigError(message) from exc
+    if arr.ndim != depth + 1 or arr.shape[-1] != 2:
+        raise ConfigError(message)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -418,9 +411,9 @@ def scenario_from_dict(d: dict) -> Scenario:
         array = _array_from_dict(_require(d, "array", ""), "array.")
         prior_d = _require(d, "prior", "")
         prior = ChannelPrior(
-            mean=_as_complex_vector(_require(prior_d, "mean", "prior."), "prior.mean"),
-            covariance=_as_complex_matrix(
-                _require(prior_d, "covariance", "prior."), "prior.covariance"
+            mean=_as_complex(_require(prior_d, "mean", "prior."), "prior.mean", 1),
+            covariance=_as_complex(
+                _require(prior_d, "covariance", "prior."), "prior.covariance", 2
             ),
         )
         aoas_raw = d.get("aoas_deg", "random-in-sector")
@@ -537,21 +530,23 @@ def _axis_out_values(ax: AxisSpec) -> np.ndarray:
     return np.degrees(vals) if ax.target == "aoa" else vals
 
 
+def _csv_floats(values: np.ndarray) -> str:
+    # one tolist() and repr per value; the shortest round-trip form
+    return ",".join(map(repr, values.tolist()))
+
+
 def surface_csv(surface: LossSurface) -> str:
     """1-D: axis-value row then loss row. 2-D: header row carries the second
     axis's values; each data row starts with the first axis's value."""
     axes = surface.axes
     if len(axes) == 1:
-        v = _axis_out_values(axes[0])
-        line1 = ",".join([_axis_label(axes[0])] + [repr(float(x)) for x in v])
-        line2 = ",".join(["loss"] + [repr(float(x)) for x in surface.values])
+        line1 = f"{_axis_label(axes[0])},{_csv_floats(_axis_out_values(axes[0]))}"
+        line2 = f"loss,{_csv_floats(surface.values)}"
         return line1 + "\n" + line2 + "\n"
-    v1 = _axis_out_values(axes[0])
-    v2 = _axis_out_values(axes[1])
     corner = f"{_axis_label(axes[0])}\\{_axis_label(axes[1])}"
-    lines = [",".join([corner] + [repr(float(x)) for x in v2])]
-    for i, row in enumerate(surface.values):
-        lines.append(",".join([repr(float(v1[i]))] + [repr(float(x)) for x in row]))
+    lines = [f"{corner},{_csv_floats(_axis_out_values(axes[1]))}"]
+    for x, row in zip(_axis_out_values(axes[0]).tolist(), surface.values):
+        lines.append(f"{x!r},{_csv_floats(row)}")
     return "\n".join(lines) + "\n"
 
 
@@ -577,7 +572,7 @@ def run_landscape_export(cfg: LandscapeConfig, out_dir: Path, config_echo: dict)
 
     if cfg.surface_axes is not None:
         t0 = time.perf_counter()
-        channel = ChannelRealization.from_gains(np.ones((1, 1), dtype=complex))
+        channel = ChannelRealization(np.ones((1, 1), dtype=complex))
         surface = evaluate_surface(
             cfg.surface_axes, cfg.array, AoAVector([cfg.true_angle]), channel
         )

@@ -88,8 +88,6 @@ class StationaryPointSet:
 
     angles: tuple[float, ...]
     residuals: tuple[float, ...]
-    true_angle: float
-    array: ArrayConfig
 
     def __post_init__(self):
         angles = np.asarray(self.angles, dtype=float)
@@ -361,8 +359,6 @@ def stationary_points(
     return StationaryPointSet(
         angles=tuple(a for a, _ in dedup),
         residuals=tuple(r for _, r in dedup),
-        true_angle=true_angle,
-        array=array,
     )
 
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_model import ArrayConfig, ObservationSet, _frozen
+from .signal_model import AoAVector, ArrayConfig, ObservationSet
 
 _HALF_PI = np.pi / 2
 
@@ -36,26 +36,6 @@ class AngleGrid:
 
     def angles(self) -> np.ndarray:
         return self.min_angle + self.step * np.arange(self.n_points)
-
-
-@dataclass(frozen=True)
-class PseudoLabels:
-    """One codebook angle per user and its correlation value, sorted ascending."""
-
-    angles: np.ndarray
-    correlations: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.angles, dtype=float).reshape(-1)
-        c = np.asarray(self.correlations, dtype=float).reshape(-1)
-        if a.size != c.size or a.size == 0:
-            raise ValueError("angles and correlations must be equal-length, nonempty")
-        if np.any(np.diff(a) <= 0):
-            raise ValueError("angles must be strictly sorted ascending")
-        if np.any(c < 0):
-            raise ValueError("correlations must be non-negative")
-        object.__setattr__(self, "angles", _frozen(a))
-        object.__setattr__(self, "correlations", _frozen(c))
 
 
 @dataclass(frozen=True)
@@ -166,10 +146,11 @@ def pseudo_labels(
     grid: AngleGrid,
     k_users: int,
     suppression_radius: float = 0.0,
-) -> PseudoLabels:
+) -> AoAVector:
     """One grid angle per user: the K largest distinct peaks of the
     codebook correlation, picked by ``_pick_peaks`` (ties toward the
-    smaller angle; the result is sorted ascending).
+    smaller angle), sorted ascending. A grid may spill 1e-9 past +-pi/2,
+    so the angles are clipped to [-pi/2, pi/2] as Sector.lo/hi are.
 
     ``suppression_radius`` (radians) is the minimum separation between
     picks; the default 0 takes the K largest strict local maxima.
@@ -181,7 +162,7 @@ def pseudo_labels(
     corr = _correlation_profile(obs, grid)
     angles = grid.angles()
     order, _degraded = _pick_peaks(corr, angles, k_users, suppression_radius)
-    return PseudoLabels(angles=angles[order], correlations=corr[order])
+    return AoAVector(np.clip(angles[order], -_HALF_PI, _HALF_PI))
 
 
 def sector_grid(sector: Sector, step: float) -> AngleGrid:

@@ -9,7 +9,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,39 +94,23 @@ class ChannelPrior:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Sampled block-fading channel: gains h, path gains beta, path angles psi.
+    """Sampled block-fading channel: the K x M complex gains h.
 
-    gains[k, m] = path_gains[k, m] * exp(j * path_angles[k, m]); the polar
-    pieces are derived from the sampled complex gains, with the angle taken
-    as the two-argument angle in (-pi, pi].
+    The polar form h = beta * exp(j * psi) is recovered on demand by
+    loss.recover_path_parameters.
     """
 
     gains: np.ndarray
-    path_gains: np.ndarray
-    path_angles: np.ndarray
 
     def __post_init__(self):
         g = np.asarray(self.gains, dtype=complex)
-        b = np.asarray(self.path_gains, dtype=float)
-        p = np.asarray(self.path_angles, dtype=float)
-        if g.ndim != 2 or b.shape != g.shape or p.shape != g.shape:
-            raise ValueError("gains, path_gains, path_angles must share a K x M shape")
-        if np.any(b < 0):
-            raise ValueError("path_gains must be non-negative")
-        if np.max(np.abs(b * np.exp(1j * p) - g)) > 1e-12 * max(1.0, np.max(np.abs(g))):
-            raise ValueError("polar decomposition inconsistent with gains")
+        if g.ndim != 2:
+            raise ValueError("gains must be a K x M matrix")
         object.__setattr__(self, "gains", _frozen(g))
-        object.__setattr__(self, "path_gains", _frozen(b))
-        object.__setattr__(self, "path_angles", _frozen(p))
 
     @property
     def n_snapshots(self) -> int:
         return self.gains.shape[1]
-
-    @classmethod
-    def from_gains(cls, gains: np.ndarray) -> "ChannelRealization":
-        g = np.asarray(gains, dtype=complex)
-        return cls(gains=g, path_gains=np.abs(g), path_angles=np.angle(g))
 
 
 @dataclass(frozen=True)
@@ -181,7 +165,7 @@ def sample_channel(
     eps = rng.standard_normal((k, n_snapshots)) + 1j * rng.standard_normal((k, n_snapshots))
     eps *= np.sqrt(0.5)
     gains = prior.mean[:, None] + chol @ eps
-    return ChannelRealization.from_gains(gains)
+    return ChannelRealization(gains)
 
 
 def synthesize_observation(

@@ -208,7 +208,7 @@ class TestLsChannel:
         arr = ArrayConfig(8, 0.5)
         aoas = AoAVector(np.radians([10.0]))
         truth = np.ones((1, 2000), dtype=complex)
-        ch = ChannelRealization.from_gains(truth)
+        ch = ChannelRealization(truth)
 
         def mean_sq_err(s2, seed):
             rng = make_rng(seed)

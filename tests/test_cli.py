@@ -84,6 +84,19 @@ class TestExitCodes:
         assert "runtime failure" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "benchmark"])
+    def test_grid_step_wider_than_sector_is_config_error(self, tmp_path, capsys, command):
+        payload = _scenario_payload(
+            sector={"center_deg": 0.0, "width_deg": 1.0}, grid_step_deg=5.0
+        )
+        out = tmp_path / "out"
+        rc = main([command, "--config", _write_config(tmp_path, payload), "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "span at least one step" in err
+        assert not out.exists()
+
+
 class TestArtifacts:
     def test_simulate_writes_observations(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, _scenario_payload(n_trials=2))

@@ -211,7 +211,7 @@ class TestAoaGradientObserved:
         aoas = AoAVector(np.radians([9.0]))
         gains = rng.normal(size=(1, 5)) + 1j * rng.normal(size=(1, 5))
         noiseless = synthesize_observation(
-            arr, aoas, ChannelRealization.from_gains(gains), 0.0, rng
+            arr, aoas, ChannelRealization(gains), 0.0, rng
         )
         obs = ObservationSet(signal=noiseless.signal, noise_variance=0.3, array=arr)
         state = VariationalState(
@@ -291,7 +291,7 @@ class TestAoaDescentStep:
         truth = AoAVector(np.radians([12.0]))
         gains = np.ones((1, 8), dtype=complex)
         obs_clean = synthesize_observation(
-            arr, truth, ChannelRealization.from_gains(gains), 0.0, rng
+            arr, truth, ChannelRealization(gains), 0.0, rng
         )
         obs = ObservationSet(signal=obs_clean.signal, noise_variance=0.1, array=arr)
         # truth just outside the sector, start inside its main lobe
@@ -312,7 +312,7 @@ class TestAoaDescentStep:
         arr = ArrayConfig(8, 0.5)
         aoas = AoAVector(np.radians([3.0]))
         gains = np.ones((1, 4), dtype=complex)
-        clean = synthesize_observation(arr, aoas, ChannelRealization.from_gains(gains), 0.0, rng)
+        clean = synthesize_observation(arr, aoas, ChannelRealization(gains), 0.0, rng)
         obs = ObservationSet(signal=clean.signal, noise_variance=0.2, array=arr)
         state = VariationalState(
             aoa_estimate=aoas,
@@ -519,7 +519,7 @@ class TestEstimate:
         aoas = AoAVector(np.radians([4.0]))
         gains = (rng.normal(size=(1, 8)) + 1j * rng.normal(size=(1, 8)))
         obs = synthesize_observation(
-            arr, aoas, ChannelRealization.from_gains(gains), 0.0, rng
+            arr, aoas, ChannelRealization(gains), 0.0, rng
         )
         prior = ChannelPrior(mean=np.zeros(1, complex), covariance=np.eye(1, dtype=complex))
         sector = Sector(center=0.0, width=2 * math.pi / 3)

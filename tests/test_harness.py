@@ -135,7 +135,7 @@ class TestAlignedSquaredErrors:
     def test_path_angle_error_uses_wrapped_difference(self):
         aoas = AoAVector([0.1])
         psi = math.pi - 0.05
-        channel = ChannelRealization.from_gains(
+        channel = ChannelRealization(
             np.array([[np.exp(1j * psi)]], dtype=complex)
         )
         est_gains = np.array([[np.exp(-1j * psi)]], dtype=complex)
@@ -147,7 +147,7 @@ class TestAlignedSquaredErrors:
 
     def test_pairs_users_by_angle_rank(self):
         aoas = AoAVector(np.radians([10.0, -30.0]))
-        channel = ChannelRealization.from_gains(
+        channel = ChannelRealization(
             np.array([[1.0 + 0j], [2.0 + 0j]], dtype=complex)
         )
         # estimates arrive unsorted; rank pairing must match -30 with -29
@@ -250,6 +250,31 @@ class TestRunBenchmark:
         assert benchmark_csv([music]) == benchmark_csv(clean[1:])
         # the counts by type stay out of the data files
         assert "LinAlgError" not in benchmark_csv(rows) + benchmark_rows_json(rows)
+
+    def test_scoring_failure_tallied_for_its_method_only(self, monkeypatch):
+        scenario = _single_user_scenario(n_trials=3)
+        clean = run_benchmark(scenario)
+        real_errors = aoavi.harness.aligned_squared_errors
+        calls = []
+
+        def fails_on_second_proposed_trial(*args):
+            # the methods alternate per trial: proposed, then MUSIC+LS
+            calls.append(None)
+            if len(calls) == 3:
+                raise ValueError("scoring failed")
+            return real_errors(*args)
+
+        monkeypatch.setattr(
+            aoavi.harness, "aligned_squared_errors", fails_on_second_proposed_trial
+        )
+        proposed, music = run_benchmark(scenario)
+        assert len(calls) == 6
+        assert proposed.failures == 1
+        assert proposed.diagnostics["failures"] == {"ValueError": 1, "LinAlgError": 0}
+        # the trial whose estimate was not scored leaves the stop diagnostics
+        assert sum(proposed.diagnostics["stop_reasons"].values()) == 2
+        assert music.failures == 0
+        assert benchmark_csv([music]) == benchmark_csv(clean[1:])
 
     def test_proposed_rows_carry_stop_diagnostics(self, monkeypatch):
         scenario = _single_user_scenario(snr_db_list=(0.0, 20.0), n_trials=4)
@@ -463,6 +488,17 @@ class TestScenarioFromDict:
         d["aoas_deg"] = "randomised"
         with pytest.raises(ConfigError):
             scenario_from_dict(d)
+
+    def test_grid_step_must_fit_the_sector(self):
+        d = _full_scenario_dict()
+        d["sector"] = {"center_deg": 0.0, "width_deg": 1.0}
+        d["grid_step_deg"] = 5.0
+        with pytest.raises(ConfigError, match="span at least one step"):
+            scenario_from_dict(d)
+        d["grid_step_deg"] = 0.5
+        scenario = scenario_from_dict(d)
+        assert scenario.grid == sector_grid(scenario.sector, scenario.grid_step)
+        assert scenario.grid.n_points == 3
 
     def test_non_object_root_rejected(self):
         with pytest.raises(ConfigError):

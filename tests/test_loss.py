@@ -161,7 +161,7 @@ class TestExpectedReconstructionObserved:
         arr = ArrayConfig(8, 0.5)
         aoas = AoAVector(np.radians([-10.0, 25.0]))
         gains = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-        ch = ChannelRealization.from_gains(gains)
+        ch = ChannelRealization(gains)
         noiseless = synthesize_observation(arr, aoas, ch, 0.0, rng)
         obs = ObservationSet(
             signal=noiseless.signal, noise_variance=noise_variance, array=arr
@@ -249,7 +249,7 @@ class TestPopulationReconstruction:
         arr = ArrayConfig(16, 0.5)
         aoas = AoAVector(np.radians([7.0]))
         gains = rng.normal(size=(1, 5)) + 1j * rng.normal(size=(1, 5))
-        ch = ChannelRealization.from_gains(gains)
+        ch = ChannelRealization(gains)
         state = VariationalState(
             aoa_estimate=aoas,
             channel_means=gains,
@@ -264,7 +264,7 @@ class TestPopulationReconstruction:
         arr = ArrayConfig(8, 0.5)
         aoas = AoAVector(np.radians([-12.0, 31.0]))
         gains = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-        ch = ChannelRealization.from_gains(gains)
+        ch = ChannelRealization(gains)
         means = gains + 0.2 * (rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
         est = AoAVector(aoas.angles + np.array([0.02, -0.01]))
         state = VariationalState(
@@ -282,7 +282,7 @@ class TestPopulationReconstruction:
         arr = ArrayConfig(16, 2.0)
         theta = math.radians(11.0)
         gains = np.ones((1, 3), dtype=complex)
-        ch = ChannelRealization.from_gains(gains)
+        ch = ChannelRealization(gains)
         aoas = AoAVector(np.array([theta]))
         optima = enumerate_global_optima(arr, theta)
         assert len(optima.alias_angles) == 4

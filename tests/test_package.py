@@ -1,10 +1,17 @@
 import dataclasses
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import aoavi
 from aoavi import landscape, loss
 from aoavi.estimator import EstimationResult, _aoa_gradient_raw
+from aoavi.landscape import StationaryPointSet
 from aoavi.preprocess import Sector
+from aoavi.signal_model import ChannelRealization
 
 
 def test_public_names_resolve_once_and_exclude_removed_helpers():
@@ -19,6 +26,7 @@ def test_public_names_resolve_once_and_exclude_removed_helpers():
         "array_response",
         "stationary_condition_lhs",
         "stationary_condition_finite_sum",
+        "PseudoLabels",
     ):
         assert removed not in names
         assert not hasattr(aoavi, removed)
@@ -41,3 +49,32 @@ def test_removed_options_and_constructors_stay_removed():
         assert param not in inspect.signature(fn).parameters, fn.__name__
     fields = [f.name for f in dataclasses.fields(EstimationResult)]
     assert fields == ["state", "loss_trace", "stop_reason", "line_search_evaluations"]
+
+
+def test_result_types_hold_only_what_is_read():
+    assert not hasattr(aoavi.preprocess, "PseudoLabels")
+    assert [f.name for f in dataclasses.fields(ChannelRealization)] == ["gains"]
+    assert not hasattr(ChannelRealization, "from_gains")
+    assert [f.name for f in dataclasses.fields(StationaryPointSet)] == ["angles", "residuals"]
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    # a fresh interpreter, so modules other tests imported do not count
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import aoavi, aoavi.cli\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    src = str(Path(aoavi.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    new = set(json.loads(out))
+    assert {"aoavi", "numpy"} <= new
+    assert new - {"aoavi", "numpy"} <= set(sys.stdlib_module_names)

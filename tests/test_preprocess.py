@@ -5,7 +5,6 @@ import pytest
 
 from aoavi.preprocess import (
     AngleGrid,
-    PseudoLabels,
     Sector,
     _correlation_profile,
     _pick_peaks,
@@ -30,7 +29,7 @@ from conftest import make_rng, steering_vector
 
 def _noiseless_obs(arr, angles_deg, gains, rng, noise_variance=0.0):
     aoas = AoAVector(np.radians(angles_deg))
-    ch = ChannelRealization.from_gains(np.asarray(gains, dtype=complex))
+    ch = ChannelRealization(np.asarray(gains, dtype=complex))
     return synthesize_observation(arr, aoas, ch, noise_variance, rng)
 
 
@@ -208,6 +207,17 @@ class TestPseudoLabels:
         on_grid = np.abs(labels.angles[:, None] - grid.angles()[None, :]).min(axis=1)
         assert np.max(on_grid) < 1e-12
 
+    def test_labels_clip_to_half_space(self):
+        # AngleGrid accepts ends 1e-9 past -pi/2; the label is an AoAVector,
+        # clipped to [-pi/2, pi/2] as Sector.lo/hi are
+        rng = make_rng(35)
+        arr = ArrayConfig(8, 0.5)
+        grid = AngleGrid(-math.pi / 2 - 5e-10, 0.0, 0.01)
+        obs = _noiseless_obs(arr, [-90.0], [[1.0]], rng)
+        labels = pseudo_labels(obs, grid, 1)
+        assert isinstance(labels, AoAVector)
+        assert labels.angles.tolist() == [-math.pi / 2]
+
     def test_grid_too_small_rejected(self):
         rng = make_rng(30)
         arr = ArrayConfig(4, 0.5)
@@ -281,16 +291,6 @@ class TestPickPeaks:
         got, got_degraded = _pick_peaks(values, angles, k, min_separation)
         assert got.tolist() == expected
         assert got_degraded is degraded
-
-
-class TestPseudoLabelsType:
-    def test_requires_sorted_angles(self):
-        with pytest.raises(ValueError):
-            PseudoLabels(angles=np.array([0.3, 0.1]), correlations=np.array([1.0, 1.0]))
-
-    def test_requires_nonnegative_correlations(self):
-        with pytest.raises(ValueError):
-            PseudoLabels(angles=np.array([0.1, 0.3]), correlations=np.array([1.0, -0.5]))
 
 
 class TestSectorGrid:
