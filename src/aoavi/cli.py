@@ -24,7 +24,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import estimate
 from .harness import (
     ConfigError,
     LandscapeConfig,
@@ -36,6 +35,7 @@ from .harness import (
     run_landscape_export,
     run_metadata,
     scenario_from_dict,
+    _estimate,
     _trial_block,
 )
 
@@ -124,14 +124,7 @@ def _cmd_estimate(args, config: dict) -> int:
     out = _out_dir(args)
     t0 = time.perf_counter()
     aoas, _channel, s2, obs = _trial_block(scenario, 0, 0)
-    result = estimate(
-        obs,
-        scenario.prior,
-        scenario.sector,
-        scenario.grid,
-        scenario.optimizer,
-        suppression_radius=scenario.suppression_radius,
-    )
+    result = _estimate(scenario, obs)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
 
     est_deg = sorted(math.degrees(a) for a in result.state.aoa_estimate.angles)

@@ -133,10 +133,8 @@ def closed_form_channel_update(
     gram = a_hat.conj().T @ a_hat
     aty = a_hat.conj().T @ y
 
-    prec = np.linalg.inv(prior.covariance)
-    prec = 0.5 * (prec + prec.conj().T)
-    lhs = gram + s2 * prec
-    rhs = aty + (s2 * (prec @ prior.mean))[:, None]
+    lhs = gram + s2 * prior.precision
+    rhs = aty + (s2 * (prior.precision @ prior.mean))[:, None]
     means = np.linalg.solve(lhs, rhs)
     cov = s2 * np.linalg.inv(lhs)
     cov = 0.5 * (cov + cov.conj().T)

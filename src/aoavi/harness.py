@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,6 +29,8 @@ from .estimator import STOP_REASONS, OptimizerConfig, estimate
 from .landscape import (
     AxisSpec,
     LossSurface,
+    _check_axes,
+    _check_scan_step,
     enumerate_global_optima,
     evaluate_surface,
     stationary_points,
@@ -217,17 +219,18 @@ def _trial_block(scenario: Scenario, snr_index: int, trial_index: int):
     return aoas, channel, s2, obs
 
 
+def _estimate(scenario: Scenario, obs):
+    """The variational estimate of one block under the scenario's settings."""
+    return estimate(
+        obs, scenario.prior, scenario.sector, scenario.grid, scenario.optimizer,
+        suppression_radius=scenario.suppression_radius,
+    )
+
+
 def _score_proposed(scenario: Scenario, obs, aoas, channel):
     """Errors of the variational estimate and its stop diagnostics, a
     (stop_reason, iterations_used, line_search_evaluations) triple."""
-    result = estimate(
-        obs,
-        scenario.prior,
-        scenario.sector,
-        scenario.grid,
-        scenario.optimizer,
-        suppression_radius=scenario.suppression_radius,
-    )
+    result = _estimate(scenario, obs)
     errs = aligned_squared_errors(
         aoas, channel, result.state.aoa_estimate.angles, result.state.channel_means
     )
@@ -351,6 +354,16 @@ def _require(d: dict, key: str, path: str):
     return d[key]
 
 
+def _integer(d: dict, key: str, path: str, default=None) -> int:
+    """An integral field: 2.0 reads as 2; 2.7, a string or a bool is an error."""
+    value = _require(d, key, path) if default is None else d.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"field '{path}{key}' must be an integer")
+    return value
+
+
 def _as_complex(obj, path: str, depth: int) -> np.ndarray:
     """``depth``-dimensional complex array (1 vector, 2 matrix) from nested
     lists ending in [re, im] pairs."""
@@ -372,7 +385,7 @@ def complex_to_pairs(arr: np.ndarray) -> list:
 
 def _array_from_dict(d: dict, path: str) -> ArrayConfig:
     return ArrayConfig(
-        n_antennas=int(_require(d, "n_antennas", path)),
+        n_antennas=_integer(d, "n_antennas", path),
         spacing_ratio=float(_require(d, "spacing_ratio", path)),
     )
 
@@ -385,20 +398,14 @@ def _sector_from_dict(d: dict, path: str) -> Sector:
 
 
 def _optimizer_from_dict(d: dict) -> OptimizerConfig:
-    known = {
-        "aoa_step_size",
-        "max_outer_iterations",
-        "aoa_gradient_tolerance",
-        "loss_tolerance",
-    }
+    known = {f.name for f in fields(OptimizerConfig)}
     unknown = set(d) - known
     if unknown:
         raise ConfigError(f"unknown optimizer fields: {sorted(unknown)}")
-    kwargs = {}
-    for key in known:
-        if key in d:
-            caster = int if key == "max_outer_iterations" else float
-            kwargs[key] = caster(d[key])
+    kwargs = {
+        key: _integer(d, key, "optimizer.") if key == "max_outer_iterations" else float(d[key])
+        for key in known & set(d)
+    }
     return OptimizerConfig(**kwargs)
 
 
@@ -424,16 +431,22 @@ def scenario_from_dict(d: dict) -> Scenario:
         else:
             aoas = AoAVector(np.radians(np.asarray(aoas_raw, dtype=float)))
         snrs = tuple(float(x) for x in _require(d, "snr_db_list", ""))
+        sector = _sector_from_dict(_require(d, "sector", ""), "sector.")
+        grid_step = math.radians(float(d.get("grid_step_deg", 0.01)))
+        try:
+            sector_grid(sector, grid_step)
+        except ValueError as exc:
+            raise ConfigError(f"field 'grid_step_deg': {exc}") from exc
         scenario = Scenario(
             array=array,
             aoas=aoas,
             prior=prior,
-            n_snapshots=int(d.get("n_snapshots", 40)),
+            n_snapshots=_integer(d, "n_snapshots", "", 40),
             snr_db_list=snrs,
-            n_trials=int(_require(d, "n_trials", "")),
-            master_seed=int(_require(d, "master_seed", "")),
-            sector=_sector_from_dict(_require(d, "sector", ""), "sector."),
-            grid_step=math.radians(float(d.get("grid_step_deg", 0.01))),
+            n_trials=_integer(d, "n_trials", ""),
+            master_seed=_integer(d, "master_seed", ""),
+            sector=sector,
+            grid_step=grid_step,
             optimizer=_optimizer_from_dict(d.get("optimizer", {})),
             suppression_radius=math.radians(
                 float(d.get("suppression_radius_deg", 0.0))
@@ -460,8 +473,10 @@ class LandscapeConfig:
     def __post_init__(self):
         if abs(self.true_angle) > math.pi / 2:
             raise ValueError("true_angle must lie in [-pi/2, pi/2]")
-        if not self.scan_step > 0:
-            raise ValueError("scan_step must be positive")
+        # the export's rules, checked before it writes anything
+        _check_scan_step(self.array, self.scan_step)
+        if self.surface_axes is not None:
+            _check_axes(self.surface_axes, 1)
 
 
 def _axis_from_dict(d: dict, path: str) -> AxisSpec:
@@ -473,10 +488,10 @@ def _axis_from_dict(d: dict, path: str) -> AxisSpec:
         start, stop = math.radians(start), math.radians(stop)
     return AxisSpec(
         target=target,
-        user_index=int(d.get("user_index", 0)),
+        user_index=_integer(d, "user_index", path, 0),
         start=start,
         stop=stop,
-        num=int(_require(d, "num", path)),
+        num=_integer(d, "num", path),
     )
 
 
@@ -552,34 +567,27 @@ def surface_csv(surface: LossSurface) -> str:
 
 def run_landscape_export(cfg: LandscapeConfig, out_dir: Path, config_echo: dict) -> dict:
     """Emit optima/stationary CSVs (plus a surface CSV when requested) and a
-    metadata JSON; returns {artifact name: path}."""
+    metadata JSON; returns {artifact name: path}. Each CSV's runtime covers
+    its computation and formatting."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    exports = {
+        "optima": lambda: optima_csv(cfg.array, cfg.true_angle),
+        "stationary": lambda: stationary_csv(cfg.array, cfg.true_angle, cfg.scan_step),
+    }
+    if cfg.surface_axes is not None:
+        channel = ChannelRealization(np.ones((1, 1), dtype=complex))
+        exports["surface"] = lambda: surface_csv(
+            evaluate_surface(cfg.surface_axes, cfg.array, AoAVector([cfg.true_angle]), channel)
+        )
     paths: dict[str, Path] = {}
     runtimes: dict[str, float] = {}
-
-    t0 = time.perf_counter()
-    text = optima_csv(cfg.array, cfg.true_angle)
-    runtimes["optima"] = (time.perf_counter() - t0) * 1e3
-    paths["optima"] = out_dir / "optima.csv"
-    paths["optima"].write_text(text)
-
-    t0 = time.perf_counter()
-    text = stationary_csv(cfg.array, cfg.true_angle, cfg.scan_step)
-    runtimes["stationary"] = (time.perf_counter() - t0) * 1e3
-    paths["stationary"] = out_dir / "stationary.csv"
-    paths["stationary"].write_text(text)
-
-    if cfg.surface_axes is not None:
+    for name, export in exports.items():
         t0 = time.perf_counter()
-        channel = ChannelRealization(np.ones((1, 1), dtype=complex))
-        surface = evaluate_surface(
-            cfg.surface_axes, cfg.array, AoAVector([cfg.true_angle]), channel
-        )
-        text = surface_csv(surface)
-        runtimes["surface"] = (time.perf_counter() - t0) * 1e3
-        paths["surface"] = out_dir / "surface.csv"
-        paths["surface"].write_text(text)
+        text = export()
+        runtimes[name] = (time.perf_counter() - t0) * 1e3
+        paths[name] = out_dir / f"{name}.csv"
+        paths[name].write_text(text)
 
     paths["meta"] = out_dir / "landscape_meta.json"
     paths["meta"].write_text(run_metadata(config_echo, runtimes))

@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .preprocess import AngleGrid
-from .signal_model import AoAVector, ArrayConfig, ChannelRealization, array_matrix, _frozen
+from .signal_model import AoAVector, ArrayConfig, ChannelRealization, array_matrix, _frozen, _steering
 
 _HALF_PI = math.pi / 2.0
 # |detector value| every returned root must satisfy
@@ -291,6 +291,16 @@ def _bracket_and_bisect(f, xs: np.ndarray, fx: np.ndarray, usable: np.ndarray):
     )
 
 
+def _check_scan_step(array: ArrayConfig, step: float) -> None:
+    """stationary_points' scan rule; landscape configs are checked by it too."""
+    period = 1.0 / (2.0 * array.spacing_ratio * (array.n_antennas - 1))
+    if not 0 < step < period / 5.0:
+        raise ValueError(
+            f"scan step {step:.3e} rad is not positive or too coarse for "
+            f"oscillation period {period:.3e} rad; need 0 < step < period/5"
+        )
+
+
 def stationary_points(
     array: ArrayConfig, true_angle: float, search: AngleGrid
 ) -> StationaryPointSet:
@@ -310,12 +320,7 @@ def stationary_points(
     n_ant = array.n_antennas
     if n_ant < 16:
         warnings.warn("asymptotic stationary condition is unreliable below 16 antennas")
-    period = 1.0 / (2.0 * array.spacing_ratio * (n_ant - 1))
-    if not search.step < period / 5.0:
-        raise ValueError(
-            f"scan step {search.step:.3e} rad too coarse for oscillation period "
-            f"{period:.3e} rad; need step < period/5"
-        )
+    _check_scan_step(array, search.step)
 
     def lhs(x: np.ndarray) -> np.ndarray:
         return stationary_condition_lhs(array, true_angle, x)
@@ -362,6 +367,18 @@ def stationary_points(
     )
 
 
+def _check_axes(axes: tuple[AxisSpec, ...], k_users: int) -> None:
+    """evaluate_surface's axis rules; landscape configs are checked by them too."""
+    if not 1 <= len(axes) <= 2:
+        raise ValueError("one or two axes supported")
+    if any(ax.user_index >= k_users for ax in axes):
+        raise ValueError("axis user_index out of range")
+    if len({(ax.target, ax.user_index) for ax in axes}) < len(axes):
+        raise ValueError("both axes vary the same coordinate")
+    if math.prod(ax.num for ax in axes) > 10**7:
+        raise ValueError("surface grid exceeds the 1e7-point resource guard")
+
+
 def evaluate_surface(
     axes: Sequence[AxisSpec],
     array: ArrayConfig,
@@ -379,18 +396,10 @@ def evaluate_surface(
     returned values does not grow with the grid.
     """
     axes = tuple(axes)
-    if not 1 <= len(axes) <= 2:
-        raise ValueError("one or two axes supported")
     k_users = true_aoas.k_users
-    for ax in axes:
-        if ax.user_index >= k_users:
-            raise ValueError("axis user_index out of range")
-    if len({(ax.target, ax.user_index) for ax in axes}) < len(axes):
-        raise ValueError("both axes vary the same coordinate")
+    _check_axes(axes, k_users)
     shape = tuple(ax.num for ax in axes)
     total = math.prod(shape)
-    if total > 10**7:
-        raise ValueError("surface grid exceeds the 1e7-point resource guard")
 
     gains = true_channel.gains
     m = true_channel.n_snapshots
@@ -414,8 +423,6 @@ def evaluate_surface(
         return LossSurface(axes=axes, values=values)
 
     clean = array_matrix(array, true_aoas) @ gains
-    # array_matrix's phase factor, in its operation order
-    phase = -2j * np.pi * array.spacing_ratio * np.arange(n)
     axis_vals = [ax.values() for ax in axes]
     values = np.empty(total)
     per_block = max(1, _SURFACE_BLOCK // (n * max(k_users, m)))
@@ -429,7 +436,7 @@ def evaluate_surface(
                 angles[:, ax.user_index] = v
             else:
                 means[:, ax.user_index] = np.abs(gains[ax.user_index]) * np.exp(1j * v)[:, None]
-        a_hat = np.exp(phase[None, :, None] * np.sin(angles)[:, None, :])
+        a_hat = _steering(array, angles)
         resid = (clean - a_hat @ means).reshape(flat.size, -1).view(float)
         values[lo : lo + flat.size] = np.einsum("bi,bi->b", resid, resid)
     values.setflags(write=False)

@@ -117,16 +117,14 @@ def kl_gaussian(q_mean: np.ndarray, q_cov: np.ndarray, prior: ChannelPrior) -> f
     q_eigs = np.linalg.eigvalsh(q_cov)
     if np.min(q_eigs) <= 0:
         raise ValueError("q_cov must be positive definite (KL is infinite otherwise)")
-    chol_p = np.linalg.cholesky(prior.covariance)
     # tr(Sp^-1 Sq) via the Cholesky whitening of the prior
-    w = np.linalg.solve(chol_p, q_cov)
-    w = np.linalg.solve(chol_p, w.conj().T).conj().T
+    w = np.linalg.solve(prior.cholesky, q_cov)
+    w = np.linalg.solve(prior.cholesky, w.conj().T).conj().T
     trace_term = float(np.real(np.trace(w)))
-    logdet_p = 2.0 * float(np.sum(np.log(np.real(np.diag(chol_p)))))
     logdet_q = float(np.sum(np.log(q_eigs)))
-    z = np.linalg.solve(chol_p, q_mean - prior.mean[:, None])
+    z = np.linalg.solve(prior.cholesky, q_mean - prior.mean[:, None])
     quad = float(np.real(np.sum(np.conj(z) * z)))
-    return q_mean.shape[1] * (trace_term - k + logdet_p - logdet_q) + quad
+    return q_mean.shape[1] * (trace_term - k + prior.log_det - logdet_q) + quad
 
 
 def expected_reconstruction_observed(obs: ObservationSet, state: VariationalState) -> float:

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_model import AoAVector, ArrayConfig, ObservationSet
+from .signal_model import AoAVector, ArrayConfig, ObservationSet, _steering
 
 _HALF_PI = np.pi / 2
 
@@ -73,32 +73,14 @@ def empirical_covariance(obs: ObservationSet) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _grid_steering(n_antennas: int, spacing_ratio: float, min_angle: float, step: float, n_points: int) -> np.ndarray:
-    """Steering matrix over a grid, cached across Monte Carlo trials.
-
-    The phase is built once as a real N x G array in the operation order
-    of array_matrix, and its cos and sin fill the real and imaginary parts,
-    so every column is bit-identical to array_matrix at that grid angle
-    (signed zeros included) without a complex N x G exponent. The returned
-    array is shared and read-only.
-    """
-    angles = min_angle + step * np.arange(n_points)
-    n = np.arange(n_antennas)[:, None]
-    phase = (-2.0 * np.pi * spacing_ratio) * n * np.sin(angles)[None, :]
-    # the complex product in array_matrix adds +0.0 terms, which turn a
-    # -0.0 phase (n = 0, or a zero sine) into +0.0; match its sign bits
-    phase += 0.0
-    out = np.empty(phase.shape, dtype=complex)
-    np.cos(phase, out=out.real)
-    np.sin(phase, out=out.imag)
-    out.setflags(write=False)
-    return out
-
-
 def grid_steering(array: ArrayConfig, grid: AngleGrid) -> np.ndarray:
     """N x G steering matrix whose column g is array_matrix's column at
-    grid angle g."""
-    return _grid_steering(array.n_antennas, array.spacing_ratio, grid.min_angle, grid.step, grid.n_points)
+    grid angle g, bit for bit: both come from the same steering kernel.
+    Cached across Monte Carlo trials; the returned array is shared and
+    read-only."""
+    out = _steering(array, grid.angles())
+    out.setflags(write=False)
+    return out
 
 
 def _correlation_profile(obs: ObservationSet, grid: AngleGrid) -> np.ndarray:
@@ -167,6 +149,4 @@ def pseudo_labels(
 
 def sector_grid(sector: Sector, step: float) -> AngleGrid:
     """Uniform grid spanning exactly the sector, inclusive endpoints."""
-    if not step > 0:
-        raise ValueError("step must be positive")
     return AngleGrid(min_angle=sector.lo, max_angle=sector.hi, step=step)

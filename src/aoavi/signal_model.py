@@ -9,7 +9,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,11 +68,17 @@ class ChannelPrior:
     """Per-snapshot complex Gaussian prior CN(mean, covariance) on the K gains.
 
     covariance must be Hermitian (to 1e-12 element-wise) and positive
-    definite; both are checked at construction.
+    definite; both are checked at construction, where its factors are
+    computed once and locked: the lower Cholesky factor ``cholesky``,
+    ``log_det`` = ln det(covariance), and ``precision``, the inverse made
+    exactly Hermitian.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
+    cholesky: np.ndarray = field(init=False, repr=False)
+    log_det: float = field(init=False, repr=False)
+    precision: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mean, dtype=complex).reshape(-1)
@@ -81,11 +87,16 @@ class ChannelPrior:
             raise ValueError("covariance must be K x K for a K-vector mean")
         if np.max(np.abs(cov - cov.conj().T)) > 1e-12:
             raise ValueError("covariance must be Hermitian within 1e-12")
-        eigvals = np.linalg.eigvalsh(cov)
-        if np.min(eigvals) <= 0:
+        if np.min(np.linalg.eigvalsh(cov)) <= 0:
             raise ValueError("covariance must be positive definite")
+        cov = _frozen(cov)
+        chol = np.linalg.cholesky(cov)
+        prec = np.linalg.inv(cov)
         object.__setattr__(self, "mean", _frozen(mu))
-        object.__setattr__(self, "covariance", _frozen(cov))
+        object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "cholesky", _frozen(chol))
+        object.__setattr__(self, "log_det", 2.0 * float(np.sum(np.log(np.real(np.diag(chol))))))
+        object.__setattr__(self, "precision", _frozen(0.5 * (prec + prec.conj().T)))
 
     @property
     def k_users(self) -> int:
@@ -136,6 +147,16 @@ class ObservationSet:
         return self.signal.shape[1]
 
 
+def _steering(array: ArrayConfig, angles: np.ndarray) -> np.ndarray:
+    """Steering vectors exp(-j * 2*pi * (d/lambda) * n * sin(theta)) for
+    n = 0..N-1, one column per angle. Leading axes of ``angles``
+    broadcast: a (K,) input gives N x K, a (B, K) input B x N x K. This is
+    the one place the steering phase is built."""
+    n = np.arange(array.n_antennas)[:, None]
+    phase = -2j * np.pi * array.spacing_ratio * n * np.sin(angles)[..., None, :]
+    return np.exp(phase, out=phase)
+
+
 def array_matrix(array: ArrayConfig, aoas: AoAVector) -> np.ndarray:
     """N x K matrix of array response (steering) vectors, column k for a
     plane wave from aoas.angles[k].
@@ -143,8 +164,7 @@ def array_matrix(array: ArrayConfig, aoas: AoAVector) -> np.ndarray:
     Element (n, k), n 0-indexed, is exp(-j * 2*pi * (d/lambda) * n *
     sin(theta_k)). Row 0 is exactly 1, every element has unit magnitude.
     """
-    n = np.arange(array.n_antennas)[:, None]
-    return np.exp(-2j * np.pi * array.spacing_ratio * n * np.sin(aoas.angles)[None, :])
+    return _steering(array, aoas.angles)
 
 
 def sample_channel(
@@ -153,18 +173,14 @@ def sample_channel(
     """Draw M i.i.d. per-snapshot gain vectors from CN(mean, covariance).
 
     Circular symmetry: real and imaginary parts of the whitened vector are
-    i.i.d. N(0, 1/2). Raises if the prior covariance has no Cholesky factor.
+    i.i.d. N(0, 1/2), coloured by the prior's stored Cholesky factor.
     """
     if n_snapshots < 1:
         raise ValueError("n_snapshots must be >= 1")
-    try:
-        chol = np.linalg.cholesky(prior.covariance)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("prior covariance is not positive definite") from exc
     k = prior.k_users
     eps = rng.standard_normal((k, n_snapshots)) + 1j * rng.standard_normal((k, n_snapshots))
     eps *= np.sqrt(0.5)
-    gains = prior.mean[:, None] + chol @ eps
+    gains = prior.mean[:, None] + prior.cholesky @ eps
     return ChannelRealization(gains)
 
 
@@ -177,10 +193,9 @@ def synthesize_observation(
 ) -> ObservationSet:
     """Received block Y = A(theta) H + noise, noise i.i.d. CN(0, sigma^2).
 
-    With noise_variance = 0 the output is exactly A(theta) H.
+    With noise_variance = 0 the output is exactly A(theta) H; a negative one
+    is rejected by ObservationSet.
     """
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be >= 0")
     if channel.gains.shape[0] != aoas.k_users:
         raise ValueError("channel user count must match aoas")
     a = array_matrix(array, aoas)

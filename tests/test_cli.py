@@ -29,6 +29,10 @@ def _scenario_payload(**overrides):
     return payload
 
 
+# a single-user AoA surface axis a landscape config can request
+_AOA_AXIS = {"start_deg": -30.0, "stop_deg": 30.0, "num": 5}
+
+
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["estimate", "--config", str(tmp_path / "nope.json")])
@@ -94,7 +98,29 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "config error" in err and "span at least one step" in err
+        assert "grid_step_deg" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"surface": dict(_AOA_AXIS, user_index=1)}, "user_index out of range"),
+            ({"surface": [_AOA_AXIS, dict(_AOA_AXIS, num=3)]}, "same coordinate"),
+            ({"scan_step_deg": 0.5}, "too coarse"),
+        ],
+    )
+    def test_landscape_that_cannot_run_is_config_error_with_no_artifacts(
+        self, tmp_path, capsys, extra, message
+    ):
+        payload = {"array": {"n_antennas": 32, "spacing_ratio": 0.5}, "true_angle_deg": 11.0}
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = _write_config(tmp_path, dict(payload, **extra))
+        rc = main(["landscape", "--config", cfg, "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert list(out.iterdir()) == []
 
 
 class TestArtifacts:

@@ -493,12 +493,36 @@ class TestScenarioFromDict:
         d = _full_scenario_dict()
         d["sector"] = {"center_deg": 0.0, "width_deg": 1.0}
         d["grid_step_deg"] = 5.0
-        with pytest.raises(ConfigError, match="span at least one step"):
+        with pytest.raises(ConfigError, match="'grid_step_deg': .*span at least one step"):
             scenario_from_dict(d)
         d["grid_step_deg"] = 0.5
         scenario = scenario_from_dict(d)
         assert scenario.grid == sector_grid(scenario.sector, scenario.grid_step)
         assert scenario.grid.n_points == 3
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "n_trials",
+            "n_snapshots",
+            "master_seed",
+            "array.n_antennas",
+            "optimizer.max_outer_iterations",
+        ],
+    )
+    def test_integer_fields_reject_fractions_and_name_the_path(self, path):
+        d = _full_scenario_dict()
+        *parents, key = path.split(".")
+        section = d[parents[0]] if parents else d
+        for bad in (2.7, "12", True):
+            section[key] = bad
+            with pytest.raises(ConfigError, match=rf"'{path}' must be an integer"):
+                scenario_from_dict(d)
+        section[key] = 12.0  # an integral float is read as the integer
+        value = scenario_from_dict(d)
+        for attr in path.split("."):
+            value = getattr(value, attr)
+        assert value == 12 and isinstance(value, int)
 
     def test_non_object_root_rejected(self):
         with pytest.raises(ConfigError):
@@ -509,6 +533,10 @@ class TestScenarioFromDict:
         d["array"]["n_antennas"] = 0
         with pytest.raises(ConfigError):
             scenario_from_dict(d)
+
+
+# a single-user AoA surface axis a landscape config can request
+_AOA_AXIS = {"start_deg": -30.0, "stop_deg": 30.0, "num": 5}
 
 
 class TestLandscapeExport:
@@ -527,6 +555,25 @@ class TestLandscapeExport:
         assert cfg.true_angle == pytest.approx(math.radians(11.0))
         assert cfg.scan_step == pytest.approx(math.radians(0.01))
         assert cfg.surface_axes is None
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"surface": dict(_AOA_AXIS, user_index=1)}, "user_index out of range"),
+            ({"surface": [_AOA_AXIS, dict(_AOA_AXIS, num=3)]}, "same coordinate"),
+            ({"scan_step_deg": 0.5}, "too coarse"),
+            ({"scan_step_deg": -0.01}, "not positive"),
+        ],
+    )
+    def test_configs_the_export_cannot_run_fail_at_parse_time(self, extra, message):
+        with pytest.raises(ConfigError, match=message):
+            landscape_config_from_dict(self._config(extra))
+
+    @pytest.mark.parametrize("key", ["num", "user_index"])
+    def test_surface_integer_fields_name_the_path(self, key):
+        axis = dict(_AOA_AXIS, **{key: 2.7})
+        with pytest.raises(ConfigError, match=rf"'surface\[0\]\.{key}' must be an integer"):
+            landscape_config_from_dict(self._config({"surface": axis}))
 
     def test_missing_true_angle_named(self):
         with pytest.raises(ConfigError, match="true_angle_deg"):

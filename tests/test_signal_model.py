@@ -9,15 +9,18 @@ from aoavi.signal_model import (
     ChannelPrior,
     ChannelRealization,
     ObservationSet,
+    _steering,
     array_matrix,
     sample_channel,
     snr_to_noise_variance,
     synthesize_observation,
 )
 
+from aoavi.estimator import estimate
 from aoavi.loss import recover_path_parameters
+from aoavi.preprocess import Sector, sector_grid
 
-from conftest import make_rng, random_pd, steering_vector
+from conftest import make_rng, random_pd, random_prior, steering_vector
 
 
 class TestArrayConfig:
@@ -58,6 +61,42 @@ class TestChannelPrior:
         rng = make_rng(1)
         p = ChannelPrior(mean=np.zeros(3, complex), covariance=random_pd(3, rng))
         assert p.k_users == 3
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_factors_equal_fresh_numpy_results_and_are_read_only(self, k):
+        p = random_prior(k, make_rng(40 + k))
+        chol = np.linalg.cholesky(p.covariance)
+        prec = np.linalg.inv(p.covariance)
+        assert p.cholesky.tobytes() == chol.tobytes()
+        assert p.log_det == 2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
+        assert p.log_det == pytest.approx(np.linalg.slogdet(p.covariance)[1], rel=1e-12)
+        assert p.precision.tobytes() == (0.5 * (prec + prec.conj().T)).tobytes()
+        assert np.array_equal(p.precision, p.precision.conj().T)
+        for factor in (p.cholesky, p.precision):
+            assert not factor.flags.writeable
+            with pytest.raises(ValueError):
+                factor[0, 0] = 1.0
+
+    def test_estimate_and_sampling_never_refactorize_the_prior(self, monkeypatch):
+        rng = make_rng(44)
+        prior = random_prior(2, rng)
+        arr = ArrayConfig(16, 0.5)
+        sector = Sector(center=0.0, width=math.radians(120.0))
+        calls = []
+        for name in ("cholesky", "inv"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _original=original, **kwargs):
+                calls.append((_name, a is prior.covariance))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        channel = sample_channel(prior, 10, rng)
+        aoas = AoAVector(np.radians([-20.0, 25.0]))
+        obs = synthesize_observation(arr, aoas, channel, 0.1, rng)
+        result = estimate(obs, prior, sector, sector_grid(sector, math.radians(0.5)))
+        assert result.iterations_used > 1 and calls
+        assert [name for name, on_prior in calls if on_prior] == []
 
 
 class TestChannelRealization:
@@ -122,6 +161,15 @@ class TestArrayMatrix:
         a = array_matrix(arr, aoas)
         for k, theta in enumerate(aoas.angles):
             assert np.array_equal(a[:, k], steering_vector(arr, theta))
+
+    def test_steering_kernel_broadcasts_over_leading_axes(self):
+        arr = ArrayConfig(12, 1.5)
+        angles = make_rng(45).uniform(-math.pi / 2, math.pi / 2, size=(4, 3))
+        batch = _steering(arr, angles)
+        assert batch.shape == (4, 12, 3)
+        for b in range(4):
+            # byte equality pins every bit, signed zeros included
+            assert batch[b].tobytes() == array_matrix(arr, AoAVector(angles[b])).tobytes()
 
 
 class TestSampleChannel:
