@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import AngleGrid, _pick_peaks, empirical_covariance, grid_steering
+from .preprocess import AngleGrid, _grid_angles, _pick_peaks, empirical_covariance, grid_steering
 from .signal_model import AoAVector, ObservationSet, array_matrix
 from .signal_model import _frozen
 
@@ -22,7 +22,8 @@ class MusicSpectrum:
 
     degraded is set when ``_pick_peaks`` found fewer strict local maxima
     than requested and padded the remainder with the highest off-peak
-    values.
+    values. A read-only float array of values is kept as given; any
+    other input is copied and locked.
     """
 
     grid: AngleGrid
@@ -34,16 +35,23 @@ class MusicSpectrum:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.n_points,):
             raise ValueError("one spectrum value per grid point required")
-        if np.any(vals < 0):
+        # written so that NaN fails every check
+        if not vals.min() >= 0:
             raise ValueError("spectrum values must be non-negative")
         peaks = np.asarray(self.peaks, dtype=float)
         if np.any(np.diff(peaks) < 0):
             raise ValueError("peaks must be sorted ascending")
-        grid_angles = self.grid.angles()
-        for p in peaks:
-            if np.min(np.abs(grid_angles - p)) > 1e-12:
-                raise ValueError("peaks must lie on the grid")
-        object.__setattr__(self, "values", _frozen(vals))
+        # rounded subtraction is monotone, so the grid angle nearest a peak
+        # (as |angle - peak| rounds) is one of the two that bracket it
+        angles = _grid_angles(self.grid)
+        above = np.minimum(np.searchsorted(angles, peaks), angles.size - 1)
+        below = np.maximum(above - 1, 0)
+        dist = np.minimum(np.abs(angles[below] - peaks), np.abs(angles[above] - peaks))
+        if not np.all(dist <= 1e-12):
+            raise ValueError("peaks must lie on the grid")
+        if vals.flags.writeable:
+            vals = _frozen(vals)
+        object.__setattr__(self, "values", vals)
 
 
 def music_estimate(obs: ObservationSet, grid: AngleGrid, k_sources: int) -> MusicSpectrum:
@@ -77,9 +85,18 @@ def music_estimate(obs: ObservationSet, grid: AngleGrid, k_sources: int) -> Musi
     signal_basis = eigvecs[:, n - k_sources :]
 
     steer = grid_steering(obs.array, grid)
-    denom = n - np.sum(np.abs(signal_basis.conj().T @ steer) ** 2, axis=0)
-    values = 1.0 / np.maximum(denom, _EIGEN_FLOOR)
-    angles = grid.angles()
+    # one float buffer, in place; the rows are added in the order
+    # np.sum(axis=0) adds them, so the values match that expression bit for bit
+    power = np.abs(signal_basis.conj().T @ steer)
+    np.square(power, out=power)
+    values = power[0]
+    for row in power[1:]:
+        values += row
+    np.subtract(n, values, out=values)
+    np.maximum(values, _EIGEN_FLOOR, out=values)
+    np.divide(1.0, values, out=values)
+    values.setflags(write=False)
+    angles = _grid_angles(grid)
     chosen, degraded = _pick_peaks(values, angles, k_sources)
     peak_angles = tuple(float(angles[i]) for i in chosen)
     return MusicSpectrum(grid=grid, values=values, peaks=peak_angles, degraded=degraded)

@@ -73,12 +73,20 @@ def empirical_covariance(obs: ObservationSet) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _grid_angles(grid: AngleGrid) -> np.ndarray:
+    """grid.angles(), built once per grid; shared and read-only."""
+    out = grid.angles()
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=8)
 def grid_steering(array: ArrayConfig, grid: AngleGrid) -> np.ndarray:
     """N x G steering matrix whose column g is array_matrix's column at
     grid angle g, bit for bit: both come from the same steering kernel.
     Cached across Monte Carlo trials; the returned array is shared and
     read-only."""
-    out = _steering(array, grid.angles())
+    out = _steering(array, _grid_angles(grid))
     out.setflags(write=False)
     return out
 
@@ -89,7 +97,9 @@ def _correlation_profile(obs: ObservationSet, grid: AngleGrid) -> np.ndarray:
     steer = grid_steering(obs.array, grid)
     # sum_m y_m^H a(theta) = (column-summed Y)^H a(theta)
     colsum = np.sum(obs.signal, axis=1)
-    return np.abs(colsum.conj() @ steer) / obs.n_snapshots
+    profile = np.abs(colsum.conj() @ steer)
+    profile /= obs.n_snapshots
+    return profile
 
 
 def _pick_peaks(
@@ -142,7 +152,7 @@ def pseudo_labels(
     if suppression_radius < 0:
         raise ValueError("suppression_radius must be non-negative")
     corr = _correlation_profile(obs, grid)
-    angles = grid.angles()
+    angles = _grid_angles(grid)
     order, _degraded = _pick_peaks(corr, angles, k_users, suppression_radius)
     return AoAVector(np.clip(angles[order], -_HALF_PI, _HALF_PI))
 

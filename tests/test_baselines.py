@@ -6,7 +6,15 @@ import pytest
 
 from aoavi.baselines import MusicSpectrum, ls_channel, music_estimate
 from aoavi.estimator import closed_form_channel_update
-from aoavi.preprocess import AngleGrid, Sector, empirical_covariance, grid_steering, sector_grid
+from aoavi.preprocess import (
+    AngleGrid,
+    Sector,
+    _pick_peaks,
+    empirical_covariance,
+    grid_steering,
+    pseudo_labels,
+    sector_grid,
+)
 from aoavi.signal_model import (
     AoAVector,
     ArrayConfig,
@@ -114,7 +122,9 @@ class TestMusicEstimate:
     def test_spectrum_working_memory_is_o_k_g(self):
         """With the grid steering cached, the scan allocates far less than
         the N x G steering matrix itself; an (N-K) x G complex product
-        would not fit."""
+        would not fit. Beyond the K x G complex projection and its K x G
+        float magnitude, in which the spectrum is formed, no grid-sized
+        array is allocated."""
         rng = make_rng(133)
         arr = ArrayConfig(32, 2.0)
         grid = sector_grid(Sector(center=0.0, width=math.pi), math.radians(0.01))
@@ -131,6 +141,69 @@ class TestMusicEstimate:
         finally:
             tracemalloc.stop()
         assert peak < 32 * grid.n_points * 16 / 4
+        assert peak < 1.25 * grid.n_points * (16 + 8)
+
+    @staticmethod
+    def _allocating_scans(obs, grid, k):
+        """MUSIC and the pseudo-label profile as plain allocating
+        expressions, each temporary its own array, and the angles rebuilt
+        from the grid on every call."""
+        n = obs.array.n_antennas
+        _w, vecs = np.linalg.eigh(empirical_covariance(obs))
+        steer = grid_steering(obs.array, grid)
+        denom = n - np.sum(np.abs(vecs[:, n - k :].conj().T @ steer) ** 2, axis=0)
+        values = 1.0 / np.maximum(denom, 1e-8)
+        angles = grid.angles()
+        chosen, degraded = _pick_peaks(values, angles, k)
+        peaks = tuple(float(angles[i]) for i in chosen)
+        corr = np.abs(np.sum(obs.signal, axis=1).conj() @ steer) / obs.n_snapshots
+        order, _ = _pick_peaks(corr, angles, k)
+        labels = np.clip(angles[order], -math.pi / 2, math.pi / 2)
+        return values, peaks, degraded, labels
+
+    @pytest.mark.parametrize("spacing", [0.5, 2.0])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_in_place_scans_match_allocating_expressions(self, k, spacing):
+        """Byte for byte, on a 3601-point grid and on an 18001-point one,
+        whose G-sized float temporaries (144 KB) pass glibc's default
+        128 KiB mmap threshold."""
+        arr = ArrayConfig(32, spacing)
+        step = math.radians(0.05 if spacing == 0.5 else 0.01)
+        grid = sector_grid(Sector(center=0.0, width=math.pi), step)
+        assert grid.n_points == (3601 if spacing == 0.5 else 18001)
+        prior = ChannelPrior(mean=np.zeros(k, complex), covariance=np.eye(k, dtype=complex))
+        rng = make_rng(140 + k)
+        for snr_db in (None, 0.0, 10.0, 20.0):
+            picks = np.sort(rng.choice(np.arange(100, grid.n_points - 100, 300), k, replace=False))
+            # noiseless on-grid sources make the floor bind; the rest sit off the grid
+            offset = 0.0 if snr_db is None else 0.3 * step
+            aoas = AoAVector(grid.angles()[picks] + offset)
+            s2 = 0.0 if snr_db is None else snr_to_noise_variance(snr_db, arr, prior, aoas)
+            obs = synthesize_observation(arr, aoas, sample_channel(prior, 40, rng), s2, rng)
+            values, peaks, degraded, labels = self._allocating_scans(obs, grid, k)
+            spectrum = music_estimate(obs, grid, k)
+            assert spectrum.values.tobytes() == values.tobytes()
+            assert not spectrum.values.flags.writeable
+            assert spectrum.peaks == peaks
+            assert spectrum.degraded == degraded
+            assert pseudo_labels(obs, grid, k).angles.tobytes() == labels.tobytes()
+
+    def test_nan_eigenvectors_raise(self, monkeypatch):
+        """A LAPACK that returns NaN eigenvectors instead of raising
+        LinAlgError yields a NaN spectrum, which is rejected."""
+        rng = make_rng(135)
+        arr = ArrayConfig(8, 0.5)
+        prior = ChannelPrior(mean=np.zeros(1, complex), covariance=np.eye(1, dtype=complex))
+        obs = synthesize_observation(
+            arr, AoAVector(np.array([0.2])), sample_channel(prior, 10, rng), 0.1, rng
+        )
+
+        def nan_eigh(a):
+            return np.full(a.shape[0], np.nan), np.full(a.shape, np.nan, dtype=complex)
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+        with pytest.raises(ValueError):
+            music_estimate(obs, AngleGrid(-1.0, 1.0, 0.01), 1)
 
     def test_scaling_invariance(self):
         rng = make_rng(112)
@@ -179,6 +252,71 @@ class TestMusicEstimate:
             MusicSpectrum(grid=grid, values=-np.ones(5), peaks=(0.0,))
         with pytest.raises(ValueError):
             MusicSpectrum(grid=grid, values=np.ones(5), peaks=(0.123,))  # off grid
+        with pytest.raises(ValueError):
+            MusicSpectrum(grid=grid, values=np.ones(5), peaks=(math.nan,))
+        with pytest.raises(ValueError):
+            MusicSpectrum(grid=grid, values=np.array([1.0, 1.0, math.nan, 1.0, 1.0]), peaks=(0.0,))
+
+
+class TestMusicSpectrum:
+    @staticmethod
+    def _on_grid_by_full_scan(grid, peak):
+        """The O(G) reference: distance to every grid angle."""
+        return np.min(np.abs(grid.angles() - peak)) <= 1e-12
+
+    @staticmethod
+    def _accepts(grid, peaks):
+        try:
+            MusicSpectrum(grid=grid, values=np.ones(grid.n_points), peaks=tuple(peaks))
+        except ValueError:
+            return False
+        return True
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            AngleGrid(-1.0, 1.0, 0.5),
+            AngleGrid(-0.3, 0.4, 0.013),
+            # ends 1e-9 past +-pi/2, the most AngleGrid admits
+            AngleGrid(-math.pi / 2 - 1e-9, math.pi / 2 + 1e-9, math.radians(1.0)),
+            # a step of 2e-12 puts the midpoints at the 1e-12 tolerance
+            AngleGrid(0.1, 0.1 + 8e-12, 2e-12),
+        ],
+    )
+    def test_on_grid_check_matches_full_scan(self, grid):
+        angles = grid.angles()
+        first, last = angles[0], angles[-1]
+        candidates = [
+            first - 1e-3,
+            last + 1e-3,
+            math.pi / 2,
+            -math.pi / 2,
+            *(first + d for d in (-1.1e-12, -1e-12, -0.9e-12, 0.0, 0.9e-12, 1e-12, 1.1e-12)),
+            *(last + d for d in (-1.1e-12, -1e-12, -0.9e-12, 0.0, 0.9e-12, 1e-12, 1.1e-12)),
+            *((angles[:-1] + angles[1:]) / 2),
+            *(a + 0.5 * (b - a) for a, b in zip(angles[:-1], angles[1:])),
+            *(np.nextafter(a, np.inf) for a in angles),
+            *(np.nextafter(a, -np.inf) for a in angles),
+        ]
+        verdicts = set()
+        for p in candidates:
+            expected = self._on_grid_by_full_scan(grid, p)
+            assert self._accepts(grid, [p]) == expected, p
+            verdicts.add(bool(expected))
+        assert verdicts == {True, False}
+        assert self._accepts(grid, [first, last])
+        assert not self._accepts(grid, [first, last + 1e-3])
+
+    def test_values_kept_if_read_only_else_copied_and_locked(self):
+        grid = AngleGrid(-1.0, 1.0, 0.5)
+        locked = np.arange(5.0)
+        locked.setflags(write=False)
+        assert MusicSpectrum(grid=grid, values=locked, peaks=(1.0,)).values is locked
+        values = np.arange(5.0)
+        spectrum = MusicSpectrum(grid=grid, values=values, peaks=(1.0,))
+        assert spectrum.values is not values and not spectrum.values.flags.writeable
+        values[0] = 7.0
+        assert spectrum.values[0] == 0.0
 
 
 class TestLsChannel:

@@ -7,6 +7,7 @@ from aoavi.preprocess import (
     AngleGrid,
     Sector,
     _correlation_profile,
+    _grid_angles,
     _pick_peaks,
     empirical_covariance,
     grid_steering,
@@ -41,6 +42,13 @@ class TestAngleGrid:
             AngleGrid(min_angle=-2.0, max_angle=0.0, step=0.01)
         with pytest.raises(ValueError):
             AngleGrid(min_angle=0.0, max_angle=1.0, step=0.0)
+
+    def test_cached_angles_read_only_and_equal(self):
+        g = AngleGrid(min_angle=-math.pi / 2, max_angle=math.pi / 2, step=math.radians(0.01))
+        a = _grid_angles(g)
+        assert _grid_angles(g) is a
+        assert not a.flags.writeable
+        assert a.tobytes() == g.angles().tobytes()
 
     def test_endpoints_inclusive(self):
         g = AngleGrid(min_angle=-0.5, max_angle=0.5, step=0.25)
