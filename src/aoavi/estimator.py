@@ -25,7 +25,7 @@ from .loss import (
     recover_path_parameters,
 )
 from .preprocess import AngleGrid, Sector, pseudo_labels
-from .signal_model import AoAVector, ChannelPrior, ObservationSet, array_matrix
+from .signal_model import AoAVector, ChannelPrior, ObservationSet, _antenna_index, array_matrix
 
 # backtracking limits; not part of the public config
 _MAX_HALVINGS = 40
@@ -57,8 +57,9 @@ class OptimizerConfig:
             raise ValueError("step size and gradient tolerance must be positive")
         if not self.loss_tolerance > 0:
             raise ValueError("loss_tolerance must be positive")
-        if self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations must be at least 1")
+        n = self.max_outer_iterations
+        if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise ValueError("max_outer_iterations must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -130,11 +131,12 @@ def closed_form_channel_update(
     if s2 == 0.0:
         return np.linalg.pinv(a_hat) @ y, np.zeros((k, k), dtype=complex)
 
-    gram = a_hat.conj().T @ a_hat
-    aty = a_hat.conj().T @ y
+    a_h = a_hat.conj().T
+    gram = a_h @ a_hat
+    aty = a_h @ y
 
     lhs = gram + s2 * prior.precision
-    rhs = aty + (s2 * (prior.precision @ prior.mean))[:, None]
+    rhs = aty + (s2 * prior.precision_mean)[:, None]
     means = np.linalg.solve(lhs, rhs)
     cov = s2 * np.linalg.inv(lhs)
     cov = 0.5 * (cov + cov.conj().T)
@@ -153,17 +155,16 @@ def _aoa_gradient_raw(
     divided by noise_variance when it is positive (the loss term's
     gradient; the divergence part does not involve the AoAs)."""
     a_hat = array_matrix(array, AoAVector(angles))
-    n = array.n_antennas
     # phase-slope vector per user: 2*pi*(d/lambda)*cos(theta_k) * [0..N-1]
     slope = 2.0 * np.pi * array.spacing_ratio * np.cos(angles)
-    d_mat = a_hat * (np.arange(n)[:, None] * slope[None, :])
+    d_mat = a_hat * (_antenna_index(array.n_antennas) * slope[None, :])
 
     resid = a_hat @ means - signal
-    cross = np.conj(resid).T @ d_mat
-    term1 = np.imag(np.sum(means.T * cross, axis=0))
+    cross = resid.conj().T @ d_mat
+    term1 = (means.T * cross).sum(axis=0).imag
 
     # sum_m Cov_m = M Cov
-    term2 = np.imag(np.sum(d_mat * np.conj(a_hat @ (means.shape[1] * cov)), axis=0))
+    term2 = (d_mat * (a_hat @ (means.shape[1] * cov)).conj()).sum(axis=0).imag
 
     grad = 2.0 * (term1 + term2)
     if noise_variance > 0:
@@ -200,18 +201,21 @@ def _backtrack(
     The candidate clip(angles - step * gradient, lo, hi) is accepted once
     the reconstruction sum stops increasing, starting from step0 (capped so
     no AoA moves more than 0.5 deg) and halving up to 40 times. Step
-    underflow returns the input angles and base_recon with accepted=False.
+    underflow returns the input angles and base_recon with accepted=False,
+    and so does a gradient that is not finite, without scoring a trial.
 
     Comparison uses the unnormalized sum: the divergence term is fixed
     during an AoA move and the 1/sigma^2 factor is order-preserving.
     """
-    gmax = float(np.max(np.abs(gradient)))
+    gmax = float(np.abs(gradient).max())
     if gmax == 0.0:
         return _LineSearch(angles, base_recon, True, 0.0, 0)
+    if not math.isfinite(gmax):
+        return _LineSearch(angles, base_recon, False, 0.0, 0)
     # keep the first trial displacement physically small
     step = min(step0, _MAX_FIRST_STEP_RAD / gmax)
     for trials in range(1, _MAX_HALVINGS + 2):
-        trial = np.clip(angles - step * gradient, lo, hi)
+        trial = (angles - step * gradient).clip(lo, hi)
         recon = _reconstruction_sum_raw(signal, array, trial, means, cov)
         if recon <= base_recon:
             return _LineSearch(trial, recon, True, step, trials)
@@ -278,7 +282,7 @@ def estimate(
     last_step = last_gsq = 0.0  # the previous search's accepted step and |g|^2
     for _ in range(cfg.max_outer_iterations - 1):
         grad = _aoa_gradient_raw(obs.signal, obs.array, angles, means, cov, s2)
-        if float(np.max(np.abs(grad))) < cfg.aoa_gradient_tolerance:
+        if float(np.abs(grad).max()) < cfg.aoa_gradient_tolerance:
             stop_reason = "gradient"
             break
         gsq = float(grad @ grad)

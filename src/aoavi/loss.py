@@ -115,15 +115,15 @@ def kl_gaussian(q_mean: np.ndarray, q_cov: np.ndarray, prior: ChannelPrior) -> f
     if q_mean.ndim != 2 or q_mean.shape[0] != k or q_cov.shape != (k, k):
         raise ValueError("q dimensions must match the prior")
     q_eigs = np.linalg.eigvalsh(q_cov)
-    if np.min(q_eigs) <= 0:
+    if q_eigs.min() <= 0:
         raise ValueError("q_cov must be positive definite (KL is infinite otherwise)")
     # tr(Sp^-1 Sq) via the Cholesky whitening of the prior
     w = np.linalg.solve(prior.cholesky, q_cov)
     w = np.linalg.solve(prior.cholesky, w.conj().T).conj().T
-    trace_term = float(np.real(np.trace(w)))
-    logdet_q = float(np.sum(np.log(q_eigs)))
+    trace_term = float(w.trace().real)
+    logdet_q = float(np.log(q_eigs).sum())
     z = np.linalg.solve(prior.cholesky, q_mean - prior.mean[:, None])
-    quad = float(np.real(np.sum(np.conj(z) * z)))
+    quad = float((z.conj() * z).sum().real)
     return q_mean.shape[1] * (trace_term - k + prior.log_det - logdet_q) + quad
 
 
@@ -156,12 +156,12 @@ def _reconstruction_sum_raw(
     cov: np.ndarray,
 ) -> float:
     """Reconstruction sum on raw arrays; hot path for line searches."""
-    a_hat = array_matrix(array, AoAVector(np.asarray(angles, dtype=float)))
+    a_hat = array_matrix(array, AoAVector(angles))
     resid = signal - a_hat @ means
-    sq = float(np.real(np.vdot(resid, resid)))
+    sq = float(np.vdot(resid, resid).real)
     gram = a_hat.conj().T @ a_hat
     # sum_m tr(A Cov A^H) = M tr(gram Cov)
-    trace = means.shape[1] * float(np.real(np.sum(gram * cov.T)))
+    trace = means.shape[1] * float((gram * cov.T).sum().real)
     return sq + trace
 
 

@@ -53,8 +53,12 @@ class Sector:
     def __post_init__(self):
         if not self.width > 0:
             raise ValueError("width must be positive")
-        if self.center - self.width / 2 < -_HALF_PI - 1e-9 or self.center + self.width / 2 > _HALF_PI + 1e-9:
-            raise ValueError("sector must lie within [-pi/2, pi/2]")
+        # written so that a NaN center or width fails the check
+        if not (
+            self.center - self.width / 2 >= -_HALF_PI - 1e-9
+            and self.center + self.width / 2 <= _HALF_PI + 1e-9
+        ):
+            raise ValueError("sector must be finite and lie within [-pi/2, pi/2]")
 
     @property
     def lo(self) -> float:

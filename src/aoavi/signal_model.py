@@ -10,8 +10,11 @@ Conventions used across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+
+_ANGLE_BOUND = np.pi / 2 + 1e-12
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -46,17 +49,21 @@ class ArrayConfig:
 
 @dataclass(frozen=True)
 class AoAVector:
-    """Angles of arrival for the K users, radians in [-pi/2, pi/2]."""
+    """Angles of arrival for the K users, radians in [-pi/2, pi/2]. The
+    angles are copied once and the copy is locked; the caller's array is
+    left as it was."""
 
     angles: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.angles, dtype=float).reshape(-1)
+        a = np.array(self.angles, dtype=float).reshape(-1)
         if a.size == 0:
             raise ValueError("at least one angle required")
-        if np.any(np.abs(a) > np.pi / 2 + 1e-12):
-            raise ValueError("angles must lie in [-pi/2, pi/2]")
-        object.__setattr__(self, "angles", _frozen(a))
+        # written so that NaN fails the check
+        if not np.abs(a).max() <= _ANGLE_BOUND:
+            raise ValueError("angles must be finite and lie in [-pi/2, pi/2]")
+        a.setflags(write=False)
+        object.__setattr__(self, "angles", a)
 
     @property
     def k_users(self) -> int:
@@ -70,8 +77,8 @@ class ChannelPrior:
     covariance must be Hermitian (to 1e-12 element-wise) and positive
     definite; both are checked at construction, where its factors are
     computed once and locked: the lower Cholesky factor ``cholesky``,
-    ``log_det`` = ln det(covariance), and ``precision``, the inverse made
-    exactly Hermitian.
+    ``log_det`` = ln det(covariance), ``precision``, the inverse made
+    exactly Hermitian, and ``precision_mean`` = precision @ mean.
     """
 
     mean: np.ndarray
@@ -79,6 +86,7 @@ class ChannelPrior:
     cholesky: np.ndarray = field(init=False, repr=False)
     log_det: float = field(init=False, repr=False)
     precision: np.ndarray = field(init=False, repr=False)
+    precision_mean: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mean, dtype=complex).reshape(-1)
@@ -97,6 +105,7 @@ class ChannelPrior:
         object.__setattr__(self, "cholesky", _frozen(chol))
         object.__setattr__(self, "log_det", 2.0 * float(np.sum(np.log(np.real(np.diag(chol))))))
         object.__setattr__(self, "precision", _frozen(0.5 * (prec + prec.conj().T)))
+        object.__setattr__(self, "precision_mean", _frozen(self.precision @ self.mean))
 
     @property
     def k_users(self) -> int:
@@ -138,6 +147,8 @@ class ObservationSet:
             raise ValueError("signal must be an N x M matrix")
         if y.shape[0] != self.array.n_antennas:
             raise ValueError("signal row count must equal array.n_antennas")
+        if not np.isfinite(y).all():
+            raise ValueError("signal samples must be finite")
         if not (np.isfinite(self.noise_variance) and self.noise_variance >= 0):
             raise ValueError("noise_variance must be finite and >= 0")
         object.__setattr__(self, "signal", _frozen(y))
@@ -147,13 +158,29 @@ class ObservationSet:
         return self.signal.shape[1]
 
 
+@lru_cache(maxsize=8)
+def _antenna_index(n_antennas: int) -> np.ndarray:
+    """The N x 1 column [0..N-1]; shared and read-only."""
+    out = np.arange(n_antennas)[:, None]
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _phase_column(array: ArrayConfig) -> np.ndarray:
+    """The N x 1 steering phase slope -2j*pi*(d/lambda)*n, built once per
+    array; shared and read-only."""
+    out = -2j * np.pi * array.spacing_ratio * _antenna_index(array.n_antennas)
+    out.setflags(write=False)
+    return out
+
+
 def _steering(array: ArrayConfig, angles: np.ndarray) -> np.ndarray:
     """Steering vectors exp(-j * 2*pi * (d/lambda) * n * sin(theta)) for
     n = 0..N-1, one column per angle. Leading axes of ``angles``
     broadcast: a (K,) input gives N x K, a (B, K) input B x N x K. This is
     the one place the steering phase is built."""
-    n = np.arange(array.n_antennas)[:, None]
-    phase = -2j * np.pi * array.spacing_ratio * n * np.sin(angles)[..., None, :]
+    phase = _phase_column(array) * np.sin(angles)[..., None, :]
     return np.exp(phase, out=phase)
 
 

@@ -47,6 +47,12 @@ class TestOptimizerConfig:
             OptimizerConfig(max_outer_iterations=0)
         OptimizerConfig(max_outer_iterations=1)
 
+    def test_budget_must_be_an_integer(self):
+        for budget in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError):
+                OptimizerConfig(max_outer_iterations=budget)
+        assert OptimizerConfig(max_outer_iterations=np.int64(3)).max_outer_iterations == 3
+
     def test_positive_fields(self):
         with pytest.raises(ValueError):
             OptimizerConfig(aoa_step_size=0.0)
@@ -478,6 +484,29 @@ class TestEstimate:
         assert result.iterations_used == len(result.loss_trace) == 1
         assert result.line_search_evaluations == _MAX_HALVINGS + 1
         assert all(b <= a for a, b in zip(totals, totals[1:]))
+
+    def test_non_finite_gradient_stalls_without_scoring_a_trial(self, monkeypatch):
+        """An inf gradient cannot give a finite trial step: the search
+        reports a stall at once and no NaN trial angle is scored."""
+        scored = []
+
+        def recording_recon(signal, array, angles, *rest):
+            scored.append(np.array(angles))
+            return _reconstruction_sum_raw(signal, array, angles, *rest)
+
+        monkeypatch.setattr("aoavi.estimator._reconstruction_sum_raw", recording_recon)
+        monkeypatch.setattr(
+            "aoavi.estimator._aoa_gradient_raw",
+            lambda *args: np.full_like(_aoa_gradient_raw(*args), math.inf),
+        )
+        rng = make_rng(92)
+        obs, prior, aoas = self._scenario(rng, snr_db=10.0)
+        sector = Sector(center=0.0, width=2 * math.pi / 3)
+        result = estimate(obs, prior, sector, initial_aoas=[aoas.angles[0] + 0.01])
+        assert result.stop_reason == "line_search_stall"
+        assert result.iterations_used == 1 and result.line_search_evaluations == 0
+        assert len(scored) == 1 and np.all(np.isfinite(scored[0]))
+        assert np.all(np.isfinite(result.state.aoa_estimate.angles))
 
     def test_budget_hit_is_not_converged(self):
         """A budget smaller than the descent needs stops at the budget,

@@ -62,6 +62,11 @@ class TestSector:
         with pytest.raises(ValueError):
             Sector(center=math.radians(80.0), width=math.radians(40.0))
 
+    @pytest.mark.parametrize("center, width", [(math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0)])
+    def test_rejects_non_finite(self, center, width):
+        with pytest.raises(ValueError):
+            Sector(center=center, width=width)
+
     def test_bounds_clip_to_half_space(self):
         s = Sector(center=0.0, width=math.pi)
         assert abs(s.lo + math.pi / 2) < 1e-12

@@ -9,6 +9,7 @@ from aoavi.signal_model import (
     ChannelPrior,
     ChannelRealization,
     ObservationSet,
+    _phase_column,
     _steering,
     array_matrix,
     sample_channel,
@@ -42,8 +43,21 @@ class TestAoAVector:
         with pytest.raises(ValueError):
             AoAVector(np.array([math.pi / 2 + 0.01]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            AoAVector(np.array([0.1, bad]))
+
     def test_k_users(self):
         assert AoAVector(np.array([0.0, 0.1, 0.2])).k_users == 3
+
+    def test_copies_once_and_leaves_the_caller_array_alone(self):
+        given = np.array([0.1, -0.2])
+        v = AoAVector(given)
+        assert not np.shares_memory(v.angles, given)
+        assert given.flags.writeable and not v.angles.flags.writeable
+        given[0] = 0.5
+        assert v.angles.tolist() == [0.1, -0.2]
 
 
 class TestChannelPrior:
@@ -72,10 +86,11 @@ class TestChannelPrior:
         assert p.log_det == pytest.approx(np.linalg.slogdet(p.covariance)[1], rel=1e-12)
         assert p.precision.tobytes() == (0.5 * (prec + prec.conj().T)).tobytes()
         assert np.array_equal(p.precision, p.precision.conj().T)
-        for factor in (p.cholesky, p.precision):
+        assert p.precision_mean.tobytes() == (p.precision @ p.mean).tobytes()
+        for factor in (p.cholesky, p.precision, p.precision_mean):
             assert not factor.flags.writeable
             with pytest.raises(ValueError):
-                factor[0, 0] = 1.0
+                factor[0] = 1.0
 
     def test_estimate_and_sampling_never_refactorize_the_prior(self, monkeypatch):
         rng = make_rng(44)
@@ -171,6 +186,24 @@ class TestArrayMatrix:
             # byte equality pins every bit, signed zeros included
             assert batch[b].tobytes() == array_matrix(arr, AoAVector(angles[b])).tobytes()
 
+    @pytest.mark.parametrize("spacing", [0.5, 2.0])
+    @pytest.mark.parametrize("shape", [(5,), (3, 5)])
+    def test_steering_equals_the_written_out_expression(self, spacing, shape):
+        arr = ArrayConfig(9, spacing)
+        angles = make_rng(46).uniform(-math.pi / 2, math.pi / 2, size=shape)
+        angles.reshape(-1)[:2] = (0.0, -0.0)
+        n = np.arange(arr.n_antennas)[:, None]
+        phase = -2j * np.pi * spacing * n * np.sin(angles)[..., None, :]
+        # byte equality pins every bit, signed zeros included
+        assert _steering(arr, angles).tobytes() == np.exp(phase).tobytes()
+
+    def test_cached_phase_column_is_read_only(self):
+        column = _phase_column(ArrayConfig(6, 0.5))
+        assert column is _phase_column(ArrayConfig(6, 0.5))
+        assert column.shape == (6, 1) and not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0, 0] = 1.0
+
 
 class TestSampleChannel:
     def test_rejects_non_pd_cholesky(self):
@@ -254,6 +287,13 @@ class TestObservationSet:
                 noise_variance=1.0,
                 array=ArrayConfig(4, 0.5),
             )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite_samples(self, bad):
+        y = np.ones((4, 3), dtype=complex)
+        y[2, 1] = bad
+        with pytest.raises(ValueError):
+            ObservationSet(signal=y, noise_variance=1.0, array=ArrayConfig(4, 0.5))
 
 
 class TestSnrToNoiseVariance:
