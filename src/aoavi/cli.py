@@ -22,8 +22,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .harness import (
     ConfigError,
     LandscapeConfig,
@@ -38,6 +36,7 @@ from .harness import (
     _estimate,
     _trial_block,
 )
+from .loss import recover_path_parameters
 
 
 class UsageError(Exception):
@@ -127,6 +126,7 @@ def _cmd_estimate(args, config: dict) -> int:
     result = _estimate(scenario, obs)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
 
+    gains, phases = recover_path_parameters(result.state.channel_means)
     est_deg = sorted(math.degrees(a) for a in result.state.aoa_estimate.angles)
     true_deg = sorted(math.degrees(a) for a in aoas.angles)
     payload = {
@@ -143,8 +143,8 @@ def _cmd_estimate(args, config: dict) -> int:
             {"kl": b.kl_term, "reconstruction": b.reconstruction_term, "total": b.total}
             for b in result.loss_trace
         ],
-        "path_gains": np.asarray(result.path_gains).tolist(),
-        "path_angles": np.asarray(result.path_angles).tolist(),
+        "path_gains": gains.tolist(),
+        "path_angles": phases.tolist(),
     }
     (out / "estimate.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     meta = run_metadata(config, {"estimate": elapsed_ms})

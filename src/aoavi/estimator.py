@@ -17,13 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .loss import (
-    LossBreakdown,
-    VariationalState,
-    _reconstruction_sum_raw,
-    kl_gaussian,
-    recover_path_parameters,
-)
+from .loss import LossBreakdown, VariationalState, _breakdown, _reconstruction_sum_raw
 from .preprocess import AngleGrid, Sector, pseudo_labels
 from .signal_model import AoAVector, ChannelPrior, ObservationSet, _antenna_index, array_matrix
 
@@ -53,10 +47,9 @@ class OptimizerConfig:
     loss_tolerance: float = 1e-10
 
     def __post_init__(self):
-        if not (self.aoa_step_size > 0 and self.aoa_gradient_tolerance > 0):
-            raise ValueError("step size and gradient tolerance must be positive")
-        if not self.loss_tolerance > 0:
-            raise ValueError("loss_tolerance must be positive")
+        for name in ("aoa_step_size", "aoa_gradient_tolerance", "loss_tolerance"):
+            if isinstance(getattr(self, name), bool) or not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be a positive number")
         n = self.max_outer_iterations
         if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
             raise ValueError("max_outer_iterations must be an integer >= 1")
@@ -72,8 +65,8 @@ class EstimationResult:
     tolerance, one iteration lowered the loss by less than loss_tolerance,
     the line search stalled, or the trace reached max_outer_iterations.
     line_search_evaluations counts the trial reconstruction sums the line
-    searches scored. converged, iterations_used (the trace length) and the
-    polar path parameters of the channel means are derived on access.
+    searches scored. converged and iterations_used (the trace length) are
+    derived on access.
     """
 
     state: VariationalState
@@ -88,14 +81,6 @@ class EstimationResult:
     @property
     def iterations_used(self) -> int:
         return len(self.loss_trace)
-
-    @property
-    def path_gains(self) -> np.ndarray:
-        return recover_path_parameters(self.state.channel_means)[0]
-
-    @property
-    def path_angles(self) -> np.ndarray:
-        return recover_path_parameters(self.state.channel_means)[1]
 
     def __post_init__(self):
         if self.stop_reason not in STOP_REASONS:
@@ -251,8 +236,8 @@ def estimate(
     Wright, Numerical Optimization, eq. 3.60), under the same caps as the
     first; with no usable previous step it starts from aoa_step_size.
 
-    At zero noise variance the objective is the plain reconstruction sum
-    (the noise-scaled loss limit) and the divergence term is reported as 0.
+    Each trace entry equals total_loss at its state, also at zero noise
+    variance, where the divergence term is reported as 0.
     """
     k = prior.k_users
     s2 = obs.noise_variance
@@ -268,19 +253,19 @@ def estimate(
         start = pseudo_labels(obs, grid, k, suppression_radius=suppression_radius).angles
     angles = np.clip(start, lo, hi)
 
-    def breakdown(means, cov, recon_raw) -> LossBreakdown:
-        if s2 == 0.0:
-            return LossBreakdown.from_parts(0.0, recon_raw)
-        return LossBreakdown.from_parts(kl_gaussian(means, cov, prior), recon_raw / s2)
-
-    means, cov = closed_form_channel_update(obs, AoAVector(angles), prior)
-    recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, cov)
-    trace = [breakdown(means, cov, recon_raw)]
-
-    stop_reason = "budget"
+    trace = []
     evaluations = 0
     last_step = last_gsq = 0.0  # the previous search's accepted step and |g|^2
-    for _ in range(cfg.max_outer_iterations - 1):
+    while True:
+        means, cov = closed_form_channel_update(obs, AoAVector(angles), prior)
+        recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, cov)
+        trace.append(_breakdown(prior, means, cov, recon_raw, s2))
+        if len(trace) > 1 and trace[-2].total - trace[-1].total < cfg.loss_tolerance:
+            stop_reason = "loss_plateau"
+            break
+        if len(trace) == cfg.max_outer_iterations:
+            stop_reason = "budget"
+            break
         grad = _aoa_gradient_raw(obs.signal, obs.array, angles, means, cov, s2)
         if float(np.abs(grad).max()) < cfg.aoa_gradient_tolerance:
             stop_reason = "gradient"
@@ -299,12 +284,6 @@ def estimate(
             stop_reason = "line_search_stall"
             break
         angles, last_step, last_gsq = search.angles, search.step, gsq
-        means, cov = closed_form_channel_update(obs, AoAVector(angles), prior)
-        recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, cov)
-        trace.append(breakdown(means, cov, recon_raw))
-        if trace[-2].total - trace[-1].total < cfg.loss_tolerance:
-            stop_reason = "loss_plateau"
-            break
 
     state = VariationalState(
         aoa_estimate=AoAVector(angles), channel_means=means, channel_covariance=cov

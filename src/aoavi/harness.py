@@ -45,6 +45,7 @@ from .signal_model import (
     sample_channel,
     snr_to_noise_variance,
     synthesize_observation,
+    _snr_ratio,
 )
 
 # the numerical failures a trial may raise; anything else is a bug
@@ -95,6 +96,8 @@ class Scenario:
             raise ValueError("n_trials must be at least 1")
         if len(self.snr_db_list) == 0:
             raise ValueError("snr_db_list must be nonempty")
+        for snr in self.snr_db_list:
+            _snr_ratio(snr)  # a bad SNR fails here, not in a trial draw
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be at least 1")
         self.grid  # AngleGrid rejects a step that does not fit the sector
@@ -471,7 +474,7 @@ class LandscapeConfig:
     surface_axes: Optional[tuple[AxisSpec, ...]]
 
     def __post_init__(self):
-        if abs(self.true_angle) > math.pi / 2:
+        if not abs(self.true_angle) <= math.pi / 2:  # NaN fails too
             raise ValueError("true_angle must lie in [-pi/2, pi/2]")
         # the export's rules, checked before it writes anything
         _check_scan_step(self.array, self.scan_step)

@@ -155,7 +155,7 @@ def enumerate_global_optima(array: ArrayConfig, true_angle: float) -> GlobalOpti
     sin(alias) = sin(true) - l * lambda/d for every integer l keeping the
     right side in [-1, 1]. Half-wavelength spacing admits only l = 0.
     """
-    if abs(true_angle) > _HALF_PI:
+    if not abs(true_angle) <= _HALF_PI:  # NaN fails too
         raise ValueError("true_angle must lie in [-pi/2, pi/2]")
     r = array.spacing_ratio
     s = math.sin(true_angle)

@@ -73,29 +73,20 @@ class VariationalState:
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """Loss split into its KL and reconstruction parts; total is the sum."""
+    """Loss split into its KL and reconstruction parts; total is their sum."""
 
     kl_term: float
     reconstruction_term: float
-    total: float
 
     def __post_init__(self):
         if self.kl_term < -1e-10:
             raise ValueError("kl_term must be non-negative (within 1e-10)")
         if self.reconstruction_term < -1e-10:
             raise ValueError("reconstruction_term must be non-negative (within 1e-10)")
-        if abs(self.total - (self.kl_term + self.reconstruction_term)) > 1e-10 * max(
-            1.0, abs(self.total)
-        ):
-            raise ValueError("total must equal kl_term + reconstruction_term")
 
-    @classmethod
-    def from_parts(cls, kl_term: float, reconstruction_term: float) -> "LossBreakdown":
-        return cls(
-            kl_term=float(kl_term),
-            reconstruction_term=float(reconstruction_term),
-            total=float(kl_term) + float(reconstruction_term),
-        )
+    @property
+    def total(self) -> float:
+        return float(self.kl_term) + float(self.reconstruction_term)
 
 
 def kl_gaussian(q_mean: np.ndarray, q_cov: np.ndarray, prior: ChannelPrior) -> float:
@@ -192,13 +183,23 @@ def population_reconstruction(
     )
 
 
+def _breakdown(
+    prior: ChannelPrior, means: np.ndarray, cov: np.ndarray, recon_raw: float, noise_variance: float
+) -> LossBreakdown:
+    """The one scorer of estimate()'s trace entries and of total_loss. At zero
+    noise variance the loss is the raw sum recon_raw, with the KL term 0."""
+    if noise_variance == 0.0:
+        return LossBreakdown(0.0, recon_raw)
+    return LossBreakdown(kl_gaussian(means, cov, prior), recon_raw / noise_variance)
+
+
 def total_loss(obs: ObservationSet, state: VariationalState, prior: ChannelPrior) -> LossBreakdown:
-    """Negative evidence bound: the KL of every snapshot's posterior from
-    the prior, summed over snapshots, plus the normalized expected
-    reconstruction error. estimate() scores its loss trace with the same
-    two calls, so its entries equal this evaluator's value exactly."""
-    kl = kl_gaussian(state.channel_means, state.channel_covariance, prior)
-    return LossBreakdown.from_parts(kl, expected_reconstruction_observed(obs, state))
+    """Negative evidence bound: the snapshots' summed KL from the prior plus
+    the normalized expected reconstruction error. It shares estimate()'s
+    scorer, so it equals each trace entry exactly, also at zero noise."""
+    means, cov = state.channel_means, state.channel_covariance
+    raw = _reconstruction_sum_raw(obs.signal, obs.array, state.aoa_estimate.angles, means, cov)
+    return _breakdown(prior, means, cov, raw, obs.noise_variance)
 
 
 def recover_path_parameters(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,6 +9,7 @@ Conventions used across the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -43,8 +44,8 @@ class ArrayConfig:
     def __post_init__(self):
         if not (isinstance(self.n_antennas, (int, np.integer)) and self.n_antennas >= 2):
             raise ValueError("n_antennas must be an integer >= 2")
-        if not (np.isfinite(self.spacing_ratio) and self.spacing_ratio >= 0.5):
-            raise ValueError("spacing_ratio must be finite and >= 0.5")
+        if isinstance(self.spacing_ratio, bool) or not 0.5 <= self.spacing_ratio < math.inf:
+            raise ValueError("spacing_ratio must be a finite number >= 0.5")
 
 
 @dataclass(frozen=True)
@@ -74,9 +75,9 @@ class AoAVector:
 class ChannelPrior:
     """Per-snapshot complex Gaussian prior CN(mean, covariance) on the K gains.
 
-    covariance must be Hermitian (to 1e-12 element-wise) and positive
-    definite; both are checked at construction, where its factors are
-    computed once and locked: the lower Cholesky factor ``cholesky``,
+    mean and covariance must be finite, covariance Hermitian (to 1e-12
+    element-wise) and positive definite; this is checked at construction,
+    where the factors are computed once and locked: Cholesky ``cholesky``,
     ``log_det`` = ln det(covariance), ``precision``, the inverse made
     exactly Hermitian, and ``precision_mean`` = precision @ mean.
     """
@@ -93,9 +94,11 @@ class ChannelPrior:
         cov = np.asarray(self.covariance, dtype=complex)
         if cov.shape != (mu.size, mu.size):
             raise ValueError("covariance must be K x K for a K-vector mean")
-        if np.max(np.abs(cov - cov.conj().T)) > 1e-12:
+        if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
+            raise ValueError("prior mean and covariance must be finite")
+        if not np.abs(cov - cov.conj().T).max() <= 1e-12:
             raise ValueError("covariance must be Hermitian within 1e-12")
-        if np.min(np.linalg.eigvalsh(cov)) <= 0:
+        if not np.linalg.eigvalsh(cov).min() > 0:
             raise ValueError("covariance must be positive definite")
         cov = _frozen(cov)
         chol = np.linalg.cholesky(cov)
@@ -149,8 +152,8 @@ class ObservationSet:
             raise ValueError("signal row count must equal array.n_antennas")
         if not np.isfinite(y).all():
             raise ValueError("signal samples must be finite")
-        if not (np.isfinite(self.noise_variance) and self.noise_variance >= 0):
-            raise ValueError("noise_variance must be finite and >= 0")
+        if isinstance(self.noise_variance, bool) or not 0 <= self.noise_variance < math.inf:
+            raise ValueError("noise_variance must be a finite number >= 0")
         object.__setattr__(self, "signal", _frozen(y))
 
     @property
@@ -236,6 +239,18 @@ def synthesize_observation(
     return ObservationSet(signal=y, noise_variance=float(noise_variance), array=array)
 
 
+def _snr_ratio(snr_db: float) -> float:
+    """10^(snr_db/10), +inf at +inf dB; ValueError for any other SNR whose
+    ratio is no positive finite float (NaN, -inf, underflow, overflow)."""
+    try:
+        ratio = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        ratio = math.nan
+    if not (ratio > 0.0 and (ratio < math.inf or snr_db == math.inf)):
+        raise ValueError(f"snr_db {snr_db!r} gives no positive finite linear SNR")
+    return ratio
+
+
 def snr_to_noise_variance(
     snr_db: float, array: ArrayConfig, prior: ChannelPrior, aoas: AoAVector
 ) -> float:
@@ -246,14 +261,15 @@ def snr_to_noise_variance(
         sigma^2 = E[ ||A(theta) h||^2 ] / (N * 10^(snr_db/10)),
         E[ ||A(theta) h||^2 ] = tr(A Sigma_h A^H) + mu_h^H A^H A mu_h.
 
-    snr_db = +inf yields exactly 0 (noiseless).
+    snr_db = +inf yields exactly 0 (noiseless). Any other snr_db whose
+    10^(snr_db/10) is not a positive finite float raises ValueError.
     """
+    ratio = _snr_ratio(snr_db)
     a = array_matrix(array, aoas)
     gram = a.conj().T @ a
     power = float(
         np.real(np.trace(gram @ prior.covariance))
         + np.real(prior.mean.conj() @ gram @ prior.mean)
     )
-    if np.isposinf(snr_db):
-        return 0.0
-    return power / (array.n_antennas * 10.0 ** (snr_db / 10.0))
+    # finite power over an infinite ratio is exactly 0
+    return power / (array.n_antennas * ratio)

@@ -1,10 +1,14 @@
 """Command-line front end: exit codes, artifacts, and determinism."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from aoavi.cli import main
+from aoavi.harness import _estimate, _trial_block, scenario_from_dict
+from aoavi.loss import recover_path_parameters
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -28,6 +32,8 @@ def _scenario_payload(**overrides):
     payload.update(overrides)
     return payload
 
+
+NAN = float("nan")
 
 # a single-user AoA surface axis a landscape config can request
 _AOA_AXIS = {"start_deg": -30.0, "stop_deg": 30.0, "num": 5}
@@ -102,11 +108,33 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"prior": {"mean": [[NAN, 0.0]], "covariance": [[[1.0, 0.0]]]}}, "must be finite"),
+            ({"prior": {"mean": [[0.0, 0.0]], "covariance": [[[NAN, 0.0]]]}}, "must be finite"),
+            ({"snr_db_list": [NAN]}, "positive finite linear SNR"),
+            ({"snr_db_list": [20.0, -math.inf]}, "positive finite linear SNR"),
+            ({"snr_db_list": [-4000.0]}, "positive finite linear SNR"),
+        ],
+    )
+    def test_non_finite_prior_or_bad_snr_is_config_error(
+        self, tmp_path, capsys, overrides, message
+    ):
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, _scenario_payload(**overrides))
+        rc = main(["benchmark", "--config", cfg, "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "extra, message",
         [
             ({"surface": dict(_AOA_AXIS, user_index=1)}, "user_index out of range"),
             ({"surface": [_AOA_AXIS, dict(_AOA_AXIS, num=3)]}, "same coordinate"),
             ({"scan_step_deg": 0.5}, "too coarse"),
+            ({"true_angle_deg": NAN}, "true_angle must lie in"),
         ],
     )
     def test_landscape_that_cannot_run_is_config_error_with_no_artifacts(
@@ -152,6 +180,22 @@ class TestArtifacts:
         assert "runtime_ms" not in payload  # timing lives in the side-car
         meta = json.loads((out / "estimate_meta.json").read_text())
         assert "estimate" in meta["runtime_ms"]
+
+    def test_estimate_path_parameters_are_the_polar_form_of_the_means(self, tmp_path, capsys):
+        config = _scenario_payload()
+        out = tmp_path / "est"
+        cfg = _write_config(tmp_path, config)
+        assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 0
+        payload = json.loads((out / "estimate.json").read_text())
+        scenario = scenario_from_dict(config)
+        result = _estimate(scenario, _trial_block(scenario, 0, 0)[3])
+        gains, angles = recover_path_parameters(result.state.channel_means)
+        assert payload["path_gains"] == gains.tolist()
+        assert payload["path_angles"] == angles.tolist()
+        assert np.array(payload["path_gains"]).shape == (1, config["n_snapshots"])
+        assert [step["total"] for step in payload["loss_trace"]] == [
+            b.total for b in result.loss_trace
+        ]
 
     def test_estimate_reports_stop_reason_and_line_search_count(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, _scenario_payload())

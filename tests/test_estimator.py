@@ -20,7 +20,6 @@ from aoavi.loss import (
     LossBreakdown,
     VariationalState,
     _reconstruction_sum_raw,
-    recover_path_parameters,
     total_loss,
 )
 from aoavi.preprocess import AngleGrid, Sector, sector_grid
@@ -58,6 +57,11 @@ class TestOptimizerConfig:
             OptimizerConfig(aoa_step_size=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(aoa_gradient_tolerance=-1.0)
+
+    def test_float_fields_reject_bools(self):
+        for name in ("aoa_step_size", "aoa_gradient_tolerance", "loss_tolerance"):
+            with pytest.raises(ValueError, match=name):
+                OptimizerConfig(**{name: True})
 
 
 class TestClosedFormChannelUpdate:
@@ -340,8 +344,8 @@ class TestEstimationResult:
             channel_covariance=np.zeros((1, 1), complex),
         )
         rising = (
-            LossBreakdown.from_parts(0.0, 1.0),
-            LossBreakdown.from_parts(0.0, 2.0),
+            LossBreakdown(0.0, 1.0),
+            LossBreakdown(0.0, 2.0),
         )
         with pytest.raises(ValueError):
             EstimationResult(
@@ -361,7 +365,7 @@ class TestEstimationResult:
         def result(reason):
             return EstimationResult(
                 state=state,
-                loss_trace=(LossBreakdown.from_parts(0.0, 1.0),),
+                loss_trace=(LossBreakdown(0.0, 1.0),),
                 stop_reason=reason,
                 line_search_evaluations=0,
             )
@@ -377,14 +381,11 @@ class TestEstimationResult:
             channel_means=means,
             channel_covariance=np.zeros((2, 2), complex),
         )
-        trace = (LossBreakdown.from_parts(0.0, 2.0), LossBreakdown.from_parts(0.0, 1.0))
+        trace = (LossBreakdown(0.0, 2.0), LossBreakdown(0.0, 1.0))
         result = EstimationResult(
             state=state, loss_trace=trace, stop_reason="budget", line_search_evaluations=3
         )
-        gains, angles = recover_path_parameters(state.channel_means)
         assert result.iterations_used == len(trace) == 2
-        assert np.array_equal(result.path_gains, gains)
-        assert np.array_equal(result.path_angles, angles)
 
 
 class TestEstimate:
@@ -427,7 +428,7 @@ class TestEstimate:
         sector = Sector(center=0.0, width=2 * math.pi / 3)
         result = estimate(obs, prior, sector, sector_grid(sector, math.radians(0.1)))
         assert all(math.isfinite(b.total) for b in result.loss_trace)
-        assert result.path_gains.shape == (1, 40)
+        assert result.state.channel_means.shape == (1, 40)
 
     def test_budget_of_one_keeps_start(self):
         """The trace opens with one entry at the start; a budget of one
@@ -466,6 +467,24 @@ class TestEstimate:
         ref = total_loss(obs, result.state, prior)
         assert ref.kl_term > 0
         assert last == ref
+
+    def test_noiseless_final_trace_entry_matches_total_loss(self):
+        """At zero noise variance total_loss scores like the trace: the KL
+        term is reported as 0 and the loss is the raw reconstruction sum."""
+        rng = make_rng(93)
+        arr = ArrayConfig(16, 0.5)
+        aoas = AoAVector(np.radians([-20.0, 25.0]))
+        prior = random_prior(2, rng)
+        ch = sample_channel(prior, 12, rng)
+        obs = synthesize_observation(arr, aoas, ch, 0.0, rng)
+        result = estimate(obs, prior, HALF_SPACE, initial_aoas=np.radians([-19.5, 24.6]))
+        ref = total_loss(obs, result.state, prior)
+        assert ref.kl_term == 0.0
+        assert ref == result.loss_trace[-1]
+        assert ref.total == _reconstruction_sum_raw(
+            obs.signal, arr, result.state.aoa_estimate.angles,
+            result.state.channel_means, result.state.channel_covariance,
+        )
 
     def test_stalled_line_search_is_not_converged(self, monkeypatch):
         """With the gradient negated every line-search trial ascends; the

@@ -534,6 +534,14 @@ class TestScenarioFromDict:
         with pytest.raises(ConfigError):
             scenario_from_dict(d)
 
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -4000.0])
+    def test_snr_without_a_positive_finite_ratio_is_config_error(self, snr_db):
+        d = _full_scenario_dict()
+        d["snr_db_list"] = [10.0, snr_db]
+        with pytest.raises(ConfigError, match="positive finite linear SNR"):
+            scenario_from_dict(d)
+        assert scenario_from_dict(dict(d, snr_db_list=[math.inf])).snr_db_list == (math.inf,)
+
 
 # a single-user AoA surface axis a landscape config can request
 _AOA_AXIS = {"start_deg": -30.0, "stop_deg": 30.0, "num": 5}

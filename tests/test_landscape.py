@@ -158,6 +158,11 @@ class TestEnumerateGlobalOptima:
         for m in minima:
             assert min(abs(m - a) for a in optima.alias_angles) < math.radians(0.011)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.pi / 2 + 1e-9])
+    def test_true_angle_outside_the_half_space_rejected(self, bad):
+        with pytest.raises(ValueError, match="true_angle"):
+            enumerate_global_optima(ArrayConfig(8, 2.0), bad)
+
     def test_type_invariants_enforced(self):
         with pytest.raises(ValueError):
             GlobalOptimaSet(

@@ -10,6 +10,7 @@ import aoavi
 from aoavi import landscape, loss
 from aoavi.estimator import EstimationResult, _aoa_gradient_raw
 from aoavi.landscape import StationaryPointSet
+from aoavi.loss import LossBreakdown
 from aoavi.preprocess import Sector
 from aoavi.signal_model import ChannelRealization
 
@@ -49,6 +50,11 @@ def test_removed_options_and_constructors_stay_removed():
         assert param not in inspect.signature(fn).parameters, fn.__name__
     fields = [f.name for f in dataclasses.fields(EstimationResult)]
     assert fields == ["state", "loss_trace", "stop_reason", "line_search_evaluations"]
+    assert not hasattr(EstimationResult, "path_gains")
+    assert not hasattr(EstimationResult, "path_angles")
+    # the total is derived from the two terms, never stored
+    assert [f.name for f in dataclasses.fields(LossBreakdown)] == ["kl_term", "reconstruction_term"]
+    assert not hasattr(LossBreakdown, "from_parts")
 
 
 def test_result_types_hold_only_what_is_read():

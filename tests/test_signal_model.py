@@ -37,6 +37,10 @@ class TestArrayConfig:
         cfg = ArrayConfig(n_antennas=8, spacing_ratio=2.0)
         assert cfg.spacing_ratio == 2.0
 
+    def test_rejects_bool_spacing(self):
+        with pytest.raises(ValueError):
+            ArrayConfig(n_antennas=4, spacing_ratio=True)
+
 
 class TestAoAVector:
     def test_rejects_out_of_range(self):
@@ -75,6 +79,19 @@ class TestChannelPrior:
         rng = make_rng(1)
         p = ChannelPrior(mean=np.zeros(3, complex), covariance=random_pd(3, rng))
         assert p.k_users == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_mean(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            ChannelPrior(mean=np.array([0.5, bad]), covariance=np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(math.nan, 0.0)])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_rejects_non_finite_covariance(self, bad, where):
+        cov = np.eye(2, dtype=complex)
+        cov[where] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            ChannelPrior(mean=np.zeros(2, complex), covariance=cov)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_factors_equal_fresh_numpy_results_and_are_read_only(self, k):
@@ -295,6 +312,11 @@ class TestObservationSet:
         with pytest.raises(ValueError):
             ObservationSet(signal=y, noise_variance=1.0, array=ArrayConfig(4, 0.5))
 
+    def test_rejects_bool_noise_variance(self):
+        y = np.ones((4, 3), dtype=complex)
+        with pytest.raises(ValueError, match="noise_variance"):
+            ObservationSet(signal=y, noise_variance=True, array=ArrayConfig(4, 0.5))
+
 
 class TestSnrToNoiseVariance:
     def _unit_power_prior(self):
@@ -325,6 +347,12 @@ class TestSnrToNoiseVariance:
         arr = ArrayConfig(8, 0.5)
         s2 = snr_to_noise_variance(math.inf, arr, self._unit_power_prior(), AoAVector(np.zeros(1)))
         assert s2 == 0.0
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, -4000.0, 4000.0])
+    def test_rejects_snr_without_a_positive_finite_ratio(self, snr_db):
+        arr = ArrayConfig(8, 0.5)
+        with pytest.raises(ValueError, match="no positive finite linear SNR"):
+            snr_to_noise_variance(snr_db, arr, self._unit_power_prior(), AoAVector(np.zeros(1)))
 
     def test_matches_empirical_signal_power(self):
         rng = make_rng(13)
