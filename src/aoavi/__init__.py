@@ -34,10 +34,7 @@ from .loss import (
     VariationalState,
     LossBreakdown,
     kl_gaussian,
-    expected_reconstruction_observed,
-    population_reconstruction,
     total_loss,
-    recover_path_parameters,
 )
 from .estimator import (
     OptimizerConfig,
@@ -77,10 +74,7 @@ __all__ = [
     "VariationalState",
     "LossBreakdown",
     "kl_gaussian",
-    "expected_reconstruction_observed",
-    "population_reconstruction",
     "total_loss",
-    "recover_path_parameters",
     "OptimizerConfig",
     "EstimationResult",
     "closed_form_channel_update",

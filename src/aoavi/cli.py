@@ -22,6 +22,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .harness import (
     ConfigError,
     LandscapeConfig,
@@ -36,7 +38,6 @@ from .harness import (
     _estimate,
     _trial_block,
 )
-from .loss import recover_path_parameters
 
 
 class UsageError(Exception):
@@ -126,7 +127,7 @@ def _cmd_estimate(args, config: dict) -> int:
     result = _estimate(scenario, obs)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
 
-    gains, phases = recover_path_parameters(result.state.channel_means)
+    means = result.state.channel_means
     est_deg = sorted(math.degrees(a) for a in result.state.aoa_estimate.angles)
     true_deg = sorted(math.degrees(a) for a in aoas.angles)
     payload = {
@@ -143,8 +144,8 @@ def _cmd_estimate(args, config: dict) -> int:
             {"kl": b.kl_term, "reconstruction": b.reconstruction_term, "total": b.total}
             for b in result.loss_trace
         ],
-        "path_gains": gains.tolist(),
-        "path_angles": phases.tolist(),
+        "path_gains": np.abs(means).tolist(),
+        "path_angles": np.angle(means).tolist(),
     }
     (out / "estimate.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     meta = run_metadata(config, {"estimate": elapsed_ms})

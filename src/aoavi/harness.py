@@ -13,6 +13,7 @@ exported artifact.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -35,7 +36,6 @@ from .landscape import (
     evaluate_surface,
     stationary_points,
 )
-from .loss import recover_path_parameters
 from .preprocess import AngleGrid, Sector, sector_grid
 from .signal_model import (
     AoAVector,
@@ -101,7 +101,7 @@ class Scenario:
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be at least 1")
         self.grid  # AngleGrid rejects a step that does not fit the sector
-        if self.suppression_radius < 0:
+        if not self.suppression_radius >= 0:  # NaN fails too
             raise ValueError("suppression_radius must be non-negative")
         if self.aoas is not None and self.aoas.k_users != self.prior.k_users:
             raise ValueError("aoas and prior must agree on the user count")
@@ -159,7 +159,7 @@ def aligned_squared_errors(
 
     Users on both sides are ordered by ascending angle and paired by rank;
     the same permutation is applied to the gain rows, and both sides' polar
-    forms come from recover_path_parameters. Path-angle errors use wrapped
+    forms are np.abs and np.angle of them. Path-angle errors use wrapped
     differences.
     """
     t_order = np.argsort(true_aoas.angles, kind="stable")
@@ -168,10 +168,10 @@ def aligned_squared_errors(
     e_ang = np.asarray(est_angles, dtype=float)[e_order]
     mse_aoa = float(np.mean((e_ang - t_ang) ** 2))
 
-    beta_hat, psi_hat = recover_path_parameters(np.asarray(est_gains)[e_order, :])
-    beta, psi = recover_path_parameters(true_channel.gains[t_order, :])
-    mse_gain = float(np.mean((beta_hat - beta) ** 2))
-    mse_angle = float(np.mean(wrap_angle(psi_hat - psi) ** 2))
+    g_hat = np.asarray(est_gains, dtype=complex)[e_order, :]
+    g = true_channel.gains[t_order, :]
+    mse_gain = float(np.mean((np.abs(g_hat) - np.abs(g)) ** 2))
+    mse_angle = float(np.mean(wrap_angle(np.angle(g_hat) - np.angle(g)) ** 2))
     return mse_aoa, mse_gain, mse_angle
 
 
@@ -367,9 +367,30 @@ def _integer(d: dict, key: str, path: str, default=None) -> int:
     return value
 
 
+def _number(value, name: str) -> float:
+    """The one number rule: a JSON number reads as a float; a bool, a string
+    or a null is an error naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field '{name}' must be a number")
+    return float(value)
+
+
+def _real(d: dict, key: str, path: str, default=None) -> float:
+    """A real field: 2 reads as 2.0; a bool, a string or a null is an error."""
+    value = _require(d, key, path) if default is None else d.get(key, default)
+    return _number(value, path + key)
+
+
+def _reals(values, name: str) -> list[float]:
+    """A list of numbers, each entry read by the number rule."""
+    if not isinstance(values, list):
+        raise ConfigError(f"field '{name}' must be a list of numbers")
+    return [_number(x, f"{name}[{i}]") for i, x in enumerate(values)]
+
+
 def _as_complex(obj, path: str, depth: int) -> np.ndarray:
     """``depth``-dimensional complex array (1 vector, 2 matrix) from nested
-    lists ending in [re, im] pairs."""
+    lists ending in [re, im] pairs of numbers."""
     message = f"field '{path}' must be a {'list' if depth == 1 else 'matrix'} of [re, im] pairs"
     try:
         arr = np.asarray(obj, dtype=float)
@@ -377,6 +398,8 @@ def _as_complex(obj, path: str, depth: int) -> np.ndarray:
         raise ConfigError(message) from exc
     if arr.ndim != depth + 1 or arr.shape[-1] != 2:
         raise ConfigError(message)
+    for leaf in np.asarray(obj, dtype=object).flat:
+        _number(leaf, path)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -389,14 +412,14 @@ def complex_to_pairs(arr: np.ndarray) -> list:
 def _array_from_dict(d: dict, path: str) -> ArrayConfig:
     return ArrayConfig(
         n_antennas=_integer(d, "n_antennas", path),
-        spacing_ratio=float(_require(d, "spacing_ratio", path)),
+        spacing_ratio=_real(d, "spacing_ratio", path),
     )
 
 
 def _sector_from_dict(d: dict, path: str) -> Sector:
     return Sector(
-        center=math.radians(float(_require(d, "center_deg", path))),
-        width=math.radians(float(_require(d, "width_deg", path))),
+        center=math.radians(_real(d, "center_deg", path)),
+        width=math.radians(_real(d, "width_deg", path)),
     )
 
 
@@ -406,60 +429,67 @@ def _optimizer_from_dict(d: dict) -> OptimizerConfig:
     if unknown:
         raise ConfigError(f"unknown optimizer fields: {sorted(unknown)}")
     kwargs = {
-        key: _integer(d, key, "optimizer.") if key == "max_outer_iterations" else float(d[key])
+        key: (_integer if key == "max_outer_iterations" else _real)(d, key, "optimizer.")
         for key in known & set(d)
     }
     return OptimizerConfig(**kwargs)
 
 
+def _config_parser(parse):
+    """A *_from_dict parser: the root must be a JSON object, and a TypeError
+    or ValueError raised while building the config becomes a ConfigError."""
+
+    @functools.wraps(parse)
+    def wrapped(d):
+        if not isinstance(d, dict):
+            raise ConfigError("config root must be a JSON object")
+        try:
+            return parse(d)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+
+    return wrapped
+
+
+@_config_parser
 def scenario_from_dict(d: dict) -> Scenario:
     """Build a Scenario from a parsed JSON config; raises ConfigError with
     the offending field path on any problem."""
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be a JSON object")
+    array = _array_from_dict(_require(d, "array", ""), "array.")
+    prior_d = _require(d, "prior", "")
+    prior = ChannelPrior(
+        mean=_as_complex(_require(prior_d, "mean", "prior."), "prior.mean", 1),
+        covariance=_as_complex(_require(prior_d, "covariance", "prior."), "prior.covariance", 2),
+    )
+    aoas_raw = d.get("aoas_deg", "random-in-sector")
+    if isinstance(aoas_raw, str):
+        if aoas_raw != "random-in-sector":
+            raise ConfigError("aoas_deg must be a list of degrees or 'random-in-sector'")
+        aoas = None
+    else:
+        aoas = AoAVector(np.radians(_reals(aoas_raw, "aoas_deg")))
+    snrs = tuple(_reals(_require(d, "snr_db_list", ""), "snr_db_list"))
+    sector = _sector_from_dict(_require(d, "sector", ""), "sector.")
+    grid_step = math.radians(_real(d, "grid_step_deg", "", 0.01))
     try:
-        array = _array_from_dict(_require(d, "array", ""), "array.")
-        prior_d = _require(d, "prior", "")
-        prior = ChannelPrior(
-            mean=_as_complex(_require(prior_d, "mean", "prior."), "prior.mean", 1),
-            covariance=_as_complex(
-                _require(prior_d, "covariance", "prior."), "prior.covariance", 2
-            ),
-        )
-        aoas_raw = d.get("aoas_deg", "random-in-sector")
-        if isinstance(aoas_raw, str):
-            if aoas_raw != "random-in-sector":
-                raise ConfigError("aoas_deg must be a list of degrees or 'random-in-sector'")
-            aoas = None
-        else:
-            aoas = AoAVector(np.radians(np.asarray(aoas_raw, dtype=float)))
-        snrs = tuple(float(x) for x in _require(d, "snr_db_list", ""))
-        sector = _sector_from_dict(_require(d, "sector", ""), "sector.")
-        grid_step = math.radians(float(d.get("grid_step_deg", 0.01)))
-        try:
-            sector_grid(sector, grid_step)
-        except ValueError as exc:
-            raise ConfigError(f"field 'grid_step_deg': {exc}") from exc
-        scenario = Scenario(
-            array=array,
-            aoas=aoas,
-            prior=prior,
-            n_snapshots=_integer(d, "n_snapshots", "", 40),
-            snr_db_list=snrs,
-            n_trials=_integer(d, "n_trials", ""),
-            master_seed=_integer(d, "master_seed", ""),
-            sector=sector,
-            grid_step=grid_step,
-            optimizer=_optimizer_from_dict(d.get("optimizer", {})),
-            suppression_radius=math.radians(
-                float(d.get("suppression_radius_deg", 0.0))
-            ),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return scenario
+        sector_grid(sector, grid_step)
+    except ValueError as exc:
+        raise ConfigError(f"field 'grid_step_deg': {exc}") from exc
+    return Scenario(
+        array=array,
+        aoas=aoas,
+        prior=prior,
+        n_snapshots=_integer(d, "n_snapshots", "", 40),
+        snr_db_list=snrs,
+        n_trials=_integer(d, "n_trials", ""),
+        master_seed=_integer(d, "master_seed", ""),
+        sector=sector,
+        grid_step=grid_step,
+        optimizer=_optimizer_from_dict(d.get("optimizer", {})),
+        suppression_radius=math.radians(_real(d, "suppression_radius_deg", "", 0.0)),
+    )
 
 
 @dataclass(frozen=True)
@@ -485,8 +515,8 @@ class LandscapeConfig:
 def _axis_from_dict(d: dict, path: str) -> AxisSpec:
     target = str(d.get("target", "aoa"))
     in_degrees = target == "aoa"
-    start = float(_require(d, "start_deg" if in_degrees else "start_rad", path))
-    stop = float(_require(d, "stop_deg" if in_degrees else "stop_rad", path))
+    start = _real(d, "start_deg" if in_degrees else "start_rad", path)
+    stop = _real(d, "stop_deg" if in_degrees else "stop_rad", path)
     if in_degrees:
         start, stop = math.radians(start), math.radians(stop)
     return AxisSpec(
@@ -498,27 +528,19 @@ def _axis_from_dict(d: dict, path: str) -> AxisSpec:
     )
 
 
+@_config_parser
 def landscape_config_from_dict(d: dict) -> LandscapeConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be a JSON object")
-    try:
-        array = _array_from_dict(_require(d, "array", ""), "array.")
-        true_angle = math.radians(float(_require(d, "true_angle_deg", "")))
-        scan_step = math.radians(float(d.get("scan_step_deg", 0.01)))
-        axes = None
-        if "surface" in d:
-            raw = d["surface"]
-            raw_list = raw if isinstance(raw, list) else [raw]
-            axes = tuple(
-                _axis_from_dict(x, f"surface[{i}].") for i, x in enumerate(raw_list)
-            )
-        return LandscapeConfig(
-            array=array, true_angle=true_angle, scan_step=scan_step, surface_axes=axes
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    array = _array_from_dict(_require(d, "array", ""), "array.")
+    true_angle = math.radians(_real(d, "true_angle_deg", ""))
+    scan_step = math.radians(_real(d, "scan_step_deg", "", 0.01))
+    axes = None
+    if "surface" in d:
+        raw = d["surface"]
+        raw_list = raw if isinstance(raw, list) else [raw]
+        axes = tuple(_axis_from_dict(x, f"surface[{i}].") for i, x in enumerate(raw_list))
+    return LandscapeConfig(
+        array=array, true_angle=true_angle, scan_step=scan_step, surface_axes=axes
+    )
 
 
 def optima_csv(array: ArrayConfig, true_angle: float) -> str:

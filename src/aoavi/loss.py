@@ -1,7 +1,7 @@
 """The variational objective: a per-snapshot Gaussian KL term plus the
 expected reconstruction error of the received block, with exact analytical
-expectations. Also: polar recovery of path parameters. All snapshots share
-one channel prior and one K x K posterior covariance.
+expectations. All snapshots share one channel prior and one K x K posterior
+covariance.
 
 All KL quantities are for circularly symmetric complex Gaussians, where
 
@@ -22,7 +22,6 @@ from .signal_model import (
     AoAVector,
     ArrayConfig,
     ChannelPrior,
-    ChannelRealization,
     ObservationSet,
     array_matrix,
     _frozen,
@@ -118,27 +117,6 @@ def kl_gaussian(q_mean: np.ndarray, q_cov: np.ndarray, prior: ChannelPrior) -> f
     return q_mean.shape[1] * (trace_term - k + prior.log_det - logdet_q) + quad
 
 
-def expected_reconstruction_observed(obs: ObservationSet, state: VariationalState) -> float:
-    """Exact expectation over the posterior of the block reconstruction error,
-    the loss term
-
-        (1/sigma^2) * [ ||Y - A_hat mu||_F^2 + M tr(A_hat Cov A_hat^H) ].
-
-    sigma^2 = 0 is rejected; the bracketed sum alone is
-    _reconstruction_sum_raw.
-    """
-    if obs.noise_variance == 0:
-        raise ValueError("normalized reconstruction undefined at zero noise variance")
-    raw = _reconstruction_sum_raw(
-        obs.signal,
-        obs.array,
-        state.aoa_estimate.angles,
-        state.channel_means,
-        state.channel_covariance,
-    )
-    return raw / obs.noise_variance
-
-
 def _reconstruction_sum_raw(
     signal: np.ndarray,
     array: ArrayConfig,
@@ -154,33 +132,6 @@ def _reconstruction_sum_raw(
     # sum_m tr(A Cov A^H) = M tr(gram Cov)
     trace = means.shape[1] * float((gram * cov.T).sum().real)
     return sq + trace
-
-
-def population_reconstruction(
-    true_aoas: AoAVector,
-    true_channel: ChannelRealization,
-    state: VariationalState,
-    array: ArrayConfig,
-    noise_variance: float,
-) -> float:
-    """Noise-averaged reconstruction error (the landscape objective),
-    unnormalized.
-
-    Per snapshot: (A h_m - A_hat mu_m)^H (A h_m - A_hat mu_m) + sigma^2 N
-    + tr(A_hat Cov A_hat^H).
-    """
-    clean = array_matrix(array, true_aoas) @ true_channel.gains
-    m = true_channel.n_snapshots
-    return (
-        _reconstruction_sum_raw(
-            clean,
-            array,
-            state.aoa_estimate.angles,
-            state.channel_means,
-            state.channel_covariance,
-        )
-        + noise_variance * array.n_antennas * m
-    )
 
 
 def _breakdown(
@@ -200,10 +151,3 @@ def total_loss(obs: ObservationSet, state: VariationalState, prior: ChannelPrior
     means, cov = state.channel_means, state.channel_covariance
     raw = _reconstruction_sum_raw(obs.signal, obs.array, state.aoa_estimate.angles, means, cov)
     return _breakdown(prior, means, cov, raw, obs.noise_variance)
-
-
-def recover_path_parameters(gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition of complex gains: magnitudes and two-argument
-    angles in (-pi, pi]."""
-    g = np.asarray(gains, dtype=complex)
-    return np.abs(g), np.angle(g)

@@ -153,7 +153,7 @@ def pseudo_labels(
     """
     if grid.n_points < k_users:
         raise ValueError("grid must contain at least k_users points")
-    if suppression_radius < 0:
+    if not suppression_radius >= 0:  # NaN fails too
         raise ValueError("suppression_radius must be non-negative")
     corr = _correlation_profile(obs, grid)
     angles = _grid_angles(grid)

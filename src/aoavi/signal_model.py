@@ -117,11 +117,8 @@ class ChannelPrior:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Sampled block-fading channel: the K x M complex gains h.
-
-    The polar form h = beta * exp(j * psi) is recovered on demand by
-    loss.recover_path_parameters.
-    """
+    """Sampled block-fading channel: the K x M complex gains h, whose polar
+    form h = beta * exp(j * psi) is np.abs(h) and np.angle(h)."""
 
     gains: np.ndarray
 

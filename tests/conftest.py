@@ -13,11 +13,12 @@ from aoavi.signal_model import (
     AoAVector,
     ArrayConfig,
     ChannelPrior,
+    ChannelRealization,
     array_matrix,
     sample_channel,
     synthesize_observation,
 )
-from aoavi.loss import VariationalState
+from aoavi.loss import VariationalState, _reconstruction_sum_raw
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -28,6 +29,33 @@ def steering_vector(array: ArrayConfig, theta: float) -> np.ndarray:
     """The array response to one plane wave from theta: array_matrix's
     only column."""
     return array_matrix(array, AoAVector([theta]))[:, 0]
+
+
+def population_reconstruction(
+    true_aoas: AoAVector,
+    true_channel: ChannelRealization,
+    state: VariationalState,
+    array: ArrayConfig,
+    noise_variance: float,
+) -> float:
+    """Noise-averaged reconstruction error (the landscape objective),
+    unnormalized: the oracle of the landscape, loss and acceptance tests.
+
+    Per snapshot: (A h_m - A_hat mu_m)^H (A h_m - A_hat mu_m) + sigma^2 N
+    + tr(A_hat Cov A_hat^H).
+    """
+    clean = array_matrix(array, true_aoas) @ true_channel.gains
+    m = true_channel.n_snapshots
+    return (
+        _reconstruction_sum_raw(
+            clean,
+            array,
+            state.aoa_estimate.angles,
+            state.channel_means,
+            state.channel_covariance,
+        )
+        + noise_variance * array.n_antennas * m
+    )
 
 
 def random_pd(k: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

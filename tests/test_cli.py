@@ -8,7 +8,6 @@ import pytest
 
 from aoavi.cli import main
 from aoavi.harness import _estimate, _trial_block, scenario_from_dict
-from aoavi.loss import recover_path_parameters
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -115,6 +114,7 @@ class TestExitCodes:
             ({"snr_db_list": [NAN]}, "positive finite linear SNR"),
             ({"snr_db_list": [20.0, -math.inf]}, "positive finite linear SNR"),
             ({"snr_db_list": [-4000.0]}, "positive finite linear SNR"),
+            ({"snr_db_list": [True]}, "'snr_db_list[0]' must be a number"),
         ],
     )
     def test_non_finite_prior_or_bad_snr_is_config_error(
@@ -189,9 +189,9 @@ class TestArtifacts:
         payload = json.loads((out / "estimate.json").read_text())
         scenario = scenario_from_dict(config)
         result = _estimate(scenario, _trial_block(scenario, 0, 0)[3])
-        gains, angles = recover_path_parameters(result.state.channel_means)
-        assert payload["path_gains"] == gains.tolist()
-        assert payload["path_angles"] == angles.tolist()
+        means = result.state.channel_means
+        assert payload["path_gains"] == np.abs(means).tolist()
+        assert payload["path_angles"] == np.angle(means).tolist()
         assert np.array(payload["path_gains"]).shape == (1, config["n_snapshots"])
         assert [step["total"] for step in payload["loss_trace"]] == [
             b.total for b in result.loss_trace

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -524,6 +525,50 @@ class TestScenarioFromDict:
             value = getattr(value, attr)
         assert value == 12 and isinstance(value, int)
 
+    @pytest.mark.parametrize(
+        "keys, name, good",
+        [
+            (("array", "spacing_ratio"), "array.spacing_ratio", 1),
+            (("sector", "center_deg"), "sector.center_deg", 10),
+            (("sector", "width_deg"), "sector.width_deg", 100),
+            (("grid_step_deg",), "grid_step_deg", 1),
+            (("suppression_radius_deg",), "suppression_radius_deg", 3),
+            (("optimizer", "aoa_step_size"), "optimizer.aoa_step_size", 1),
+            (("optimizer", "aoa_gradient_tolerance"), "optimizer.aoa_gradient_tolerance", 1),
+            (("optimizer", "loss_tolerance"), "optimizer.loss_tolerance", 1),
+            (("snr_db_list", 1), "snr_db_list[1]", 20),
+            (("aoas_deg", 0), "aoas_deg[0]", -10),
+            (("prior", "mean", 0, 1), "prior.mean", 0),
+            (("prior", "covariance", 1, 1, 0), "prior.covariance", 1),
+        ],
+    )
+    def test_real_fields_take_only_json_numbers_and_name_the_path(self, keys, name, good):
+        d = _full_scenario_dict()
+        *parents, key = keys
+        section = d
+        for parent in parents:
+            section = section[parent]
+        for bad in ("12", True, None):
+            section[key] = bad
+            with pytest.raises(ConfigError, match=rf"'{re.escape(name)}' must be a number"):
+                scenario_from_dict(d)
+        section[key] = good  # an integer is read as the float
+        scenario_from_dict(d)
+
+    @pytest.mark.parametrize("key", ["snr_db_list", "aoas_deg"])
+    def test_number_lists_must_be_lists(self, key):
+        d = _full_scenario_dict()
+        d[key] = 10.0
+        with pytest.raises(ConfigError, match=rf"'{key}' must be a list of numbers"):
+            scenario_from_dict(d)
+
+    def test_nan_suppression_radius_rejected(self):
+        with pytest.raises(ValueError, match="suppression_radius"):
+            _single_user_scenario(suppression_radius=math.nan)
+        d = dict(_full_scenario_dict(), suppression_radius_deg=math.nan)
+        with pytest.raises(ConfigError, match="suppression_radius must be non-negative"):
+            scenario_from_dict(d)
+
     def test_non_object_root_rejected(self):
         with pytest.raises(ConfigError):
             scenario_from_dict([1, 2, 3])
@@ -582,6 +627,22 @@ class TestLandscapeExport:
         axis = dict(_AOA_AXIS, **{key: 2.7})
         with pytest.raises(ConfigError, match=rf"'surface\[0\]\.{key}' must be an integer"):
             landscape_config_from_dict(self._config({"surface": axis}))
+
+    @pytest.mark.parametrize(
+        "extra, name",
+        [
+            ({"true_angle_deg": True}, "true_angle_deg"),
+            ({"scan_step_deg": "0.01"}, "scan_step_deg"),
+            ({"surface": dict(_AOA_AXIS, start_deg=True)}, "surface[0].start_deg"),
+            (
+                {"surface": {"target": "path_angle", "start_rad": None, "stop_rad": 1.0, "num": 3}},
+                "surface[0].start_rad",
+            ),
+        ],
+    )
+    def test_real_fields_take_only_json_numbers_and_name_the_path(self, extra, name):
+        with pytest.raises(ConfigError, match=rf"'{re.escape(name)}' must be a number"):
+            landscape_config_from_dict(self._config(extra))
 
     def test_missing_true_angle_named(self):
         with pytest.raises(ConfigError, match="true_angle_deg"):

@@ -17,11 +17,11 @@ from aoavi.landscape import (
     stationary_condition_lhs,
     stationary_points,
 )
-from aoavi.loss import VariationalState, population_reconstruction
+from aoavi.loss import VariationalState
 from aoavi.preprocess import AngleGrid
 from aoavi.signal_model import AoAVector, ArrayConfig, ChannelRealization
 
-from conftest import make_rng
+from conftest import make_rng, population_reconstruction
 
 THETA_11 = math.radians(11.0)
 SCAN_STEP = math.radians(0.01)

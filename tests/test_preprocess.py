@@ -278,6 +278,13 @@ class TestPseudoLabels:
         with pytest.raises(ValueError):
             pseudo_labels(obs, AngleGrid(-1.0, 1.0, 0.1), 1, suppression_radius=-0.1)
 
+    def test_nan_radius_rejected(self):
+        rng = make_rng(34)
+        arr = ArrayConfig(4, 0.5)
+        obs = _noiseless_obs(arr, [0.0], [[1.0]], rng)
+        with pytest.raises(ValueError, match="suppression_radius"):
+            pseudo_labels(obs, AngleGrid(-1.0, 1.0, 0.1), 1, suppression_radius=math.nan)
+
 
 class TestPickPeaks:
     @pytest.mark.parametrize(
