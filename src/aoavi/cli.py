@@ -82,7 +82,7 @@ def _load_config(path_str: str) -> dict:
 
 
 def _apply_seed(d: dict, seed) -> dict:
-    if seed is not None:
+    if seed is not None and isinstance(d, dict):  # the parser rejects a non-object
         d = dict(d)
         d["master_seed"] = int(seed)
     return d

@@ -33,21 +33,19 @@ STOP_REASONS = ("gradient", "loss_plateau", "line_search_stall", "budget")
 class OptimizerConfig:
     """Knobs of the alternating optimizer.
 
-    aoa_step_size is radians per unit gradient before backtracking; it caps
-    the first trial of every iteration's line search, not only the first
-    iteration's. max_outer_iterations bounds the loss trace length, counting
-    the initial entry at the starting AoAs. The optimizer stops once the AoA
-    gradient max-norm falls below aoa_gradient_tolerance or one iteration
-    lowers the loss by less than loss_tolerance.
+    max_outer_iterations bounds the loss trace length, counting the initial
+    entry at the starting AoAs. The optimizer stops once the AoA gradient
+    max-norm falls below aoa_gradient_tolerance or one iteration lowers the
+    loss by less than loss_tolerance. The line search has no step knob: its
+    first trial is set by the 0.5-degree cap (see estimate).
     """
 
-    aoa_step_size: float = 1e-2
     max_outer_iterations: int = 500
     aoa_gradient_tolerance: float = 1e-7
     loss_tolerance: float = 1e-10
 
     def __post_init__(self):
-        for name in ("aoa_step_size", "aoa_gradient_tolerance", "loss_tolerance"):
+        for name in ("aoa_gradient_tolerance", "loss_tolerance"):
             if isinstance(getattr(self, name), bool) or not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be a positive number")
         n = self.max_outer_iterations
@@ -159,12 +157,11 @@ def _aoa_gradient_raw(
 
 class _LineSearch(NamedTuple):
     """Outcome of one backtracking search. step is the accepted multiplier
-    of the gradient, 0.0 when nothing moved (zero gradient or a stall);
-    trials counts the reconstruction sums scored."""
+    of the gradient, 0.0 on a stall (the angles did not move); trials
+    counts the reconstruction sums scored."""
 
     angles: np.ndarray
     recon: float
-    accepted: bool
     step: float
     trials: int
 
@@ -186,26 +183,26 @@ def _backtrack(
     The candidate clip(angles - step * gradient, lo, hi) is accepted once
     the reconstruction sum stops increasing, starting from step0 (capped so
     no AoA moves more than 0.5 deg) and halving up to 40 times. Step
-    underflow returns the input angles and base_recon with accepted=False,
-    and so does a gradient that is not finite, without scoring a trial.
+    underflow returns the input angles and base_recon with step 0.0, and so
+    does a gradient that is not finite, without scoring a trial. The
+    gradient must not be all zeros: estimate() stops on its positive
+    gradient tolerance before that.
 
     Comparison uses the unnormalized sum: the divergence term is fixed
     during an AoA move and the 1/sigma^2 factor is order-preserving.
     """
     gmax = float(np.abs(gradient).max())
-    if gmax == 0.0:
-        return _LineSearch(angles, base_recon, True, 0.0, 0)
     if not math.isfinite(gmax):
-        return _LineSearch(angles, base_recon, False, 0.0, 0)
-    # keep the first trial displacement physically small
-    step = min(step0, _MAX_FIRST_STEP_RAD / gmax)
+        return _LineSearch(angles, base_recon, 0.0, 0)
+    # cap first, so a NaN step0 (inf/inf from an overflowed |g|^2) falls to it
+    step = min(_MAX_FIRST_STEP_RAD / gmax, step0)
     for trials in range(1, _MAX_HALVINGS + 2):
         trial = (angles - step * gradient).clip(lo, hi)
         recon = _reconstruction_sum_raw(signal, array, trial, means, cov)
         if recon <= base_recon:
-            return _LineSearch(trial, recon, True, step, trials)
+            return _LineSearch(trial, recon, step, trials)
         step *= 0.5
-    return _LineSearch(angles, base_recon, False, 0.0, _MAX_HALVINGS + 1)
+    return _LineSearch(angles, base_recon, 0.0, _MAX_HALVINGS + 1)
 
 
 def estimate(
@@ -231,10 +228,10 @@ def estimate(
     the loss in 40 halvings stops the descent unconverged, before the
     channel update, so no repeated trace entry is appended.
 
-    Each line search after the first starts from the step the previous one
-    accepted, scaled by the ratio of squared gradient norms (Nocedal &
-    Wright, Numerical Optimization, eq. 3.60), under the same caps as the
-    first; with no usable previous step it starts from aoa_step_size.
+    The first line search starts at the cap, which moves the AoA with the
+    largest gradient entry by 0.5 deg; each later one starts from the step
+    the previous one accepted, scaled by the ratio of squared gradient norms
+    (Nocedal & Wright, Numerical Optimization, eq. 3.60), under the same cap.
 
     Each trace entry equals total_loss at its state, also at zero noise
     variance, where the divergence term is reported as 0.
@@ -255,7 +252,7 @@ def estimate(
 
     trace = []
     evaluations = 0
-    last_step = last_gsq = 0.0  # the previous search's accepted step and |g|^2
+    last_step, last_gsq = math.inf, 1.0  # the last accepted step and its |g|^2; inf: the cap
     while True:
         means, cov = closed_form_channel_update(obs, AoAVector(angles), prior)
         recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, cov)
@@ -271,14 +268,12 @@ def estimate(
             stop_reason = "gradient"
             break
         gsq = float(grad @ grad)
-        step0 = cfg.aoa_step_size
-        if last_step > 0.0:
-            step0 = min(step0, last_step * last_gsq / gsq)
         search = _backtrack(
-            obs.signal, obs.array, angles, means, cov, grad, step0, lo, hi, recon_raw
+            obs.signal, obs.array, angles, means, cov, grad,
+            last_step * last_gsq / gsq, lo, hi, recon_raw,
         )
         evaluations += search.trials
-        if not search.accepted:
+        if search.step == 0.0:
             # a stalled line search leaves the angles unchanged; the
             # repeated loss would otherwise pass the decrement test
             stop_reason = "line_search_stall"

@@ -54,9 +54,10 @@ _NUMERICAL_FAILURES = (ValueError, np.linalg.LinAlgError)
 PROPOSED = "proposed"
 MUSIC_LS = "music_ls"
 
-BENCHMARK_CSV_HEADER = (
-    "method,snr_db,mse_aoa_rad2,mse_path_gain,mse_path_angle_rad2,trials,failures"
+_BENCHMARK_COLUMNS = (
+    "method", "snr_db", "mse_aoa_rad2", "mse_path_gain", "mse_path_angle_rad2", "trials", "failures"
 )
+BENCHMARK_CSV_HEADER = ",".join(_BENCHMARK_COLUMNS)
 OPTIMA_CSV_HEADER = "l,sin_alias,angle_deg"
 STATIONARY_CSV_HEADER = "angle_deg,residual"
 
@@ -306,32 +307,20 @@ def run_benchmark(scenario: Scenario) -> list[MetricRow]:
     return rows
 
 
+def _benchmark_cells(r: MetricRow) -> tuple:
+    """One row's values in _BENCHMARK_COLUMNS order; runtime stays out (metadata only)."""
+    return (r.method, r.snr_db, r.mse_aoa, r.mse_path_gain, r.mse_path_angle, r.trials, r.failures)
+
+
 def benchmark_csv(rows: Sequence[MetricRow]) -> str:
-    """Deterministic CSV of the sweep; runtime stays out (metadata only)."""
-    lines = [BENCHMARK_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.method},{r.snr_db!r},{r.mse_aoa!r},{r.mse_path_gain!r},"
-            f"{r.mse_path_angle!r},{r.trials},{r.failures}"
-        )
+    """Deterministic CSV of the sweep; str() writes each float in its
+    shortest round-trip form."""
+    lines = [BENCHMARK_CSV_HEADER] + [",".join(map(str, _benchmark_cells(r))) for r in rows]
     return "\n".join(lines) + "\n"
 
 
 def benchmark_rows_json(rows: Sequence[MetricRow]) -> str:
-    payload = {
-        "rows": [
-            {
-                "method": r.method,
-                "snr_db": r.snr_db,
-                "mse_aoa_rad2": r.mse_aoa,
-                "mse_path_gain": r.mse_path_gain,
-                "mse_path_angle_rad2": r.mse_path_angle,
-                "trials": r.trials,
-                "failures": r.failures,
-            }
-            for r in rows
-        ]
-    }
+    payload = {"rows": [dict(zip(_BENCHMARK_COLUMNS, _benchmark_cells(r))) for r in rows]}
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -349,6 +338,18 @@ def run_metadata(config_echo: dict, runtime_ms: dict, diagnostics: Optional[dict
 
 # ---------------------------------------------------------------------------
 # config parsing (degrees and [re, im] pairs at this boundary)
+
+
+def _section(value, path: str, keys) -> dict:
+    """The config section at path ("" is the root): a JSON object whose keys
+    all lie in keys; anything else is an error naming the section."""
+    where = f"field '{path[:-1]}'" if path else "config root"
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown fields in {where}: {sorted(unknown)}")
+    return value
 
 
 def _require(d: dict, key: str, path: str):
@@ -409,40 +410,30 @@ def complex_to_pairs(arr: np.ndarray) -> list:
     return stacked.tolist()
 
 
-def _array_from_dict(d: dict, path: str) -> ArrayConfig:
+def _array_from_dict(root: dict) -> ArrayConfig:
+    d = _section(_require(root, "array", ""), "array.", ("n_antennas", "spacing_ratio"))
     return ArrayConfig(
-        n_antennas=_integer(d, "n_antennas", path),
-        spacing_ratio=_real(d, "spacing_ratio", path),
+        n_antennas=_integer(d, "n_antennas", "array."),
+        spacing_ratio=_real(d, "spacing_ratio", "array."),
     )
 
 
-def _sector_from_dict(d: dict, path: str) -> Sector:
-    return Sector(
-        center=math.radians(_real(d, "center_deg", path)),
-        width=math.radians(_real(d, "width_deg", path)),
-    )
-
-
-def _optimizer_from_dict(d: dict) -> OptimizerConfig:
-    known = {f.name for f in fields(OptimizerConfig)}
-    unknown = set(d) - known
-    if unknown:
-        raise ConfigError(f"unknown optimizer fields: {sorted(unknown)}")
+def _optimizer_from_dict(root: dict) -> OptimizerConfig:
+    known = [f.name for f in fields(OptimizerConfig)]
+    d = _section(root.get("optimizer", {}), "optimizer.", known)
     kwargs = {
         key: (_integer if key == "max_outer_iterations" else _real)(d, key, "optimizer.")
-        for key in known & set(d)
+        for key in d
     }
     return OptimizerConfig(**kwargs)
 
 
 def _config_parser(parse):
-    """A *_from_dict parser: the root must be a JSON object, and a TypeError
-    or ValueError raised while building the config becomes a ConfigError."""
+    """A *_from_dict parser: a TypeError or ValueError raised while building
+    the config becomes a ConfigError."""
 
     @functools.wraps(parse)
     def wrapped(d):
-        if not isinstance(d, dict):
-            raise ConfigError("config root must be a JSON object")
         try:
             return parse(d)
         except ConfigError:
@@ -457,8 +448,12 @@ def _config_parser(parse):
 def scenario_from_dict(d: dict) -> Scenario:
     """Build a Scenario from a parsed JSON config; raises ConfigError with
     the offending field path on any problem."""
-    array = _array_from_dict(_require(d, "array", ""), "array.")
-    prior_d = _require(d, "prior", "")
+    _section(d, "", (
+        "array", "prior", "aoas_deg", "n_snapshots", "snr_db_list", "n_trials",
+        "master_seed", "sector", "grid_step_deg", "optimizer", "suppression_radius_deg",
+    ))
+    array = _array_from_dict(d)
+    prior_d = _section(_require(d, "prior", ""), "prior.", ("mean", "covariance"))
     prior = ChannelPrior(
         mean=_as_complex(_require(prior_d, "mean", "prior."), "prior.mean", 1),
         covariance=_as_complex(_require(prior_d, "covariance", "prior."), "prior.covariance", 2),
@@ -471,7 +466,11 @@ def scenario_from_dict(d: dict) -> Scenario:
     else:
         aoas = AoAVector(np.radians(_reals(aoas_raw, "aoas_deg")))
     snrs = tuple(_reals(_require(d, "snr_db_list", ""), "snr_db_list"))
-    sector = _sector_from_dict(_require(d, "sector", ""), "sector.")
+    sector_d = _section(_require(d, "sector", ""), "sector.", ("center_deg", "width_deg"))
+    sector = Sector(
+        center=math.radians(_real(sector_d, "center_deg", "sector.")),
+        width=math.radians(_real(sector_d, "width_deg", "sector.")),
+    )
     grid_step = math.radians(_real(d, "grid_step_deg", "", 0.01))
     try:
         sector_grid(sector, grid_step)
@@ -487,7 +486,7 @@ def scenario_from_dict(d: dict) -> Scenario:
         master_seed=_integer(d, "master_seed", ""),
         sector=sector,
         grid_step=grid_step,
-        optimizer=_optimizer_from_dict(d.get("optimizer", {})),
+        optimizer=_optimizer_from_dict(d),
         suppression_radius=math.radians(_real(d, "suppression_radius_deg", "", 0.0)),
     )
 
@@ -512,12 +511,17 @@ class LandscapeConfig:
             _check_axes(self.surface_axes, 1)
 
 
-def _axis_from_dict(d: dict, path: str) -> AxisSpec:
-    target = str(d.get("target", "aoa"))
-    in_degrees = target == "aoa"
-    start = _real(d, "start_deg" if in_degrees else "start_rad", path)
-    stop = _real(d, "stop_deg" if in_degrees else "stop_rad", path)
-    if in_degrees:
+def _axis_from_dict(d, path: str) -> AxisSpec:
+    """One surface axis: an "aoa" axis takes its bounds in degrees, a
+    "path_angle" axis in radians."""
+    target = d.get("target", "aoa") if isinstance(d, dict) else None
+    unit = "_rad" if target == "path_angle" else "_deg"
+    _section(d, path, ("target", "user_index", "num", "start" + unit, "stop" + unit))
+    if target not in ("aoa", "path_angle"):
+        raise ConfigError(f"field '{path}target' must be 'aoa' or 'path_angle'")
+    start = _real(d, "start" + unit, path)
+    stop = _real(d, "stop" + unit, path)
+    if target == "aoa":
         start, stop = math.radians(start), math.radians(stop)
     return AxisSpec(
         target=target,
@@ -530,7 +534,8 @@ def _axis_from_dict(d: dict, path: str) -> AxisSpec:
 
 @_config_parser
 def landscape_config_from_dict(d: dict) -> LandscapeConfig:
-    array = _array_from_dict(_require(d, "array", ""), "array.")
+    _section(d, "", ("array", "true_angle_deg", "scan_step_deg", "surface"))
+    array = _array_from_dict(d)
     true_angle = math.radians(_real(d, "true_angle_deg", ""))
     scan_step = math.radians(_real(d, "scan_step_deg", "", 0.01))
     axes = None

@@ -150,6 +150,43 @@ class TestExitCodes:
         assert "config error" in err and message in err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("benchmark", _scenario_payload(optimizer="fast"), "'optimizer' must be a JSON object"),
+            ("estimate", _scenario_payload(array=5), "'array' must be a JSON object"),
+            ("simulate", _scenario_payload(supression_radius_deg=3.0), "supression_radius_deg"),
+            (
+                "benchmark",
+                _scenario_payload(array={"n_antennas": 16, "spacing": 0.5}),
+                r"unknown fields in field 'array': ['spacing']",
+            ),
+            ("benchmark", [_scenario_payload()], "config root must be a JSON object"),
+            (
+                "landscape",
+                {"array": {"n_antennas": 32, "spacing_ratio": 0.5}, "true_angle_deg": 11.0,
+                 "surface": 5},
+                "'surface[0]' must be a JSON object",
+            ),
+            (
+                "landscape",
+                {"array": {"n_antennas": 32, "spacing_ratio": 0.5}, "true_angle_deg": 11.0,
+                 "scan_step": 0.05},
+                "unknown fields in config root: ['scan_step']",
+            ),
+        ],
+    )
+    def test_non_object_section_or_unknown_key_is_config_error(
+        self, tmp_path, capsys, command, config, message
+    ):
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, config)
+        rc = main([command, "--config", cfg, "--seed", "3", "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not out.exists()
+
 
 class TestArtifacts:
     def test_simulate_writes_observations(self, tmp_path, capsys):

@@ -54,12 +54,12 @@ class TestOptimizerConfig:
 
     def test_positive_fields(self):
         with pytest.raises(ValueError):
-            OptimizerConfig(aoa_step_size=0.0)
+            OptimizerConfig(loss_tolerance=0.0)
         with pytest.raises(ValueError):
             OptimizerConfig(aoa_gradient_tolerance=-1.0)
 
     def test_float_fields_reject_bools(self):
-        for name in ("aoa_step_size", "aoa_gradient_tolerance", "loss_tolerance"):
+        for name in ("aoa_gradient_tolerance", "loss_tolerance"):
             with pytest.raises(ValueError, match=name):
                 OptimizerConfig(**{name: True})
 
@@ -240,9 +240,9 @@ class TestAoaGradientObserved:
         assert np.max(np.abs(g0 - g1 * obs.noise_variance)) < 1e-9 * np.max(np.abs(g0))
 
 
-def _descent_step(obs, state, gradient, sector=HALF_SPACE, step0=OptimizerConfig().aoa_step_size):
-    """_backtrack from state's angles and channel, as estimate() calls it;
-    returns (angles, reconstruction sum, accepted)."""
+def _descent_step(obs, state, gradient, sector=HALF_SPACE, step0=math.inf):
+    """_backtrack from state's angles and channel, as estimate() calls its
+    first search; returns (angles, reconstruction sum, step)."""
     return _backtrack(
         obs.signal,
         obs.array,
@@ -266,21 +266,13 @@ class TestAoaDescentStep:
         )
         return obs, state, prior
 
-    def test_zero_gradient_is_identity(self):
-        rng = make_rng(78)
-        obs, state, prior = self._state_and_obs(rng)
-        angles, recon, accepted = _descent_step(obs, state, np.zeros(1))
-        assert accepted
-        assert np.array_equal(angles, state.aoa_estimate.angles)
-        assert recon == _raw_sum(obs, state)
-
     def test_descent_reduces_loss(self):
         rng = make_rng(79)
         obs, state, prior = self._state_and_obs(rng)
         grad = _gradient(obs, state)
         assert abs(grad[0]) > 0
-        angles, recon, accepted = _descent_step(obs, state, grad)
-        assert accepted
+        angles, recon, step = _descent_step(obs, state, grad)
+        assert step > 0.0
         assert not np.array_equal(angles, state.aoa_estimate.angles)
         before = total_loss(obs, state, prior).reconstruction_term
         after = _recon_at(obs, state, angles, prior)
@@ -313,8 +305,8 @@ class TestAoaDescentStep:
         )
         grad = _gradient(obs, state)
         assert grad[0] < 0  # pull toward larger angles, out of the sector
-        angles, _, accepted = _descent_step(obs, state, grad, sector, step0=10.0)
-        assert accepted
+        angles, _, step = _descent_step(obs, state, grad, sector, step0=10.0)
+        assert step > 0.0
         assert angles[0] == sector.hi
 
     def test_underflow_returns_unchanged_with_flag(self):
@@ -330,8 +322,8 @@ class TestAoaDescentStep:
             channel_covariance=np.zeros((1, 1), complex),
         )
         # exact optimum: any move along a fake gradient raises the loss
-        angles, recon, accepted = _descent_step(obs, state, np.array([1.0]))
-        assert not accepted
+        angles, recon, step = _descent_step(obs, state, np.array([1.0]))
+        assert step == 0.0
         assert np.array_equal(angles, aoas.angles)
         assert recon == _raw_sum(obs, state)
 
@@ -645,14 +637,14 @@ class TestLineSearchStart:
     """Where each outer iteration's line search starts, read from the trial
     angles estimate() scores."""
 
-    def _block(self):
-        """One seeded block: K = 1, N = 32, d/lambda = 0.5, 20 dB."""
+    def _block(self, snr_db=20.0):
+        """One seeded block: K = 1 at 17 deg, N = 32, d/lambda = 0.5."""
         rng = make_rng(94)
         arr = ArrayConfig(32, 0.5)
         aoas = AoAVector(np.radians([17.0]))
         prior = ChannelPrior(mean=np.zeros(1, complex), covariance=np.eye(1, dtype=complex))
         ch = sample_channel(prior, 40, rng)
-        s2 = snr_to_noise_variance(20.0, arr, prior, aoas)
+        s2 = snr_to_noise_variance(snr_db, arr, prior, aoas)
         obs = synthesize_observation(arr, aoas, ch, s2, rng)
         sector = Sector(center=0.0, width=2 * math.pi / 3)
         return obs, prior, sector, sector_grid(sector, math.radians(0.5))
@@ -690,44 +682,41 @@ class TestLineSearchStart:
         assert searches > 0
         assert result.line_search_evaluations / searches <= 4.0
 
-    @pytest.mark.parametrize("step_size", [OptimizerConfig().aoa_step_size, 1e-8])
-    def test_first_trial_is_capped(self, monkeypatch, step_size):
+    def test_first_trial_is_capped(self, monkeypatch):
+        """Each search's first trial moves AoA k by at most
+        0.5 deg * |g_k| / max|g|; the first search starts at that cap."""
         obs, prior, sector, grid = self._block()
         events = self._record(monkeypatch)
-        cfg = OptimizerConfig(aoa_step_size=step_size)
-        result = estimate(obs, prior, sector, grid, cfg)
+        result = estimate(obs, prior, sector, grid)
         starts = self._first_trials(events)
         assert len(starts) == result.iterations_used - 1
         recon_calls = sum(e[0] == "recon" for e in events)
         assert result.line_search_evaluations == recon_calls - result.iterations_used
         warm = 0
-        for angles, g, trial in starts:
+        for i, (angles, g, trial) in enumerate(starts):
             moved = np.abs(trial - angles)
-            cap = np.minimum(step_size * np.abs(g), _MAX_FIRST_STEP_RAD)
+            cap = _MAX_FIRST_STEP_RAD * np.abs(g) / np.max(np.abs(g))
             # the displacement is read back from rounded angles
-            assert np.all(moved <= cap + 4 * np.spacing(np.abs(angles)))
+            slack = 4 * np.spacing(np.abs(angles))
+            assert np.all(moved <= cap + slack)
+            if i == 0:
+                assert np.all(moved >= cap - slack)
             warm += bool(np.all(moved < 0.999 * cap))
-        assert warm > 0  # some searches start below the default first step
+        assert warm > 0  # later searches start below the cap
 
-    def test_search_after_a_zero_step_starts_from_the_default(self, monkeypatch):
-        """A search that reports no usable step (a zero step) makes the next
-        one start from the default first step, so the descent cannot freeze
-        at a zero multiplier. A stall reports step 0 as well, but it ends
-        the descent, so no search follows one."""
-        obs, prior, sector, grid = self._block()
-        cfg = OptimizerConfig()
-        reference = estimate(obs, prior, sector, grid, cfg)
-        monkeypatch.setattr(
-            "aoavi.estimator._backtrack", lambda *args: _backtrack(*args)._replace(step=0.0)
-        )
+    def test_overflowing_gradient_norm_starts_every_search_at_the_cap(self, monkeypatch):
+        """At 3000 dB the squared gradient norm overflows, so the warm
+        start's ratio is inf/inf; every search then starts at the cap
+        instead of scoring NaN trial angles."""
+        obs, prior, sector, _ = self._block(snr_db=3000.0)
+        truth = math.radians(17.0)
         events = self._record(monkeypatch)
-        result = estimate(obs, prior, sector, grid, cfg)
-        lo, hi = sector.lo, sector.hi
+        with np.errstate(over="ignore"):
+            result = estimate(obs, prior, sector, initial_aoas=[truth + 0.01])
         starts = self._first_trials(events)
         assert len(starts) > 2
         for angles, g, trial in starts:
-            step = min(cfg.aoa_step_size, _MAX_FIRST_STEP_RAD / np.max(np.abs(g)))
-            assert np.array_equal(trial, np.clip(angles - step * g, lo, hi))
-        assert result.converged
-        err = abs(result.state.aoa_estimate.angles[0] - reference.state.aoa_estimate.angles[0])
-        assert err < 1e-6
+            assert np.max(np.abs(g)) > 1.4e154  # so |g|^2 overflows
+            step = _MAX_FIRST_STEP_RAD / np.max(np.abs(g))
+            assert np.array_equal(trial, np.clip(angles - step * g, sector.lo, sector.hi))
+        assert abs(result.state.aoa_estimate.angles[0] - truth) < 1e-9

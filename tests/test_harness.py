@@ -410,7 +410,6 @@ def _full_scenario_dict() -> dict:
         "sector": {"center_deg": 10.0, "width_deg": 100.0},
         "grid_step_deg": 0.5,
         "optimizer": {
-            "aoa_step_size": 0.02,
             "max_outer_iterations": 300,
             "aoa_gradient_tolerance": 1e-6,
             "loss_tolerance": 1e-9,
@@ -434,7 +433,6 @@ class TestScenarioFromDict:
         assert s.sector.width == pytest.approx(math.radians(100.0))
         assert s.grid_step == pytest.approx(math.radians(0.5))
         assert s.optimizer == OptimizerConfig(
-            aoa_step_size=0.02,
             max_outer_iterations=300,
             aoa_gradient_tolerance=1e-6,
             loss_tolerance=1e-9,
@@ -471,7 +469,9 @@ class TestScenarioFromDict:
         with pytest.raises(ConfigError, match="learning_rate"):
             scenario_from_dict(d)
 
-    @pytest.mark.parametrize("key, value", [("gamma", 1.0), ("phase1_iterations", 3)])
+    @pytest.mark.parametrize(
+        "key, value", [("gamma", 1.0), ("phase1_iterations", 3), ("aoa_step_size", 0.02)]
+    )
     def test_removed_optimizer_fields_rejected(self, key, value):
         d = _full_scenario_dict()
         d["optimizer"][key] = value
@@ -533,7 +533,6 @@ class TestScenarioFromDict:
             (("sector", "width_deg"), "sector.width_deg", 100),
             (("grid_step_deg",), "grid_step_deg", 1),
             (("suppression_radius_deg",), "suppression_radius_deg", 3),
-            (("optimizer", "aoa_step_size"), "optimizer.aoa_step_size", 1),
             (("optimizer", "aoa_gradient_tolerance"), "optimizer.aoa_gradient_tolerance", 1),
             (("optimizer", "loss_tolerance"), "optimizer.loss_tolerance", 1),
             (("snr_db_list", 1), "snr_db_list[1]", 20),
@@ -570,8 +569,32 @@ class TestScenarioFromDict:
             scenario_from_dict(d)
 
     def test_non_object_root_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="config root must be a JSON object"):
             scenario_from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize("section", ["array", "sector", "prior", "optimizer"])
+    @pytest.mark.parametrize("value", [5, "fast", [1, 2]])
+    def test_every_section_must_be_an_object(self, section, value):
+        d = dict(_full_scenario_dict(), **{section: value})
+        with pytest.raises(ConfigError, match=rf"'{section}' must be a JSON object"):
+            scenario_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            (None, "supression_radius_deg"),
+            (None, "grid_step"),
+            ("array", "spacing"),
+            ("sector", "centre_deg"),
+            ("prior", "means"),
+        ],
+    )
+    def test_unknown_keys_rejected_by_name_in_every_section(self, section, key):
+        d = _full_scenario_dict()
+        (d[section] if section else d)[key] = 1.0
+        where = rf"field '{section}'" if section else "config root"
+        with pytest.raises(ConfigError, match=rf"unknown fields in {where}: \['{key}'\]"):
+            scenario_from_dict(d)
 
     def test_invalid_value_surfaces_as_config_error(self):
         d = _full_scenario_dict()
@@ -621,6 +644,31 @@ class TestLandscapeExport:
     def test_configs_the_export_cannot_run_fail_at_parse_time(self, extra, message):
         with pytest.raises(ConfigError, match=message):
             landscape_config_from_dict(self._config(extra))
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ([1, 2], "config root must be a JSON object"),
+            ({"array": 5}, "'array' must be a JSON object"),
+            ({"surface": 5}, r"'surface\[0\]' must be a JSON object"),
+            ({"surface": [_AOA_AXIS, "aoa"]}, r"'surface\[1\]' must be a JSON object"),
+            ({"scan_step": 0.01}, r"unknown fields in config root: \['scan_step'\]"),
+            ({"array": {"n_antennas": 32, "spacing": 2.0}}, r"'array': \['spacing'\]"),
+            ({"surface": dict(_AOA_AXIS, step=1)}, r"'surface\[0\]': \['step'\]"),
+            # each target takes only its own unit's bounds
+            (
+                {"surface": dict(_AOA_AXIS, target="path_angle", start_rad=0, stop_rad=1)},
+                r"'surface\[0\]': \['start_deg', 'stop_deg'\]",
+            ),
+            ({"surface": dict(_AOA_AXIS, start_rad=0.1)}, r"'surface\[0\]': \['start_rad'\]"),
+            ({"surface": dict(_AOA_AXIS, target=1)}, r"'surface\[0\]\.target' must be 'aoa'"),
+            ({"surface": dict(_AOA_AXIS, target="gain")}, r"'surface\[0\]\.target' must be"),
+        ],
+    )
+    def test_every_section_is_an_object_with_known_keys(self, extra, message):
+        d = extra if isinstance(extra, list) else self._config(extra)
+        with pytest.raises(ConfigError, match=message):
+            landscape_config_from_dict(d)
 
     @pytest.mark.parametrize("key", ["num", "user_index"])
     def test_surface_integer_fields_name_the_path(self, key):
