@@ -106,10 +106,11 @@ def ls_channel(obs: ObservationSet, aoas: AoAVector) -> np.ndarray:
     """Least-squares gains at fixed AoAs: per snapshot the minimizer of
     ||y_m - A(aoas) h||, i.e. (A^H A)^{-1} A^H y_m, computed by SVD.
 
-    Rejects steering matrices with condition number above 1e12.
+    Rejects steering matrices with condition number above 1e12, read from
+    the singular values of that same SVD; a zero or NaN one fails too.
     """
     a_hat = array_matrix(obs.array, aoas)
-    if np.linalg.cond(a_hat) > _MAX_LS_CONDITION:
+    solution, _res, _rank, sv = np.linalg.lstsq(a_hat, obs.signal, rcond=None)
+    if not sv[0] <= _MAX_LS_CONDITION * sv[-1]:
         raise ValueError("steering matrix is numerically rank-deficient")
-    solution, _res, _rank, _sv = np.linalg.lstsq(a_hat, obs.signal, rcond=None)
     return solution

@@ -54,15 +54,19 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="aoavi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_format in (
-        ("simulate", False),
-        ("estimate", False),
-        ("landscape", False),
-        ("benchmark", True),
+    # a landscape config has no seed, so only the scenario commands take one
+    for name, takes_seed, needs_format in (
+        ("simulate", True, False),
+        ("estimate", True, False),
+        ("landscape", False, False),
+        ("benchmark", True, True),
     ):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--seed", type=int, default=None, help="override master_seed")
+        if takes_seed:
+            p.add_argument("--seed", type=int, default=None, help="override master_seed")
+        else:
+            p.set_defaults(seed=None)
         p.add_argument("--out-dir", default=".", help="output directory")
         if needs_format:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -198,9 +202,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        config = _load_config(args.config)
-        if args.command != "landscape":
-            config = _apply_seed(config, args.seed)
+        config = _apply_seed(_load_config(args.config), args.seed)
         return _COMMANDS[args.command](args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -99,10 +99,11 @@ def closed_form_channel_update(
         mean_m = (A^H A + s2 P)^-1 (A^H y_m + s2 P mu_h)
         cov    = (P + A^H A / s2)^-1 = s2 (A^H A + s2 P)^-1
 
-    with P the prior precision and s2 the noise variance. The same inverse
-    serves both, so every snapshot gets the same covariance. At s2 = 0 the
-    limit is the pseudo-inverse projection mean_m = A^+ y_m with zero
-    covariance.
+    with P the prior precision and s2 the noise variance. One solve of the
+    K x K system A^H A + s2 P against the right-hand sides and the identity
+    side by side factorizes it once and gives both, so every snapshot gets
+    the same covariance. At s2 = 0 the limit is the pseudo-inverse
+    projection mean_m = A^+ y_m with zero covariance.
 
     Returns (means K x M, the shared covariance K x K).
     """
@@ -120,8 +121,9 @@ def closed_form_channel_update(
 
     lhs = gram + s2 * prior.precision
     rhs = aty + (s2 * prior.precision_mean)[:, None]
-    means = np.linalg.solve(lhs, rhs)
-    cov = s2 * np.linalg.inv(lhs)
+    sol = np.linalg.solve(lhs, np.hstack((rhs, np.eye(k))))
+    means = sol[:, :-k]
+    cov = s2 * sol[:, -k:]
     cov = 0.5 * (cov + cov.conj().T)
     return means, cov
 
@@ -194,7 +196,6 @@ def _backtrack(
     gmax = float(np.abs(gradient).max())
     if not math.isfinite(gmax):
         return _LineSearch(angles, base_recon, 0.0, 0)
-    # cap first, so a NaN step0 (inf/inf from an overflowed |g|^2) falls to it
     step = min(_MAX_FIRST_STEP_RAD / gmax, step0)
     for trials in range(1, _MAX_HALVINGS + 2):
         trial = (angles - step * gradient).clip(lo, hi)
@@ -232,6 +233,8 @@ def estimate(
     largest gradient entry by 0.5 deg; each later one starts from the step
     the previous one accepted, scaled by the ratio of squared gradient norms
     (Nocedal & Wright, Numerical Optimization, eq. 3.60), under the same cap.
+    The norms are scaled by powers of two, so the ratio stays finite where
+    a squared norm would overflow.
 
     Each trace entry equals total_loss at its state, also at zero noise
     variance, where the divergence term is reported as 0.
@@ -252,7 +255,8 @@ def estimate(
 
     trace = []
     evaluations = 0
-    last_step, last_gsq = math.inf, 1.0  # the last accepted step and its |g|^2; inf: the cap
+    # the last accepted step (inf: the cap) and its |g|^2 = s * 4**e
+    last_step, last_s, last_e = math.inf, 1.0, 0
     while True:
         means, cov = closed_form_channel_update(obs, AoAVector(angles), prior)
         recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, cov)
@@ -264,13 +268,21 @@ def estimate(
             stop_reason = "budget"
             break
         grad = _aoa_gradient_raw(obs.signal, obs.array, angles, means, cov, s2)
-        if float(np.abs(grad).max()) < cfg.aoa_gradient_tolerance:
+        gmax = float(np.abs(grad).max())
+        if gmax < cfg.aoa_gradient_tolerance:
             stop_reason = "gradient"
             break
-        gsq = float(grad @ grad)
+        # |g|^2 = s * 4**e with max|g| * 2**-e in [0.5, 1): the power-of-two
+        # scaling is exact, and s stays finite where |g|^2 would overflow
+        e = math.frexp(gmax)[1]
+        scaled = np.ldexp(grad, -e)
+        s = float(scaled @ scaled)
+        try:
+            step0 = math.ldexp(last_step * last_s / s, 2 * (last_e - e))
+        except OverflowError:  # beyond the float range: the cap applies
+            step0 = math.inf
         search = _backtrack(
-            obs.signal, obs.array, angles, means, cov, grad,
-            last_step * last_gsq / gsq, lo, hi, recon_raw,
+            obs.signal, obs.array, angles, means, cov, grad, step0, lo, hi, recon_raw
         )
         evaluations += search.trials
         if search.step == 0.0:
@@ -278,7 +290,7 @@ def estimate(
             # repeated loss would otherwise pass the decrement test
             stop_reason = "line_search_stall"
             break
-        angles, last_step, last_gsq = search.angles, search.step, gsq
+        angles, last_step, last_s, last_e = search.angles, search.step, s, e
 
     state = VariationalState(
         aoa_estimate=AoAVector(angles), channel_means=means, channel_covariance=cov

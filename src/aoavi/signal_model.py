@@ -80,6 +80,8 @@ class ChannelPrior:
     where the factors are computed once and locked: Cholesky ``cholesky``,
     ``log_det`` = ln det(covariance), ``precision``, the inverse made
     exactly Hermitian, and ``precision_mean`` = precision @ mean.
+    ``cholesky`` serves sampling (sample_channel) and ``log_det``; the
+    objective (the KL term and the channel update) reads ``precision``.
     """
 
     mean: np.ndarray

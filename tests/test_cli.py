@@ -60,6 +60,17 @@ class TestExitCodes:
     def test_missing_required_config_flag(self, capsys):
         assert main(["benchmark"]) == 1
 
+    def test_landscape_takes_no_seed(self, tmp_path, capsys):
+        # a landscape config has no seed; the option is a usage error, not ignored
+        cfg = _write_config(
+            tmp_path, {"array": {"n_antennas": 32, "spacing_ratio": 0.5}, "true_angle_deg": 11.0}
+        )
+        out = tmp_path / "out"
+        rc = main(["landscape", "--config", cfg, "--seed", "3", "--out-dir", str(out)])
+        assert rc == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
@@ -181,7 +192,8 @@ class TestExitCodes:
     ):
         out = tmp_path / "out"
         cfg = _write_config(tmp_path, config)
-        rc = main([command, "--config", cfg, "--seed", "3", "--out-dir", str(out)])
+        seed = [] if command == "landscape" else ["--seed", "3"]
+        rc = main([command, "--config", cfg, *seed, "--out-dir", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
         assert "config error" in err and message in err

@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from aoavi.baselines import ls_channel
 from aoavi.estimator import (
     _MAX_FIRST_STEP_RAD,
     _MAX_HALVINGS,
@@ -20,6 +23,7 @@ from aoavi.loss import (
     LossBreakdown,
     VariationalState,
     _reconstruction_sum_raw,
+    kl_gaussian,
     total_loss,
 )
 from aoavi.preprocess import AngleGrid, Sector, sector_grid
@@ -633,6 +637,40 @@ class TestEstimate:
         assert len(hits) == 12
 
 
+class TestLinalgCallBudget:
+    """Each matrix is factorized once: the channel update solves its K x K
+    system once per trace entry, the KL term reads the prior's stored
+    precision, and the LS baseline reads the condition number off the
+    singular values of its own lstsq."""
+
+    def test_one_solve_per_trace_entry_and_none_in_kl_or_ls(self, monkeypatch):
+        rng = make_rng(131)
+        arr = ArrayConfig(16, 0.5)
+        prior = random_prior(2, rng)
+        aoas = AoAVector(np.radians([-20.0, 25.0]))
+        obs = synthesize_observation(arr, aoas, sample_channel(prior, 10, rng), 0.1, rng)
+        sector = Sector(center=0.0, width=math.radians(120.0))
+        grid = sector_grid(sector, math.radians(0.5))
+        counts = {}
+        for name in ("solve", "inv", "cond", "svd"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        result = estimate(obs, prior, sector, grid)
+        assert result.iterations_used > 1
+        assert counts == {"solve": result.iterations_used}
+        counts.clear()
+        state = result.state
+        kl_gaussian(state.channel_means, state.channel_covariance, prior)
+        ls_channel(obs, state.aoa_estimate)
+        assert counts == {}
+
+
 class TestLineSearchStart:
     """Where each outer iteration's line search starts, read from the trial
     angles estimate() scores."""
@@ -704,19 +742,63 @@ class TestLineSearchStart:
             warm += bool(np.all(moved < 0.999 * cap))
         assert warm > 0  # later searches start below the cap
 
-    def test_overflowing_gradient_norm_starts_every_search_at_the_cap(self, monkeypatch):
-        """At 3000 dB the squared gradient norm overflows, so the warm
-        start's ratio is inf/inf; every search then starts at the cap
-        instead of scoring NaN trial angles."""
+    def test_warm_start_beyond_the_float_range_starts_at_the_cap(self, monkeypatch):
+        """When the warm-start step itself passes the float range (the
+        gradient max-norm fell from 1e300 to 1e-6), the search gets inf and
+        starts at the cap instead of raising."""
+        obs, prior, sector, _ = self._block()
+        truth = math.radians(17.0)
+        gradients = iter([np.array([1e300]), np.array([1e-6]), np.array([0.0])])
+        monkeypatch.setattr("aoavi.estimator._aoa_gradient_raw", lambda *args: next(gradients))
+        step0s = []
+
+        def recording_backtrack(signal, array, angles, means, cov, gradient, step0, *rest):
+            step0s.append(step0)
+            return _backtrack(signal, array, angles, means, cov, gradient, step0, *rest)
+
+        monkeypatch.setattr("aoavi.estimator._backtrack", recording_backtrack)
+        result = estimate(obs, prior, sector, initial_aoas=[truth + 0.01])
+        assert step0s == [math.inf, math.inf]
+        assert result.stop_reason == "gradient"
+
+    def test_overflowing_gradient_norm_keeps_the_warm_start(self, monkeypatch):
+        """At 3000 dB the squared gradient norm overflows a float. The warm
+        start's ratio of squared norms is formed from power-of-two scaled
+        norms, so each search after the first still starts from the last
+        accepted step times that ratio, with no overflow warning."""
         obs, prior, sector, _ = self._block(snr_db=3000.0)
         truth = math.radians(17.0)
         events = self._record(monkeypatch)
-        with np.errstate(over="ignore"):
+        searches = []  # (gradient, step0, accepted step) per line search
+
+        def recording_backtrack(signal, array, angles, means, cov, gradient, step0, *rest):
+            found = _backtrack(signal, array, angles, means, cov, gradient, step0, *rest)
+            searches.append((gradient, step0, found.step))
+            return found
+
+        monkeypatch.setattr("aoavi.estimator._backtrack", recording_backtrack)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             result = estimate(obs, prior, sector, initial_aoas=[truth + 0.01])
         starts = self._first_trials(events)
-        assert len(starts) > 2
-        for angles, g, trial in starts:
+        assert len(starts) == len(searches) > 2
+
+        def exact_sq(v):  # |v|^2 as a rational, so the expected ratio cannot overflow
+            return sum(Fraction(float(x)) ** 2 for x in v)
+
+        for i, ((angles, g, trial), (_, step0, _)) in enumerate(zip(starts, searches)):
             assert np.max(np.abs(g)) > 1.4e154  # so |g|^2 overflows
-            step = _MAX_FIRST_STEP_RAD / np.max(np.abs(g))
+            cap = _MAX_FIRST_STEP_RAD / np.max(np.abs(g))
+            if i == 0:
+                assert step0 == math.inf
+                step = cap
+            else:
+                prev_g, _, prev_step = searches[i - 1]
+                ratio = Fraction(prev_step) * exact_sq(prev_g) / exact_sq(g)
+                assert step0 == pytest.approx(float(ratio), rel=1e-12)
+                assert step0 < cap
+                step = step0
             assert np.array_equal(trial, np.clip(angles - step * g, sector.lo, sector.hi))
+        assert result.converged
+        assert result.line_search_evaluations < 200
         assert abs(result.state.aoa_estimate.angles[0] - truth) < 1e-9

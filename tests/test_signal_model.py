@@ -114,11 +114,11 @@ class TestChannelPrior:
         arr = ArrayConfig(16, 0.5)
         sector = Sector(center=0.0, width=math.radians(120.0))
         calls = []
-        for name in ("cholesky", "inv"):
+        for name in ("cholesky", "inv", "solve"):
             original = getattr(np.linalg, name)
 
             def counted(a, *args, _name=name, _original=original, **kwargs):
-                calls.append((_name, a is prior.covariance))
+                calls.append((_name, a is prior.covariance or a is prior.cholesky))
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
