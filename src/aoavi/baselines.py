@@ -106,11 +106,12 @@ def ls_channel(obs: ObservationSet, aoas: AoAVector) -> np.ndarray:
     """Least-squares gains at fixed AoAs: per snapshot the minimizer of
     ||y_m - A(aoas) h||, i.e. (A^H A)^{-1} A^H y_m, computed by SVD.
 
-    Rejects steering matrices with condition number above 1e12, read from
-    the singular values of that same SVD; a zero or NaN one fails too.
+    Rejects steering matrices with fewer rows than users or condition
+    number above 1e12, read from the singular values of that same SVD; a
+    zero or NaN one fails too.
     """
     a_hat = array_matrix(obs.array, aoas)
     solution, _res, _rank, sv = np.linalg.lstsq(a_hat, obs.signal, rcond=None)
-    if not sv[0] <= _MAX_LS_CONDITION * sv[-1]:
+    if sv.size < aoas.k_users or not sv[0] <= _MAX_LS_CONDITION * sv[-1]:
         raise ValueError("steering matrix is numerically rank-deficient")
     return solution

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -157,55 +157,6 @@ def _aoa_gradient_raw(
     return grad
 
 
-class _LineSearch(NamedTuple):
-    """Outcome of one backtracking search. step is the accepted multiplier
-    of the gradient, 0.0 on a stall (the angles did not move); trials
-    counts the reconstruction sums scored."""
-
-    angles: np.ndarray
-    recon: float
-    step: float
-    trials: int
-
-
-def _backtrack(
-    signal: np.ndarray,
-    array,
-    angles: np.ndarray,
-    means: np.ndarray,
-    cov: np.ndarray,
-    gradient: np.ndarray,
-    step0: float,
-    lo: float,
-    hi: float,
-    base_recon: float,
-) -> _LineSearch:
-    """One projected descent step on the AoAs at fixed channel parameters.
-
-    The candidate clip(angles - step * gradient, lo, hi) is accepted once
-    the reconstruction sum stops increasing, starting from step0 (capped so
-    no AoA moves more than 0.5 deg) and halving up to 40 times. Step
-    underflow returns the input angles and base_recon with step 0.0, and so
-    does a gradient that is not finite, without scoring a trial. The
-    gradient must not be all zeros: estimate() stops on its positive
-    gradient tolerance before that.
-
-    Comparison uses the unnormalized sum: the divergence term is fixed
-    during an AoA move and the 1/sigma^2 factor is order-preserving.
-    """
-    gmax = float(np.abs(gradient).max())
-    if not math.isfinite(gmax):
-        return _LineSearch(angles, base_recon, 0.0, 0)
-    step = min(_MAX_FIRST_STEP_RAD / gmax, step0)
-    for trials in range(1, _MAX_HALVINGS + 2):
-        trial = (angles - step * gradient).clip(lo, hi)
-        recon = _reconstruction_sum_raw(signal, array, trial, means, cov)
-        if recon <= base_recon:
-            return _LineSearch(trial, recon, step, trials)
-        step *= 0.5
-    return _LineSearch(angles, base_recon, 0.0, _MAX_HALVINGS + 1)
-
-
 def estimate(
     obs: ObservationSet,
     prior: ChannelPrior,
@@ -225,16 +176,22 @@ def estimate(
     with the closed-form channel update until the gradient max-norm falls
     below aoa_gradient_tolerance, one iteration lowers the loss by less
     than loss_tolerance, or the trace holds max_outer_iterations entries.
-    Only the first two count as converged. A line search that cannot lower
-    the loss in 40 halvings stops the descent unconverged, before the
-    channel update, so no repeated trace entry is appended.
+    Only the first two count as converged.
 
-    The first line search starts at the cap, which moves the AoA with the
-    largest gradient entry by 0.5 deg; each later one starts from the step
-    the previous one accepted, scaled by the ratio of squared gradient norms
-    (Nocedal & Wright, Numerical Optimization, eq. 3.60), under the same cap.
-    The norms are scaled by powers of two, so the ratio stays finite where
-    a squared norm would overflow.
+    Each AoA move is a projected backtracking search at the fixed channel:
+    a trial clip(angles - step * gradient, lo, hi) is accepted once its
+    reconstruction sum does not rise, else the step halves. Trials compare
+    unnormalized sums, as the divergence term is fixed during an AoA move
+    and 1/sigma^2 preserves order. The first search starts at the cap,
+    which moves the AoA with the largest gradient entry by 0.5 deg; each
+    later one starts from the step the previous one accepted, scaled by the
+    ratio of squared gradient norms (Nocedal & Wright, Numerical
+    Optimization, eq. 3.60), under the same cap. The norms are scaled by
+    powers of two, so the ratio stays finite where a squared norm would
+    overflow. A gradient that is not finite (no trial is scored), 40
+    halvings without an acceptable step, or an accepted step of 0.0 stop
+    the descent as line_search_stall, before the channel update, so no
+    repeated trace entry is appended.
 
     Each trace entry equals total_loss at its state, also at zero noise
     variance, where the divergence term is reported as 0.
@@ -272,25 +229,33 @@ def estimate(
         if gmax < cfg.aoa_gradient_tolerance:
             stop_reason = "gradient"
             break
+        if not math.isfinite(gmax):
+            stop_reason = "line_search_stall"
+            break
         # |g|^2 = s * 4**e with max|g| * 2**-e in [0.5, 1): the power-of-two
         # scaling is exact, and s stays finite where |g|^2 would overflow
         e = math.frexp(gmax)[1]
         scaled = np.ldexp(grad, -e)
         s = float(scaled @ scaled)
         try:
-            step0 = math.ldexp(last_step * last_s / s, 2 * (last_e - e))
+            warm = math.ldexp(last_step * last_s / s, 2 * (last_e - e))
         except OverflowError:  # beyond the float range: the cap applies
-            step0 = math.inf
-        search = _backtrack(
-            obs.signal, obs.array, angles, means, cov, grad, step0, lo, hi, recon_raw
-        )
-        evaluations += search.trials
-        if search.step == 0.0:
-            # a stalled line search leaves the angles unchanged; the
-            # repeated loss would otherwise pass the decrement test
+            warm = math.inf
+        step = min(_MAX_FIRST_STEP_RAD / gmax, warm)
+        for _ in range(_MAX_HALVINGS + 1):
+            evaluations += 1
+            trial = (angles - step * grad).clip(lo, hi)
+            if _reconstruction_sum_raw(obs.signal, obs.array, trial, means, cov) <= recon_raw:
+                break
+            step *= 0.5
+        else:
+            step = 0.0
+        if step == 0.0:
+            # an accepted zero step (an underflow) would repeat the trace
+            # entry, which the decrement test would read as a plateau
             stop_reason = "line_search_stall"
             break
-        angles, last_step, last_s, last_e = search.angles, search.step, s, e
+        angles, last_step, last_s, last_e = trial, step, s, e
 
     state = VariationalState(
         aoa_estimate=AoAVector(angles), channel_means=means, channel_covariance=cov

@@ -95,6 +95,8 @@ class Scenario:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ValueError("n_trials must be at least 1")
+        if self.master_seed < 0:  # SeedSequence would reject it at the first draw
+            raise ValueError("master_seed must be non-negative")
         if len(self.snr_db_list) == 0:
             raise ValueError("snr_db_list must be nonempty")
         for snr in self.snr_db_list:
@@ -507,6 +509,7 @@ class LandscapeConfig:
             raise ValueError("true_angle must lie in [-pi/2, pi/2]")
         # the export's rules, checked before it writes anything
         _check_scan_step(self.array, self.scan_step)
+        AngleGrid(-math.pi / 2, math.pi / 2, self.scan_step)  # the scan's size guard
         if self.surface_axes is not None:
             _check_axes(self.surface_axes, 1)
 

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .preprocess import AngleGrid
+from .preprocess import _MAX_GRID_POINTS, AngleGrid
 from .signal_model import AoAVector, ArrayConfig, ChannelRealization, array_matrix, _frozen, _steering
 
 _HALF_PI = math.pi / 2.0
@@ -375,7 +375,7 @@ def _check_axes(axes: tuple[AxisSpec, ...], k_users: int) -> None:
         raise ValueError("axis user_index out of range")
     if len({(ax.target, ax.user_index) for ax in axes}) < len(axes):
         raise ValueError("both axes vary the same coordinate")
-    if math.prod(ax.num for ax in axes) > 10**7:
+    if math.prod(ax.num for ax in axes) > _MAX_GRID_POINTS:
         raise ValueError("surface grid exceeds the 1e7-point resource guard")
 
 

@@ -11,11 +11,14 @@ import numpy as np
 from .signal_model import AoAVector, ArrayConfig, ObservationSet, _steering
 
 _HALF_PI = np.pi / 2
+# resource guard on grid sizes, shared with the landscape surfaces
+_MAX_GRID_POINTS = 10**7
 
 
 @dataclass(frozen=True)
 class AngleGrid:
-    """Uniform inclusive grid of candidate angles, radians."""
+    """Uniform inclusive grid of candidate angles, radians; at most 1e7
+    points."""
 
     min_angle: float
     max_angle: float
@@ -28,6 +31,9 @@ class AngleGrid:
             raise ValueError("grid must lie within [-pi/2, pi/2]")
         if not (self.step > 0 and (self.max_angle - self.min_angle) / self.step >= 1):
             raise ValueError("step must be > 0 and span at least one step")
+        # n_points > _MAX_GRID_POINTS, with no int() of an overflowing count
+        if (self.max_angle - self.min_angle) / self.step + 1e-9 >= _MAX_GRID_POINTS:
+            raise ValueError("grid exceeds the 1e7-point resource guard")
 
     @property
     def n_points(self) -> int:

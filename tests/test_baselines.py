@@ -376,12 +376,21 @@ class TestLsChannel:
         direct = ls_channel(obs, aoas)
         assert np.max(np.abs(means - direct)) < 1e-4
 
-    def test_rank_deficient_rejected(self):
+    @pytest.mark.parametrize(
+        "n_antennas, aoas_rad",
+        [
+            (8, [0.2, 0.2]),  # identical steering columns
+            # more users than antennas: lstsq returns a minimum-norm solution
+            # and two singular values, but (A^H A)^-1 A^H y does not exist
+            (2, np.radians([-30.0, 0.0, 40.0])),
+        ],
+        ids=["duplicate_columns", "more_users_than_antennas"],
+    )
+    def test_rank_deficient_rejected(self, n_antennas, aoas_rad):
         rng = make_rng(119)
-        arr = ArrayConfig(8, 0.5)
+        arr = ArrayConfig(n_antennas, 0.5)
         prior = ChannelPrior(mean=np.zeros(1, complex), covariance=np.eye(1, dtype=complex))
         ch = sample_channel(prior, 3, rng)
         obs = synthesize_observation(arr, AoAVector(np.array([0.2])), ch, 0.1, rng)
-        duplicated = AoAVector(np.array([0.2, 0.2]))  # identical steering columns
-        with pytest.raises(ValueError):
-            ls_channel(obs, duplicated)
+        with pytest.raises(ValueError, match="rank-deficient"):
+            ls_channel(obs, AoAVector(np.array(aoas_rad)))

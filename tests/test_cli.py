@@ -117,6 +117,21 @@ class TestExitCodes:
         assert "grid_step_deg" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "estimate", "benchmark"])
+    @pytest.mark.parametrize(
+        "master_seed, seed_args", [(-1, []), (7, ["--seed", "-5"])], ids=["config", "option"]
+    )
+    def test_negative_seed_is_config_error(
+        self, tmp_path, capsys, command, master_seed, seed_args
+    ):
+        out = tmp_path / "out"
+        cfg = _write_config(tmp_path, _scenario_payload(master_seed=master_seed))
+        rc = main([command, "--config", cfg, *seed_args, "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "master_seed must be non-negative" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "overrides, message",
         [

@@ -14,7 +14,6 @@ from aoavi.estimator import (
     EstimationResult,
     OptimizerConfig,
     _aoa_gradient_raw,
-    _backtrack,
     closed_form_channel_update,
     estimate,
 )
@@ -182,17 +181,6 @@ def _gradient(obs, state, noise_variance=None):
     )
 
 
-def _raw_sum(obs, state) -> float:
-    """The unnormalized reconstruction sum the line search compares."""
-    return _reconstruction_sum_raw(
-        obs.signal,
-        obs.array,
-        state.aoa_estimate.angles,
-        state.channel_means,
-        state.channel_covariance,
-    )
-
-
 def _recon_at(obs, state, angles, prior) -> float:
     """Reconstruction term of state with its AoAs replaced by angles."""
     moved = dataclasses.replace(state, aoa_estimate=AoAVector(angles))
@@ -244,54 +232,91 @@ class TestAoaGradientObserved:
         assert np.max(np.abs(g0 - g1 * obs.noise_variance)) < 1e-9 * np.max(np.abs(g0))
 
 
-def _descent_step(obs, state, gradient, sector=HALF_SPACE, step0=math.inf):
-    """_backtrack from state's angles and channel, as estimate() calls its
-    first search; returns (angles, reconstruction sum, step)."""
-    return _backtrack(
-        obs.signal,
-        obs.array,
-        state.aoa_estimate.angles,
-        state.channel_means,
-        state.channel_covariance,
-        np.asarray(gradient, dtype=float),
-        step0,
-        sector.lo,
-        sector.hi,
-        _raw_sum(obs, state),
-    )[:3]
+def _record(monkeypatch):
+    """Wrap the gradient and the reconstruction sum estimate() calls;
+    returns the list of ("grad", angles, gradient) and ("recon", angles,
+    sum) events in call order."""
+    events = []
+
+    def recording_recon(signal, array, angles, *rest):
+        value = _reconstruction_sum_raw(signal, array, angles, *rest)
+        events.append(("recon", np.array(angles), value))
+        return value
+
+    def recording_grad(signal, array, angles, *rest):
+        g = _aoa_gradient_raw(signal, array, angles, *rest)
+        events.append(("grad", np.array(angles), g))
+        return g
+
+    monkeypatch.setattr("aoavi.estimator._reconstruction_sum_raw", recording_recon)
+    monkeypatch.setattr("aoavi.estimator._aoa_gradient_raw", recording_grad)
+    return events
+
+
+def _fake_gradients(monkeypatch, values):
+    """_record, with the gradients replaced by the given K = 1 values in
+    turn; returns the events."""
+    events = _record(monkeypatch)
+    gradients = iter(values)
+
+    def fake_grad(signal, array, angles, *rest):
+        g = np.array([next(gradients)])
+        events.append(("grad", np.array(angles), g))
+        return g
+
+    monkeypatch.setattr("aoavi.estimator._aoa_gradient_raw", fake_grad)
+    return events
+
+
+def _searches(events, stop_reason):
+    """The line searches in _record's events: (angles, gradient, trials)
+    each, trials the scored (angles, sum) pairs in order. The sum after a
+    search's trials is the next trace entry's, unless the search stalled."""
+    grads = [i for i, e in enumerate(events) if e[0] == "grad"]
+    ends = [i - 1 for i in grads[1:]]
+    ends.append(len(events) - (stop_reason != "line_search_stall"))
+    return [
+        (events[i][1], events[i][2], [e[1:] for e in events[i + 1 : end]])
+        for i, end in zip(grads, ends)
+        if end > i + 1
+    ]
 
 
 class TestAoaDescentStep:
-    def _state_and_obs(self, rng):
-        obs, state, prior, *_ = random_problem(rng, n=12, k=1, m=4)
-        means, cov = closed_form_channel_update(obs, state.aoa_estimate, prior)
-        state = VariationalState(
-            aoa_estimate=state.aoa_estimate, channel_means=means, channel_covariance=cov
-        )
-        return obs, state, prior
+    """One projected line search, observed through the sums estimate()
+    scores: a budget of two trace entries allows exactly one."""
 
-    def test_descent_reduces_loss(self):
+    ONE_SEARCH = OptimizerConfig(max_outer_iterations=2)
+
+    def _one_search(self, monkeypatch, obs, prior, sector, start):
+        events = _record(monkeypatch)
+        result = estimate(obs, prior, sector, cfg=self.ONE_SEARCH, initial_aoas=start)
+        ((angles, _g, trials),) = _searches(events, result.stop_reason)
+        base = events[0][2]
+        return result, angles, base, trials
+
+    def test_descent_reduces_loss(self, monkeypatch):
         rng = make_rng(79)
-        obs, state, prior = self._state_and_obs(rng)
-        grad = _gradient(obs, state)
-        assert abs(grad[0]) > 0
-        angles, recon, step = _descent_step(obs, state, grad)
-        assert step > 0.0
-        assert not np.array_equal(angles, state.aoa_estimate.angles)
-        before = total_loss(obs, state, prior).reconstruction_term
-        after = _recon_at(obs, state, angles, prior)
-        assert after <= before
+        obs, state, prior, *_ = random_problem(rng, n=12, k=1, m=4)
+        start = state.aoa_estimate.angles
+        result, angles, base, trials = self._one_search(monkeypatch, obs, prior, HALF_SPACE, start)
+        assert result.stop_reason == "budget"
+        accepted, recon = trials[-1]
+        assert not np.array_equal(accepted, angles)
+        assert recon <= base
+        assert np.array_equal(result.state.aoa_estimate.angles, accepted)
 
-    def test_channel_untouched(self):
-        """The returned sum scores the new angles at the given channel."""
+    def test_channel_untouched(self, monkeypatch):
+        """Every trial is scored at the channel of the search's start."""
         rng = make_rng(80)
-        obs, state, prior = self._state_and_obs(rng)
-        grad = _gradient(obs, state)
-        angles, recon, _ = _descent_step(obs, state, grad)
-        moved = dataclasses.replace(state, aoa_estimate=AoAVector(angles))
-        assert recon == _raw_sum(obs, moved)
+        obs, state, prior, *_ = random_problem(rng, n=12, k=1, m=4)
+        start = state.aoa_estimate.angles
+        _, angles, _, trials = self._one_search(monkeypatch, obs, prior, HALF_SPACE, start)
+        means, cov = closed_form_channel_update(obs, AoAVector(angles), prior)
+        for trial, recon in trials:
+            assert recon == _reconstruction_sum_raw(obs.signal, obs.array, trial, means, cov)
 
-    def test_clamps_exactly_to_sector_edge(self):
+    def test_clamps_exactly_to_sector_edge(self, monkeypatch):
         rng = make_rng(81)
         arr = ArrayConfig(16, 0.5)
         truth = AoAVector(np.radians([12.0]))
@@ -300,36 +325,37 @@ class TestAoaDescentStep:
             arr, truth, ChannelRealization(gains), 0.0, rng
         )
         obs = ObservationSet(signal=obs_clean.signal, noise_variance=0.1, array=arr)
-        # truth just outside the sector, start inside its main lobe
+        # truth just outside the sector, start inside its main lobe and
+        # within the first trial's 0.5 deg of the edge
         sector = Sector(center=0.0, width=math.radians(20.0))
-        start = AoAVector(np.array([math.radians(9.5)]))
-        means, cov = closed_form_channel_update(obs, start, random_prior(1, make_rng(0)))
-        state = VariationalState(
-            aoa_estimate=start, channel_means=means, channel_covariance=cov
+        prior = random_prior(1, make_rng(0))
+        events = _record(monkeypatch)
+        result = estimate(
+            obs, prior, sector, cfg=self.ONE_SEARCH, initial_aoas=[math.radians(9.5)]
         )
-        grad = _gradient(obs, state)
-        assert grad[0] < 0  # pull toward larger angles, out of the sector
-        angles, _, step = _descent_step(obs, state, grad, sector, step0=10.0)
-        assert step > 0.0
-        assert angles[0] == sector.hi
+        assert events[1][2][0] < 0  # pull toward larger angles, out of the sector
+        assert result.stop_reason == "budget"
+        assert result.state.aoa_estimate.angles[0] == sector.hi
 
-    def test_underflow_returns_unchanged_with_flag(self):
+    def test_rejected_trials_stall_with_angles_unchanged(self, monkeypatch):
         rng = make_rng(82)
         arr = ArrayConfig(8, 0.5)
         aoas = AoAVector(np.radians([3.0]))
         gains = np.ones((1, 4), dtype=complex)
         clean = synthesize_observation(arr, aoas, ChannelRealization(gains), 0.0, rng)
-        obs = ObservationSet(signal=clean.signal, noise_variance=0.2, array=arr)
-        state = VariationalState(
-            aoa_estimate=aoas,
-            channel_means=gains,
-            channel_covariance=np.zeros((1, 1), complex),
-        )
-        # exact optimum: any move along a fake gradient raises the loss
-        angles, recon, step = _descent_step(obs, state, np.array([1.0]))
-        assert step == 0.0
-        assert np.array_equal(angles, aoas.angles)
-        assert recon == _raw_sum(obs, state)
+        prior = random_prior(1, rng)
+        # the noiseless optimum: any move along a fake gradient raises the sum
+        events = _fake_gradients(monkeypatch, [1.0])
+        result = estimate(clean, prior, HALF_SPACE, initial_aoas=aoas.angles)
+        assert result.stop_reason == "line_search_stall"
+        assert result.iterations_used == 1
+        assert result.line_search_evaluations == _MAX_HALVINGS + 1
+        ((_, _, trials),) = _searches(events, result.stop_reason)
+        assert len(trials) == _MAX_HALVINGS + 1
+        for i, (trial, recon) in enumerate(trials):
+            assert trial[0] == aoas.angles[0] - _MAX_FIRST_STEP_RAD * 0.5**i
+            assert recon > events[0][2]
+        assert np.array_equal(result.state.aoa_estimate.angles, aoas.angles)
 
 
 class TestEstimationResult:
@@ -687,31 +713,6 @@ class TestLineSearchStart:
         sector = Sector(center=0.0, width=2 * math.pi / 3)
         return obs, prior, sector, sector_grid(sector, math.radians(0.5))
 
-    @staticmethod
-    def _record(monkeypatch):
-        """Wrap the gradient and the reconstruction sum; returns the list of
-        ("grad", angles, gradient) and ("recon", angles) events in call
-        order."""
-        events = []
-
-        def recording_recon(signal, array, angles, *rest):
-            events.append(("recon", np.array(angles)))
-            return _reconstruction_sum_raw(signal, array, angles, *rest)
-
-        def recording_grad(signal, array, angles, *rest):
-            g = _aoa_gradient_raw(signal, array, angles, *rest)
-            events.append(("grad", np.array(angles), g))
-            return g
-
-        monkeypatch.setattr("aoavi.estimator._reconstruction_sum_raw", recording_recon)
-        monkeypatch.setattr("aoavi.estimator._aoa_gradient_raw", recording_grad)
-        return events
-
-    @staticmethod
-    def _first_trials(events):
-        """(angles, gradient, first trial) of every line search."""
-        return [(e[1], e[2], f[1]) for e, f in zip(events, events[1:]) if e[0] == "grad"]
-
     def test_trials_per_descent_step_average_at_most_four(self):
         obs, prior, sector, grid = self._block()
         result = estimate(obs, prior, sector, grid)
@@ -724,15 +725,16 @@ class TestLineSearchStart:
         """Each search's first trial moves AoA k by at most
         0.5 deg * |g_k| / max|g|; the first search starts at that cap."""
         obs, prior, sector, grid = self._block()
-        events = self._record(monkeypatch)
+        events = _record(monkeypatch)
         result = estimate(obs, prior, sector, grid)
-        starts = self._first_trials(events)
-        assert len(starts) == result.iterations_used - 1
+        searches = _searches(events, result.stop_reason)
+        assert len(searches) == result.iterations_used - 1
         recon_calls = sum(e[0] == "recon" for e in events)
         assert result.line_search_evaluations == recon_calls - result.iterations_used
+        assert result.line_search_evaluations == sum(len(t) for *_, t in searches)
         warm = 0
-        for i, (angles, g, trial) in enumerate(starts):
-            moved = np.abs(trial - angles)
+        for i, (angles, g, trials) in enumerate(searches):
+            moved = np.abs(trials[0][0] - angles)
             cap = _MAX_FIRST_STEP_RAD * np.abs(g) / np.max(np.abs(g))
             # the displacement is read back from rounded angles
             slack = 4 * np.spacing(np.abs(angles))
@@ -744,22 +746,34 @@ class TestLineSearchStart:
 
     def test_warm_start_beyond_the_float_range_starts_at_the_cap(self, monkeypatch):
         """When the warm-start step itself passes the float range (the
-        gradient max-norm fell from 1e300 to 1e-6), the search gets inf and
-        starts at the cap instead of raising."""
+        gradient max-norm fell from 1e300 to 1e-6), the search starts at
+        the cap instead of raising."""
         obs, prior, sector, _ = self._block()
         truth = math.radians(17.0)
-        gradients = iter([np.array([1e300]), np.array([1e-6]), np.array([0.0])])
-        monkeypatch.setattr("aoavi.estimator._aoa_gradient_raw", lambda *args: next(gradients))
-        step0s = []
-
-        def recording_backtrack(signal, array, angles, means, cov, gradient, step0, *rest):
-            step0s.append(step0)
-            return _backtrack(signal, array, angles, means, cov, gradient, step0, *rest)
-
-        monkeypatch.setattr("aoavi.estimator._backtrack", recording_backtrack)
+        events = _fake_gradients(monkeypatch, [1e300, 1e-6, 0.0])
         result = estimate(obs, prior, sector, initial_aoas=[truth + 0.01])
-        assert step0s == [math.inf, math.inf]
         assert result.stop_reason == "gradient"
+        searches = _searches(events, result.stop_reason)
+        assert len(searches) == 2
+        for angles, g, trials in searches:
+            moved = np.abs(trials[0][0] - angles)
+            assert np.all(np.abs(moved - _MAX_FIRST_STEP_RAD) <= 4 * np.spacing(angles))
+
+    def test_warm_start_underflowing_to_zero_stalls(self, monkeypatch):
+        """When the gradient max-norm rises from 1e-6 to 1e300 the warm
+        start underflows to 0.0. Its trial repeats the angles and is
+        accepted; the zero step must end the run as a stall, not append a
+        repeated trace entry that would read as a converged plateau."""
+        obs, prior, sector, _ = self._block()
+        truth = math.radians(17.0)
+        events = _fake_gradients(monkeypatch, [1e-6, 1e300])
+        result = estimate(obs, prior, sector, initial_aoas=[truth + 0.01])
+        assert result.stop_reason == "line_search_stall"
+        assert result.iterations_used == 2
+        first, zero = _searches(events, result.stop_reason)
+        ((trial, recon),) = zero[2]  # one trial, at the same angles and sum
+        assert np.array_equal(trial, zero[0]) and recon == events[-3][2]
+        assert result.line_search_evaluations == len(first[2]) + 1
 
     def test_overflowing_gradient_norm_keeps_the_warm_start(self, monkeypatch):
         """At 3000 dB the squared gradient norm overflows a float. The warm
@@ -768,37 +782,34 @@ class TestLineSearchStart:
         accepted step times that ratio, with no overflow warning."""
         obs, prior, sector, _ = self._block(snr_db=3000.0)
         truth = math.radians(17.0)
-        events = self._record(monkeypatch)
-        searches = []  # (gradient, step0, accepted step) per line search
-
-        def recording_backtrack(signal, array, angles, means, cov, gradient, step0, *rest):
-            found = _backtrack(signal, array, angles, means, cov, gradient, step0, *rest)
-            searches.append((gradient, step0, found.step))
-            return found
-
-        monkeypatch.setattr("aoavi.estimator._backtrack", recording_backtrack)
+        events = _record(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = estimate(obs, prior, sector, initial_aoas=[truth + 0.01])
-        starts = self._first_trials(events)
-        assert len(starts) == len(searches) > 2
+        assert result.converged
+        searches = _searches(events, result.stop_reason)
+        assert len(searches) > 2
 
         def exact_sq(v):  # |v|^2 as a rational, so the expected ratio cannot overflow
             return sum(Fraction(float(x)) ** 2 for x in v)
 
-        for i, ((angles, g, trial), (_, step0, _)) in enumerate(zip(starts, searches)):
+        for i, (angles, g, trials) in enumerate(searches):
             assert np.max(np.abs(g)) > 1.4e154  # so |g|^2 overflows
             cap = _MAX_FIRST_STEP_RAD / np.max(np.abs(g))
             if i == 0:
-                assert step0 == math.inf
                 step = cap
             else:
-                prev_g, _, prev_step = searches[i - 1]
-                ratio = Fraction(prev_step) * exact_sq(prev_g) / exact_sq(g)
-                assert step0 == pytest.approx(float(ratio), rel=1e-12)
-                assert step0 < cap
-                step = step0
-            assert np.array_equal(trial, np.clip(angles - step * g, sector.lo, sector.hi))
-        assert result.converged
+                # the previous search accepted its first step halved once
+                # per rejected trial
+                prev_g = searches[i - 1][1]
+                ratio = Fraction(accepted) * exact_sq(prev_g) / exact_sq(g)
+                step = float(ratio)
+                assert step < cap
+            expected = np.clip(angles - step * g, sector.lo, sector.hi)
+            # exact at the cap; after it, the expected step is the exact
+            # ratio, which the estimator's float arithmetic rounds
+            slack = 4 * np.spacing(np.abs(angles)) + 1e-12 * np.abs(step * g)
+            assert np.all(np.abs(trials[0][0] - expected) <= slack * (i > 0))
+            accepted = step * 0.5 ** (len(trials) - 1)
         assert result.line_search_evaluations < 200
         assert abs(result.state.aoa_estimate.angles[0] - truth) < 1e-9

@@ -501,6 +501,12 @@ class TestScenarioFromDict:
         assert scenario.grid == sector_grid(scenario.sector, scenario.grid_step)
         assert scenario.grid.n_points == 3
 
+    def test_grid_over_the_size_guard_rejected(self):
+        d = _full_scenario_dict()
+        d["grid_step_deg"] = 1e-6
+        with pytest.raises(ConfigError, match="'grid_step_deg': .*1e7-point resource guard"):
+            scenario_from_dict(d)
+
     @pytest.mark.parametrize(
         "path",
         [
@@ -639,6 +645,7 @@ class TestLandscapeExport:
             ({"surface": [_AOA_AXIS, dict(_AOA_AXIS, num=3)]}, "same coordinate"),
             ({"scan_step_deg": 0.5}, "too coarse"),
             ({"scan_step_deg": -0.01}, "not positive"),
+            ({"scan_step_deg": 1e-6}, "1e7-point resource guard"),
         ],
     )
     def test_configs_the_export_cannot_run_fail_at_parse_time(self, extra, message):

@@ -43,6 +43,15 @@ class TestAngleGrid:
         with pytest.raises(ValueError):
             AngleGrid(min_angle=0.0, max_angle=1.0, step=0.0)
 
+    def test_more_than_1e7_points_rejected(self):
+        """Only constructed: a grid at the guard is never evaluated here."""
+        assert AngleGrid(-1.0, 1.0, 2.0 / (10**7 - 1)).n_points == 10**7
+        for step in (2.0 / 10**7, math.radians(1e-6), 5e-324):
+            with pytest.raises(ValueError, match="1e7-point resource guard"):
+                AngleGrid(-1.0, 1.0, step)
+        # the finest grid in use: acceptance 04's 0.001 deg scan
+        assert AngleGrid(-math.pi / 2, math.pi / 2, math.radians(0.001)).n_points == 180_001
+
     def test_cached_angles_read_only_and_equal(self):
         g = AngleGrid(min_angle=-math.pi / 2, max_angle=math.pi / 2, step=math.radians(0.01))
         a = _grid_angles(g)
