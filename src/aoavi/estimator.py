@@ -2,8 +2,9 @@
 
 The channel path has an exact coordinate minimizer (a ridge-regularized
 projection), so it is updated in closed form. The AoA path moves by projected
-gradient descent with a backtracking line search. Starting from the
-pseudo-labels, the two alternate, so the overall objective never increases.
+gradient descent with a backtracking line search that starts at the
+Barzilai-Borwein step. Starting from the pseudo-labels, the two alternate, so
+the overall objective never increases.
 
 Each observation is optimized independently; nothing is amortized across
 observations.
@@ -37,7 +38,8 @@ class OptimizerConfig:
     entry at the starting AoAs. The optimizer stops once the AoA gradient
     max-norm falls below aoa_gradient_tolerance or one iteration lowers the
     loss by less than loss_tolerance. The line search has no step knob: its
-    first trial is set by the 0.5-degree cap (see estimate).
+    first trial is the shorter of the 0.5-degree cap and the Barzilai-Borwein
+    step (see estimate).
     """
 
     max_outer_iterations: int = 500
@@ -183,15 +185,18 @@ def estimate(
     reconstruction sum does not rise, else the step halves. Trials compare
     unnormalized sums, as the divergence term is fixed during an AoA move
     and 1/sigma^2 preserves order. The first search starts at the cap,
-    which moves the AoA with the largest gradient entry by 0.5 deg; each
-    later one starts from the step the previous one accepted, scaled by the
-    ratio of squared gradient norms (Nocedal & Wright, Numerical
-    Optimization, eq. 3.60), under the same cap. The norms are scaled by
-    powers of two, so the ratio stays finite where a squared norm would
-    overflow. A gradient that is not finite (no trial is scored), 40
-    halvings without an acceptable step, or an accepted step of 0.0 stop
-    the descent as line_search_stall, before the channel update, so no
-    repeated trace entry is appended.
+    which moves the AoA with the largest gradient entry by 0.5 deg. Each
+    later one starts at the shorter of the cap and the Barzilai-Borwein step
+    s.y / y.y (BB2; IMA J. Numer. Anal. 8, 1988): s is the last accepted
+    move of the AoAs and y the change of the gradient over it. At the
+    closed-form channel the gradient is that of the objective (envelope
+    theorem), so the step reads its curvature along s. A quotient that is
+    not a positive float falls back to the cap. Both gradients are scaled by
+    one power of two before y is formed, so y.y stays finite where the
+    unscaled one would overflow. A gradient that is not finite (no trial is
+    scored), 40 halvings without an acceptable step, or an accepted step of
+    0.0 stop the descent as line_search_stall, before the channel update, so
+    no repeated trace entry is appended.
 
     Each trace entry equals total_loss at its state, also at zero noise
     variance, where the divergence term is reported as 0.
@@ -212,8 +217,7 @@ def estimate(
 
     trace = []
     evaluations = 0
-    # the last accepted step (inf: the cap) and its |g|^2 = s * 4**e
-    last_step, last_s, last_e = math.inf, 1.0, 0
+    prev = None  # (angles, gradient, max|gradient|) before the last move
     while True:
         means, cov = closed_form_channel_update(obs, AoAVector(angles), prior)
         recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, cov)
@@ -232,16 +236,18 @@ def estimate(
         if not math.isfinite(gmax):
             stop_reason = "line_search_stall"
             break
-        # |g|^2 = s * 4**e with max|g| * 2**-e in [0.5, 1): the power-of-two
-        # scaling is exact, and s stays finite where |g|^2 would overflow
-        e = math.frexp(gmax)[1]
-        scaled = np.ldexp(grad, -e)
-        s = float(scaled @ scaled)
-        try:
-            warm = math.ldexp(last_step * last_s / s, 2 * (last_e - e))
-        except OverflowError:  # beyond the float range: the cap applies
-            warm = math.inf
-        step = min(_MAX_FIRST_STEP_RAD / gmax, warm)
+        step = _MAX_FIRST_STEP_RAD / gmax
+        if prev is not None:
+            # y = g - g_prev from both gradients scaled by 2**-e, so that
+            # neither y nor y @ y overflows; s @ y / y @ y is then the BB2
+            # step times 2**e. e >= 0, so 2.0**-e cannot overflow.
+            e = max(math.frexp(max(gmax, prev[2]))[1], 0)
+            s = angles - prev[0]
+            y = np.ldexp(grad, -e) - np.ldexp(prev[1], -e)
+            yy = float(y @ y)
+            bb = float(s @ y) / yy * 2.0**-e if yy > 0 else 0.0
+            if bb > 0:  # else the cap, as in the first search
+                step = min(step, bb)
         for _ in range(_MAX_HALVINGS + 1):
             evaluations += 1
             trial = (angles - step * grad).clip(lo, hi)
@@ -251,11 +257,11 @@ def estimate(
         else:
             step = 0.0
         if step == 0.0:
-            # an accepted zero step (an underflow) would repeat the trace
+            # an accepted zero step (halved to underflow) would repeat the trace
             # entry, which the decrement test would read as a plateau
             stop_reason = "line_search_stall"
             break
-        angles, last_step, last_s, last_e = trial, step, s, e
+        prev, angles = (angles, grad, gmax), trial
 
     state = VariationalState(
         aoa_estimate=AoAVector(angles), channel_means=means, channel_covariance=cov

@@ -282,6 +282,15 @@ def _searches(events, stop_reason):
     ]
 
 
+def _exact_bb2(angles, prev_angles, g, prev_g):
+    """s @ y / y @ y for s = angles - prev_angles and y = g - prev_g, in
+    rational arithmetic, so nothing rounds or overflows (0 when y = 0)."""
+    s = [Fraction(a) - Fraction(b) for a, b in zip(angles, prev_angles)]
+    y = [Fraction(a) - Fraction(b) for a, b in zip(g, prev_g)]
+    yy = sum(v * v for v in y)
+    return sum(a * b for a, b in zip(s, y)) / yy if yy else Fraction(0)
+
+
 class TestAoaDescentStep:
     """One projected line search, observed through the sums estimate()
     scores: a budget of two trace entries allows exactly one."""
@@ -732,7 +741,7 @@ class TestLineSearchStart:
         recon_calls = sum(e[0] == "recon" for e in events)
         assert result.line_search_evaluations == recon_calls - result.iterations_used
         assert result.line_search_evaluations == sum(len(t) for *_, t in searches)
-        warm = 0
+        below = 0
         for i, (angles, g, trials) in enumerate(searches):
             moved = np.abs(trials[0][0] - angles)
             cap = _MAX_FIRST_STEP_RAD * np.abs(g) / np.max(np.abs(g))
@@ -741,45 +750,91 @@ class TestLineSearchStart:
             assert np.all(moved <= cap + slack)
             if i == 0:
                 assert np.all(moved >= cap - slack)
-            warm += bool(np.all(moved < 0.999 * cap))
-        assert warm > 0  # later searches start below the cap
+            below += bool(np.all(moved < 0.999 * cap))
+        assert below > 0  # later searches start below the cap
 
-    def test_warm_start_beyond_the_float_range_starts_at_the_cap(self, monkeypatch):
-        """When the warm-start step itself passes the float range (the
-        gradient max-norm fell from 1e300 to 1e-6), the search starts at
-        the cap instead of raising."""
-        obs, prior, sector, _ = self._block()
-        truth = math.radians(17.0)
-        events = _fake_gradients(monkeypatch, [1e300, 1e-6, 0.0])
-        result = estimate(obs, prior, sector, initial_aoas=[truth + 0.01])
-        assert result.stop_reason == "gradient"
+    @pytest.mark.parametrize(
+        "start_deg, sector_deg, gradients",
+        [
+            # s @ y / y @ y is 0.5 deg / 2**-53, far past the cap
+            (17.0 + 0.57, 120.0, [1.0, 1.0 - 2.0**-53, 0.0]),
+            # s @ y < 0
+            (17.0 + 0.57, 120.0, [1.0, 2.0, 0.0]),
+            # y = 0, so s @ y = y @ y = 0
+            (17.0 + 0.57, 120.0, [1.0, 1.0, 0.0]),
+            # the first search clips to the sector edge a few ulps away, and
+            # the quotient (about 1e-16 / 3.6e308) underflows to 0.0
+            (16.9 - 1e-14, 33.8, [-1.797e308, 1.797e308, 0.0]),
+        ],
+        ids=["past_the_cap", "negative_curvature", "zero_curvature", "underflowing_to_zero"],
+    )
+    def test_search_starts_at_the_cap_without_a_usable_secant_step(
+        self, monkeypatch, start_deg, sector_deg, gradients
+    ):
+        """The second search starts exactly at the cap when the quotient
+        s @ y / y @ y is past it, or is not a positive float."""
+        obs, prior, _, _ = self._block()
+        sector = Sector(center=0.0, width=math.radians(sector_deg))
+        # a move of a few ulps lowers the loss by less than the default
+        # loss_tolerance, which would end the run before the second search
+        cfg = OptimizerConfig(loss_tolerance=1e-300)
+        events = _fake_gradients(monkeypatch, gradients)
+        result = estimate(obs, prior, sector, cfg=cfg, initial_aoas=[math.radians(start_deg)])
         searches = _searches(events, result.stop_reason)
         assert len(searches) == 2
+        assert searches[1][0][0] != math.radians(start_deg)  # the first search moved
         for angles, g, trials in searches:
-            moved = np.abs(trials[0][0] - angles)
-            assert np.all(np.abs(moved - _MAX_FIRST_STEP_RAD) <= 4 * np.spacing(angles))
+            cap = _MAX_FIRST_STEP_RAD / np.max(np.abs(g))
+            assert np.array_equal(trials[0][0], np.clip(angles - cap * g, sector.lo, sector.hi))
 
-    def test_warm_start_underflowing_to_zero_stalls(self, monkeypatch):
-        """When the gradient max-norm rises from 1e-6 to 1e300 the warm
-        start underflows to 0.0. Its trial repeats the angles and is
-        accepted; the zero step must end the run as a stall, not append a
-        repeated trace entry that would read as a converged plateau."""
+    def test_opposite_huge_gradients_take_the_secant_step(self, monkeypatch):
+        """Gradients of +1e308 then -1e308: the unscaled y = -2e308 would
+        overflow, the scaled one does not. The second search starts at the
+        exact secant step, half the accepted first move back, with no
+        warning and no exception. The fake second gradient points uphill,
+        so all its trials are rejected and the run stalls."""
         obs, prior, sector, _ = self._block()
         truth = math.radians(17.0)
-        events = _fake_gradients(monkeypatch, [1e-6, 1e300])
-        result = estimate(obs, prior, sector, initial_aoas=[truth + 0.01])
+        events = _fake_gradients(monkeypatch, [1e308, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = estimate(obs, prior, sector, initial_aoas=[truth + 0.01])
         assert result.stop_reason == "line_search_stall"
-        assert result.iterations_used == 2
-        first, zero = _searches(events, result.stop_reason)
-        ((trial, recon),) = zero[2]  # one trial, at the same angles and sum
-        assert np.array_equal(trial, zero[0]) and recon == events[-3][2]
-        assert result.line_search_evaluations == len(first[2]) + 1
+        (a0, g0, _), (a1, g1, trials) = _searches(events, result.stop_reason)
+        assert len(trials) == _MAX_HALVINGS + 1
+        bb = _exact_bb2(a1, a0, g1, g0)
+        assert bb == (Fraction(a0[0]) - Fraction(a1[0])) / (2 * Fraction(1e308))
+        assert bb < _MAX_FIRST_STEP_RAD / 1e308  # below the cap
+        expected = float(Fraction(a1[0]) - bb * Fraction(g1[0]))
+        assert abs(trials[0][0][0] - expected) <= 4 * np.spacing(expected)
 
-    def test_overflowing_gradient_norm_keeps_the_warm_start(self, monkeypatch):
-        """At 3000 dB the squared gradient norm overflows a float. The warm
-        start's ratio of squared norms is formed from power-of-two scaled
-        norms, so each search after the first still starts from the last
-        accepted step times that ratio, with no overflow warning."""
+    def test_secant_step_halving_to_zero_stalls(self, monkeypatch):
+        """A tiny secant step (about 5e-320) with a gradient of -1.8e308
+        still moves the angle uphill, until the halvings reach a step of
+        0.0. Its trial repeats the angles and is accepted; the zero step
+        must end the run as a stall, not append a repeated trace entry that
+        would read as a converged plateau."""
+        obs, prior, sector, _ = self._block()
+        truth = math.radians(17.0)
+        events = _fake_gradients(monkeypatch, [1e3, 1e-6, -1.797e308])
+        result = estimate(obs, prior, sector, initial_aoas=[truth + 0.03])
+        assert result.stop_reason == "line_search_stall"
+        assert result.iterations_used == 3
+        *earlier, (start, _g, trials) = _searches(events, result.stop_reason)
+        base = events[max(i for i, e in enumerate(events) if e[0] == "grad") - 1][2]
+        *rejected, (last, recon) = trials
+        assert 0 < len(rejected) < _MAX_HALVINGS
+        assert all(r > base for _, r in rejected)
+        assert np.array_equal(last, start) and recon == base
+        assert np.array_equal(result.state.aoa_estimate.angles, start)
+        assert result.line_search_evaluations == sum(len(s[2]) for s in earlier) + len(trials)
+
+    def test_secant_step_at_3000_db(self, monkeypatch):
+        """At 3000 dB the gradients are near 1e304, so y @ y of the
+        unscaled gradients overflows a float. Both gradients are scaled by
+        one power of two, so each search after the first still starts at
+        the secant step s @ y / y @ y, with no warning, and the run
+        converges."""
         obs, prior, sector, _ = self._block(snr_db=3000.0)
         truth = math.radians(17.0)
         events = _record(monkeypatch)
@@ -789,27 +844,18 @@ class TestLineSearchStart:
         assert result.converged
         searches = _searches(events, result.stop_reason)
         assert len(searches) > 2
-
-        def exact_sq(v):  # |v|^2 as a rational, so the expected ratio cannot overflow
-            return sum(Fraction(float(x)) ** 2 for x in v)
-
         for i, (angles, g, trials) in enumerate(searches):
             assert np.max(np.abs(g)) > 1.4e154  # so |g|^2 overflows
-            cap = _MAX_FIRST_STEP_RAD / np.max(np.abs(g))
-            if i == 0:
-                step = cap
-            else:
-                # the previous search accepted its first step halved once
-                # per rejected trial
-                prev_g = searches[i - 1][1]
-                ratio = Fraction(accepted) * exact_sq(prev_g) / exact_sq(g)
-                step = float(ratio)
-                assert step < cap
+            step = _MAX_FIRST_STEP_RAD / np.max(np.abs(g))
+            if i > 0:
+                prev_angles, prev_g, _ = searches[i - 1]
+                bb = _exact_bb2(angles, prev_angles, g, prev_g)
+                assert 0 < bb < step  # here every later search is below the cap
+                step = float(bb)
             expected = np.clip(angles - step * g, sector.lo, sector.hi)
-            # exact at the cap; after it, the expected step is the exact
-            # ratio, which the estimator's float arithmetic rounds
+            # exact at the cap; after it, the estimator's float arithmetic
+            # rounds the exact quotient
             slack = 4 * np.spacing(np.abs(angles)) + 1e-12 * np.abs(step * g)
             assert np.all(np.abs(trials[0][0] - expected) <= slack * (i > 0))
-            accepted = step * 0.5 ** (len(trials) - 1)
-        assert result.line_search_evaluations < 200
+        assert result.line_search_evaluations < 120
         assert abs(result.state.aoa_estimate.angles[0] - truth) < 1e-9

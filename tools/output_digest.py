@@ -11,7 +11,11 @@ It prints, in order:
   ``alias_grid``, ``sweep_multiuser``), the running digest of
   ``benchmark_csv(run_benchmark(scenario))`` followed by the JSON list of
   its rows' diagnostics, over the workload's scenario configs at seeds
-  301-303;
+  301-303, then one line read from the same rows, so that a change that
+  alters the digests on purpose shows by how much: the proposed
+  ``mse_aoa`` of each (seed, config, SNR) cell, the trials that hit the
+  iteration budget, and the medians over those cells of the per-cell p50
+  iterations and trial sums;
 - one digest of the final state, loss trace, stop reason and trial count
   of every block estimated at seed 301;
 - one digest of the optima, stationary and surface CSVs of the
@@ -58,6 +62,20 @@ def _result_bytes(result) -> bytes:
     return b"".join(parts)
 
 
+def _summary(rows) -> str:
+    """The proposed rows' per-cell AoA MSEs, budget hits and the medians of
+    their per-cell p50 iterations and trial sums."""
+    proposed = [r for r in rows if r.method == H.PROPOSED]
+    mse = " ".join(f"{r.mse_aoa:.4g}" for r in proposed)
+    budget = sum(r.diagnostics["stop_reasons"]["budget"] for r in proposed)
+    iters = np.median([r.diagnostics["iterations_used"]["p50"] for r in proposed])
+    trials = np.median([r.diagnostics["line_search_evaluations"]["p50"] for r in proposed])
+    return (
+        f"  mse_aoa.proposed per cell: {mse}; budget hits {budget};"
+        f" median p50 iterations {iters:g}; median p50 trial sums {trials:g}"
+    )
+
+
 def main() -> None:
     blocks = hashlib.sha256()
     n_blocks = 0
@@ -76,13 +94,16 @@ def main() -> None:
 
     running = hashlib.sha256()
     for name in WORKLOAD_ORDER:
+        workload_rows = []
         for seed in SEEDS:
             record = seed == SEEDS[0]
             for cfg in WORKLOADS[name].scenario_configs(seed):
                 rows = H.run_benchmark(H.scenario_from_dict(cfg))
                 diagnostics = json.dumps([row.diagnostics for row in rows], sort_keys=True)
                 running.update((H.benchmark_csv(rows) + diagnostics).encode())
+                workload_rows += rows
         print(f"benchmark {name}: {running.hexdigest()}")
+        print(_summary(workload_rows))
     print(f"blocks at seed {SEEDS[0]} ({n_blocks}): {blocks.hexdigest()}")
 
     landscape = hashlib.sha256()
