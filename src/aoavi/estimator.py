@@ -22,9 +22,11 @@ from .loss import LossBreakdown, VariationalState, _breakdown, _reconstruction_s
 from .preprocess import AngleGrid, Sector, pseudo_labels
 from .signal_model import AoAVector, ChannelPrior, ObservationSet, _antenna_index, array_matrix
 
-# backtracking limits; not part of the public config
+# backtracking limits and stop tolerances; not part of the public config
 _MAX_HALVINGS = 40
 _MAX_FIRST_STEP_RAD = math.radians(0.5)
+_GRADIENT_TOLERANCE = 1e-7  # on the AoA gradient max-norm, divided by sigma^2
+_LOSS_TOLERANCE = 1e-10  # on one iteration's loss decrement
 
 # why estimate() stopped; only the first two count as converged
 STOP_REASONS = ("gradient", "loss_plateau", "line_search_stall", "budget")
@@ -32,24 +34,16 @@ STOP_REASONS = ("gradient", "loss_plateau", "line_search_stall", "budget")
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs of the alternating optimizer.
+    """The alternating optimizer's one knob.
 
     max_outer_iterations bounds the loss trace length, counting the initial
-    entry at the starting AoAs. The optimizer stops once the AoA gradient
-    max-norm falls below aoa_gradient_tolerance or one iteration lowers the
-    loss by less than loss_tolerance. The line search has no step knob: its
-    first trial is the shorter of the 0.5-degree cap and the Barzilai-Borwein
-    step (see estimate).
+    entry at the starting AoAs. The stop tolerances and the line search's
+    first step are fixed (see estimate).
     """
 
     max_outer_iterations: int = 500
-    aoa_gradient_tolerance: float = 1e-7
-    loss_tolerance: float = 1e-10
 
     def __post_init__(self):
-        for name in ("aoa_gradient_tolerance", "loss_tolerance"):
-            if isinstance(getattr(self, name), bool) or not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be a positive number")
         n = self.max_outer_iterations
         if isinstance(n, bool) or not (isinstance(n, (int, np.integer)) and n >= 1):
             raise ValueError("max_outer_iterations must be an integer >= 1")
@@ -62,7 +56,7 @@ class EstimationResult:
     loss_trace holds one LossBreakdown per outer iteration and its totals
     are non-increasing within 1e-9 absolute slack (enforced here).
     stop_reason is one of STOP_REASONS: the gradient fell below its
-    tolerance, one iteration lowered the loss by less than loss_tolerance,
+    tolerance, one iteration lowered the loss by less than its tolerance,
     the line search stalled, or the trace reached max_outer_iterations.
     line_search_evaluations counts the trial reconstruction sums the line
     searches scored. converged and iterations_used (the trace length) are
@@ -176,8 +170,8 @@ def estimate(
     channel posterior is solved there in closed form; that state is the
     first loss-trace entry. Then gradient descent on the AoAs alternates
     with the closed-form channel update until the gradient max-norm falls
-    below aoa_gradient_tolerance, one iteration lowers the loss by less
-    than loss_tolerance, or the trace holds max_outer_iterations entries.
+    below 1e-7, one iteration lowers the loss by less than 1e-10, or the
+    trace holds max_outer_iterations entries.
     Only the first two count as converged.
 
     Each AoA move is a projected backtracking search at the fixed channel:
@@ -222,7 +216,7 @@ def estimate(
         means, cov = closed_form_channel_update(obs, AoAVector(angles), prior)
         recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, cov)
         trace.append(_breakdown(prior, means, cov, recon_raw, s2))
-        if len(trace) > 1 and trace[-2].total - trace[-1].total < cfg.loss_tolerance:
+        if len(trace) > 1 and trace[-2].total - trace[-1].total < _LOSS_TOLERANCE:
             stop_reason = "loss_plateau"
             break
         if len(trace) == cfg.max_outer_iterations:
@@ -230,7 +224,7 @@ def estimate(
             break
         grad = _aoa_gradient_raw(obs.signal, obs.array, angles, means, cov, s2)
         gmax = float(np.abs(grad).max())
-        if gmax < cfg.aoa_gradient_tolerance:
+        if gmax < _GRADIENT_TOLERANCE:
             stop_reason = "gradient"
             break
         if not math.isfinite(gmax):

@@ -17,7 +17,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
@@ -163,15 +163,23 @@ def aligned_squared_errors(
     Users on both sides are ordered by ascending angle and paired by rank;
     the same permutation is applied to the gain rows, and both sides' polar
     forms are np.abs and np.angle of them. Path-angle errors use wrapped
-    differences.
+    differences. An estimate with another user count or gain shape than
+    the truth is a ValueError.
     """
+    est_angles = np.asarray(est_angles, dtype=float)
+    est_gains = np.asarray(est_gains, dtype=complex)
+    if est_angles.shape != (true_aoas.k_users,) or est_gains.shape != true_channel.gains.shape:
+        raise ValueError(
+            f"estimated angles {est_angles.shape} and gains {est_gains.shape} do not match"
+            f" k_users={true_aoas.k_users} and gains {true_channel.gains.shape}"
+        )
     t_order = np.argsort(true_aoas.angles, kind="stable")
-    e_order = np.argsort(np.asarray(est_angles, dtype=float), kind="stable")
+    e_order = np.argsort(est_angles, kind="stable")
     t_ang = np.asarray(true_aoas.angles)[t_order]
-    e_ang = np.asarray(est_angles, dtype=float)[e_order]
+    e_ang = est_angles[e_order]
     mse_aoa = float(np.mean((e_ang - t_ang) ** 2))
 
-    g_hat = np.asarray(est_gains, dtype=complex)[e_order, :]
+    g_hat = est_gains[e_order, :]
     g = true_channel.gains[t_order, :]
     mse_gain = float(np.mean((np.abs(g_hat) - np.abs(g)) ** 2))
     mse_angle = float(np.mean(wrap_angle(np.angle(g_hat) - np.angle(g)) ** 2))
@@ -421,13 +429,8 @@ def _array_from_dict(root: dict) -> ArrayConfig:
 
 
 def _optimizer_from_dict(root: dict) -> OptimizerConfig:
-    known = [f.name for f in fields(OptimizerConfig)]
-    d = _section(root.get("optimizer", {}), "optimizer.", known)
-    kwargs = {
-        key: (_integer if key == "max_outer_iterations" else _real)(d, key, "optimizer.")
-        for key in d
-    }
-    return OptimizerConfig(**kwargs)
+    d = _section(root.get("optimizer", {}), "optimizer.", ("max_outer_iterations",))
+    return OptimizerConfig(**{key: _integer(d, key, "optimizer.") for key in d})
 
 
 def _config_parser(parse):

@@ -160,6 +160,22 @@ class TestAlignedSquaredErrors:
         assert mse_aoa == pytest.approx(math.radians(1.0) ** 2, rel=1e-12)
         assert mse_gain == pytest.approx(0.0, abs=1e-24)
 
+    def test_mismatched_user_counts_and_gain_shapes_rejected(self):
+        """Shapes numpy would broadcast are rejected: two estimated angles
+        against one true user would otherwise score (0.02, 0.0, 0.0)."""
+        aoas = AoAVector([0.0])
+        channel = ChannelRealization(np.array([[1.0, 1j]]))
+        two_gains = np.array([[1.0, 1j], [1.0, 1j]])
+        with pytest.raises(ValueError, match=r"angles \(2,\) .* do not match k_users=1"):
+            aligned_squared_errors(aoas, channel, np.array([0.0, 0.2]), two_gains)
+        with pytest.raises(ValueError, match="do not match"):
+            aligned_squared_errors(aoas, channel, np.array([0.2]), two_gains)
+        with pytest.raises(ValueError, match="do not match"):
+            aligned_squared_errors(aoas, channel, np.array([0.2]), np.array([[1.0, 1j, 0.0]]))
+        assert aligned_squared_errors(aoas, channel, [0.2], [[1.0, 1j]]) == pytest.approx(
+            (0.04, 0.0, 0.0)
+        )
+
 
 class TestMetricRow:
     def test_rejects_negative_mse(self):
@@ -409,11 +425,7 @@ def _full_scenario_dict() -> dict:
         "master_seed": 42,
         "sector": {"center_deg": 10.0, "width_deg": 100.0},
         "grid_step_deg": 0.5,
-        "optimizer": {
-            "max_outer_iterations": 300,
-            "aoa_gradient_tolerance": 1e-6,
-            "loss_tolerance": 1e-9,
-        },
+        "optimizer": {"max_outer_iterations": 300},
         "suppression_radius_deg": 3.0,
     }
 
@@ -432,11 +444,7 @@ class TestScenarioFromDict:
         assert s.sector.center == pytest.approx(math.radians(10.0))
         assert s.sector.width == pytest.approx(math.radians(100.0))
         assert s.grid_step == pytest.approx(math.radians(0.5))
-        assert s.optimizer == OptimizerConfig(
-            max_outer_iterations=300,
-            aoa_gradient_tolerance=1e-6,
-            loss_tolerance=1e-9,
-        )
+        assert s.optimizer == OptimizerConfig(max_outer_iterations=300)
         assert s.suppression_radius == pytest.approx(math.radians(3.0))
 
     def test_random_in_sector_leaves_aoas_unset(self):
@@ -470,7 +478,14 @@ class TestScenarioFromDict:
             scenario_from_dict(d)
 
     @pytest.mark.parametrize(
-        "key, value", [("gamma", 1.0), ("phase1_iterations", 3), ("aoa_step_size", 0.02)]
+        "key, value",
+        [
+            ("gamma", 1.0),
+            ("phase1_iterations", 3),
+            ("aoa_step_size", 0.02),
+            ("aoa_gradient_tolerance", 1e-7),
+            ("loss_tolerance", 1e-10),
+        ],
     )
     def test_removed_optimizer_fields_rejected(self, key, value):
         d = _full_scenario_dict()
@@ -539,8 +554,6 @@ class TestScenarioFromDict:
             (("sector", "width_deg"), "sector.width_deg", 100),
             (("grid_step_deg",), "grid_step_deg", 1),
             (("suppression_radius_deg",), "suppression_radius_deg", 3),
-            (("optimizer", "aoa_gradient_tolerance"), "optimizer.aoa_gradient_tolerance", 1),
-            (("optimizer", "loss_tolerance"), "optimizer.loss_tolerance", 1),
             (("snr_db_list", 1), "snr_db_list[1]", 20),
             (("aoas_deg", 0), "aoas_deg[0]", -10),
             (("prior", "mean", 0, 1), "prior.mean", 0),

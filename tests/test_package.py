@@ -9,7 +9,8 @@ from pathlib import Path
 
 import aoavi
 from aoavi import landscape, loss
-from aoavi.estimator import EstimationResult, _aoa_gradient_raw
+from aoavi.estimator import EstimationResult, OptimizerConfig, _aoa_gradient_raw
+from aoavi.harness import landscape_config_from_dict, scenario_from_dict
 from aoavi.landscape import StationaryPointSet
 from aoavi.loss import LossBreakdown
 from aoavi.preprocess import Sector
@@ -56,6 +57,8 @@ def test_removed_options_and_constructors_stay_removed():
     ):
         assert not hasattr(loss, name), name
         assert not hasattr(aoavi, name), name
+    # the stop tolerances are module constants, not options
+    assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["max_outer_iterations"]
     fields = [f.name for f in dataclasses.fields(EstimationResult)]
     assert fields == ["state", "loss_trace", "stop_reason", "line_search_evaluations"]
     assert not hasattr(EstimationResult, "path_gains")
@@ -125,3 +128,14 @@ def test_runtime_imports_only_numpy_and_the_standard_library():
     new = set(json.loads(out))
     assert {"aoavi", "numpy"} <= new
     assert new - {"aoavi", "numpy"} <= set(sys.stdlib_module_names)
+
+
+def test_readme_json_examples_parse():
+    """README's scenario and landscape examples, in that order, are valid
+    configs, so a documented example cannot keep a removed key."""
+    readme = Path(aoavi.__file__).resolve().parents[2] / "README.md"
+    blocks = readme.read_text().split("```json\n")[1:]
+    examples = [json.loads(block.split("```")[0]) for block in blocks]
+    assert len(examples) == 2
+    scenario_from_dict(examples[0])
+    landscape_config_from_dict(examples[1])

@@ -13,9 +13,9 @@ It prints, in order:
   its rows' diagnostics, over the workload's scenario configs at seeds
   301-303, then one line read from the same rows, so that a change that
   alters the digests on purpose shows by how much: the proposed
-  ``mse_aoa`` of each (seed, config, SNR) cell, the trials that hit the
-  iteration budget, and the medians over those cells of the per-cell p50
-  iterations and trial sums;
+  ``mse_aoa`` of each (seed, config, SNR) cell, the proposed trials' stop
+  reasons totalled in ``STOP_REASONS`` order, and the medians over those
+  cells of the per-cell p50 iterations and trial sums;
 - one digest of the final state, loss trace, stop reason and trial count
   of every block estimated at seed 301;
 - one digest of the optima, stationary and surface CSVs of the
@@ -63,15 +63,19 @@ def _result_bytes(result) -> bytes:
 
 
 def _summary(rows) -> str:
-    """The proposed rows' per-cell AoA MSEs, budget hits and the medians of
-    their per-cell p50 iterations and trial sums."""
+    """The proposed rows' per-cell AoA MSEs, stop-reason totals and the
+    medians of their per-cell p50 iterations and trial sums."""
     proposed = [r for r in rows if r.method == H.PROPOSED]
     mse = " ".join(f"{r.mse_aoa:.4g}" for r in proposed)
-    budget = sum(r.diagnostics["stop_reasons"]["budget"] for r in proposed)
+    stops = "/".join(
+        str(sum(r.diagnostics["stop_reasons"][reason] for r in proposed))
+        for reason in H.STOP_REASONS
+    )
     iters = np.median([r.diagnostics["iterations_used"]["p50"] for r in proposed])
     trials = np.median([r.diagnostics["line_search_evaluations"]["p50"] for r in proposed])
     return (
-        f"  mse_aoa.proposed per cell: {mse}; budget hits {budget};"
+        f"  mse_aoa.proposed per cell: {mse}; stop reasons {'/'.join(H.STOP_REASONS)}"
+        f" {stops};"
         f" median p50 iterations {iters:g}; median p50 trial sums {trials:g}"
     )
 
