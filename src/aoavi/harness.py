@@ -514,7 +514,7 @@ class LandscapeConfig:
         _check_scan_step(self.array, self.scan_step)
         AngleGrid(-math.pi / 2, math.pi / 2, self.scan_step)  # the scan's size guard
         if self.surface_axes is not None:
-            _check_axes(self.surface_axes, 1)
+            _check_axes(self.surface_axes)
 
 
 def _axis_from_dict(d, path: str) -> AxisSpec:
@@ -522,20 +522,14 @@ def _axis_from_dict(d, path: str) -> AxisSpec:
     "path_angle" axis in radians."""
     target = d.get("target", "aoa") if isinstance(d, dict) else None
     unit = "_rad" if target == "path_angle" else "_deg"
-    _section(d, path, ("target", "user_index", "num", "start" + unit, "stop" + unit))
+    _section(d, path, ("target", "num", "start" + unit, "stop" + unit))
     if target not in ("aoa", "path_angle"):
         raise ConfigError(f"field '{path}target' must be 'aoa' or 'path_angle'")
     start = _real(d, "start" + unit, path)
     stop = _real(d, "stop" + unit, path)
     if target == "aoa":
         start, stop = math.radians(start), math.radians(stop)
-    return AxisSpec(
-        target=target,
-        user_index=_integer(d, "user_index", path, 0),
-        start=start,
-        stop=stop,
-        num=_integer(d, "num", path),
-    )
+    return AxisSpec(target=target, start=start, stop=stop, num=_integer(d, "num", path))
 
 
 @_config_parser
@@ -573,7 +567,7 @@ def stationary_csv(array: ArrayConfig, true_angle: float, scan_step: float) -> s
 
 def _axis_label(ax: AxisSpec) -> str:
     unit = "deg" if ax.target == "aoa" else "rad"
-    return f"{ax.target}_{unit}[user{ax.user_index}]"
+    return f"{ax.target}_{unit}[user0]"
 
 
 def _axis_out_values(ax: AxisSpec) -> np.ndarray:
@@ -612,9 +606,8 @@ def run_landscape_export(cfg: LandscapeConfig, out_dir: Path, config_echo: dict)
         "stationary": lambda: stationary_csv(cfg.array, cfg.true_angle, cfg.scan_step),
     }
     if cfg.surface_axes is not None:
-        channel = ChannelRealization(np.ones((1, 1), dtype=complex))
         exports["surface"] = lambda: surface_csv(
-            evaluate_surface(cfg.surface_axes, cfg.array, AoAVector([cfg.true_angle]), channel)
+            evaluate_surface(cfg.surface_axes, cfg.array, cfg.true_angle)
         )
     paths: dict[str, Path] = {}
     runtimes: dict[str, float] = {}

@@ -14,8 +14,12 @@ Three kinds of structure are exposed:
   whose 1/z and 1/e poles are genuine (the underlying finite sum stays
   bounded there, the asymptotic ratio does not), so a guard band around
   each pole falls back to the exact finite sum;
-* dense grid evaluations of the population loss over one or two chosen
-  coordinates with everything else held at the truth.
+* dense grid evaluations of the noiseless loss of one unit-gain user over
+  its AoA estimate, its path angle or both, everything else held at the
+  truth, in closed form:
+
+      ||a(theta) - a(v) e^{j phi}||^2 = 2N - 2 [C(v) cos phi + S(v) sin phi],
+      C + jS = sum_n exp(j n g),  g = a*(sin(v) - sin(theta)).
 
 The exact finite-N derivative of the population slice is also provided,
 both as a gradient oracle and as the reference the asymptotic condition is
@@ -32,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .preprocess import _MAX_GRID_POINTS, AngleGrid
-from .signal_model import AoAVector, ArrayConfig, ChannelRealization, array_matrix, _frozen, _steering
+from .signal_model import _ANGLE_BOUND, ArrayConfig, _frozen
 
 _HALF_PI = math.pi / 2.0
 # |detector value| every returned root must satisfy
@@ -43,8 +47,6 @@ _ROOT_TOL = 1e-10
 _GUARD_BAND = 1e-3
 # roots this close to the true angle are the optimum, not traps
 _TRUE_ANGLE_WINDOW = 1e-4
-# complex elements in one surface block's largest temporary (128 KiB)
-_SURFACE_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -103,13 +105,12 @@ class StationaryPointSet:
 class AxisSpec:
     """One varied coordinate of a loss surface.
 
-    target "aoa" varies the AoA estimate of user_index; "path_angle"
-    varies that user's estimated path angle, applied to every snapshot
-    while magnitudes stay at truth.
+    target "aoa" varies the AoA estimate, its bounds within [-pi/2, pi/2];
+    "path_angle" varies the estimated path angle while the magnitude stays
+    at truth. Both bounds and their difference must be finite.
     """
 
     target: str
-    user_index: int
     start: float
     stop: float
     num: int
@@ -117,8 +118,10 @@ class AxisSpec:
     def __post_init__(self):
         if self.target not in ("aoa", "path_angle"):
             raise ValueError("target must be 'aoa' or 'path_angle'")
-        if self.user_index < 0:
-            raise ValueError("user_index must be non-negative")
+        if not math.isfinite(self.stop - self.start):  # NaN and inf bounds too
+            raise ValueError("axis bounds and their difference must be finite")
+        if self.target == "aoa" and not max(abs(self.start), abs(self.stop)) <= _ANGLE_BOUND:
+            raise ValueError("aoa axis bounds must lie in [-pi/2, pi/2]")
         if not self.start < self.stop:
             raise ValueError("need start < stop")
         if self.num < 2:
@@ -367,77 +370,57 @@ def stationary_points(
     )
 
 
-def _check_axes(axes: tuple[AxisSpec, ...], k_users: int) -> None:
+def _check_axes(axes: tuple[AxisSpec, ...]) -> None:
     """evaluate_surface's axis rules; landscape configs are checked by them too."""
     if not 1 <= len(axes) <= 2:
         raise ValueError("one or two axes supported")
-    if any(ax.user_index >= k_users for ax in axes):
-        raise ValueError("axis user_index out of range")
-    if len({(ax.target, ax.user_index) for ax in axes}) < len(axes):
+    if len({ax.target for ax in axes}) < len(axes):
         raise ValueError("both axes vary the same coordinate")
     if math.prod(ax.num for ax in axes) > _MAX_GRID_POINTS:
         raise ValueError("surface grid exceeds the 1e7-point resource guard")
 
 
 def evaluate_surface(
-    axes: Sequence[AxisSpec],
-    array: ArrayConfig,
-    true_aoas: AoAVector,
-    true_channel: ChannelRealization,
+    axes: Sequence[AxisSpec], array: ArrayConfig, true_angle: float
 ) -> LossSurface:
-    """Noiseless population loss over a dense 1-D or 2-D grid, every
-    non-varied parameter held at its true value (posterior means equal the
-    true gains, posterior covariance zero, so the loss is
-    ||A h - A_hat mu||_F^2).
+    """Noiseless population loss of one unit-gain user at true_angle over a
+    dense 1-D or 2-D grid of its AoA estimate v and path angle phi, the
+    coordinate without an axis held at its true value:
 
-    The grid may not exceed 1e7 points, and the two axes must vary
-    different coordinates. Grid points are evaluated in blocks of
-    max(1, 8192 // (N * max(K, M))), so the working memory beyond the
-    returned values does not grow with the grid.
+        ||a(true) - a(v) e^{j phi}||^2 = 2N - 2 [C(v) cos phi + S(v) sin phi]
+
+    with C + jS = sum_n exp(j n alpha (sin v - sin true)), alpha =
+    2 pi d/lambda. C and S are accumulated one antenna at a time, so no
+    N x T matrix is built, and the values are formed in place: the
+    returned array is the only grid-sized one. The grid may not exceed 1e7
+    points, and the two axes must vary different coordinates.
     """
     axes = tuple(axes)
-    k_users = true_aoas.k_users
-    _check_axes(axes, k_users)
-    shape = tuple(ax.num for ax in axes)
-    total = math.prod(shape)
-
-    gains = true_channel.gains
-    m = true_channel.n_snapshots
+    _check_axes(axes)
+    if not abs(true_angle) <= _HALF_PI:  # NaN fails too
+        raise ValueError("true_angle must lie in [-pi/2, pi/2]")
+    by_target = {ax.target: ax.values() for ax in axes}
+    v = by_target.get("aoa", np.array([true_angle]))
+    phi = by_target.get("path_angle", np.zeros(1))
     n = array.n_antennas
 
-    if len(axes) == 1 and axes[0].target == "aoa":
-        # everything else exact: the loss reduces to the varied user's
-        # power times the steering-vector gap;
-        # Re a(v)^H a(true) = sum_n cos(alpha * n * (sin v - sin true)) is
-        # accumulated one element at a time, so no N x T matrix is built
-        ax = axes[0]
-        k = ax.user_index
-        power = float(np.sum(np.abs(gains[k]) ** 2))
-        alpha = 2.0 * np.pi * array.spacing_ratio
-        gap = alpha * (np.sin(ax.values()) - math.sin(true_aoas.angles[k]))
-        overlap = np.zeros_like(gap)
-        for i in range(n):
-            overlap += np.cos(i * gap)
-        values = power * (2.0 * n - 2.0 * overlap)
-        values.setflags(write=False)
-        return LossSurface(axes=axes, values=values)
+    gap = 2.0 * np.pi * array.spacing_ratio * (np.sin(v) - math.sin(true_angle))
+    c = np.zeros_like(gap)
+    s = np.zeros_like(gap)
+    for i in range(n):
+        c += np.cos(i * gap)
+        s += np.sin(i * gap)
 
-    clean = array_matrix(array, true_aoas) @ gains
-    axis_vals = [ax.values() for ax in axes]
-    values = np.empty(total)
-    per_block = max(1, _SURFACE_BLOCK // (n * max(k_users, m)))
-    for lo in range(0, total, per_block):
-        flat = np.arange(lo, min(lo + per_block, total))
-        angles = np.repeat(true_aoas.angles[None, :], flat.size, axis=0)
-        means = np.repeat(gains[None], flat.size, axis=0)
-        for ax, vals, pos in zip(axes, axis_vals, np.unravel_index(flat, shape)):
-            v = vals[pos]
-            if ax.target == "aoa":
-                angles[:, ax.user_index] = v
-            else:
-                means[:, ax.user_index] = np.abs(gains[ax.user_index]) * np.exp(1j * v)[:, None]
-        a_hat = _steering(array, angles)
-        resid = (clean - a_hat @ means).reshape(flat.size, -1).view(float)
-        values[lo : lo + flat.size] = np.einsum("bi,bi->b", resid, resid)
+    values = np.empty(tuple(ax.num for ax in axes))
+    # the same memory seen as an (AoA, path angle) grid, whatever the axis order
+    grid = (values.T if axes[0].target == "path_angle" else values).reshape(v.size, phi.size)
+    np.multiply.outer(c, np.cos(phi), out=grid)
+    # S sin(phi) goes in one line of the shorter axis at a time
+    x, y, lines = (s, np.sin(phi), grid.T) if v.size >= phi.size else (np.sin(phi), s, grid)
+    for line, scale in zip(lines, y):
+        line += x * scale
+    # 2N - 2 * overlap, formed so that phi = 0 leaves C's bits as they are
+    values *= -2.0
+    values += 2.0 * n
     values.setflags(write=False)
-    return LossSurface(axes=axes, values=values.reshape(shape))
+    return LossSurface(axes=axes, values=values)

@@ -157,10 +157,19 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            ({"surface": dict(_AOA_AXIS, user_index=1)}, "user_index out of range"),
+            (
+                {"surface": dict(_AOA_AXIS, user_index=0)},
+                "unknown fields in field 'surface[0]': ['user_index']",
+            ),
             ({"surface": [_AOA_AXIS, dict(_AOA_AXIS, num=3)]}, "same coordinate"),
             ({"scan_step_deg": 0.5}, "too coarse"),
             ({"true_angle_deg": NAN}, "true_angle must lie in"),
+            ({"surface": dict(_AOA_AXIS, start_deg=-math.inf, stop_deg=math.inf)}, "must be finite"),
+            (
+                {"surface": {"target": "path_angle", "start_rad": -1e308, "stop_rad": 1e308, "num": 5}},
+                "must be finite",
+            ),
+            ({"surface": dict(_AOA_AXIS, start_deg=-270.0, stop_deg=270.0)}, "[-pi/2, pi/2]"),
         ],
     )
     def test_landscape_that_cannot_run_is_config_error_with_no_artifacts(

@@ -654,11 +654,17 @@ class TestLandscapeExport:
     @pytest.mark.parametrize(
         "extra, message",
         [
-            ({"surface": dict(_AOA_AXIS, user_index=1)}, "user_index out of range"),
+            ({"surface": dict(_AOA_AXIS, user_index=0)}, r"'surface\[0\]': \['user_index'\]"),
             ({"surface": [_AOA_AXIS, dict(_AOA_AXIS, num=3)]}, "same coordinate"),
             ({"scan_step_deg": 0.5}, "too coarse"),
             ({"scan_step_deg": -0.01}, "not positive"),
             ({"scan_step_deg": 1e-6}, "1e7-point resource guard"),
+            ({"surface": dict(_AOA_AXIS, start_deg=-math.inf, stop_deg=math.inf)}, "must be finite"),
+            (
+                {"surface": {"target": "path_angle", "start_rad": -1e308, "stop_rad": 1e308, "num": 5}},
+                "must be finite",
+            ),
+            ({"surface": dict(_AOA_AXIS, start_deg=-270.0, stop_deg=270.0)}, r"\[-pi/2, pi/2\]"),
         ],
     )
     def test_configs_the_export_cannot_run_fail_at_parse_time(self, extra, message):
@@ -690,7 +696,7 @@ class TestLandscapeExport:
         with pytest.raises(ConfigError, match=message):
             landscape_config_from_dict(d)
 
-    @pytest.mark.parametrize("key", ["num", "user_index"])
+    @pytest.mark.parametrize("key", ["num"])
     def test_surface_integer_fields_name_the_path(self, key):
         axis = dict(_AOA_AXIS, **{key: 2.7})
         with pytest.raises(ConfigError, match=rf"'surface\[0\]\.{key}' must be an integer"):

@@ -29,19 +29,16 @@ SCAN_STEP = math.radians(0.01)
 BENCHMARK_LANDSCAPES = ((32, 2.0, THETA_11), (256, 0.5, THETA_11), (32, 0.5, THETA_11))
 
 
-def _unit_channel(m=1):
-    return ChannelRealization(np.ones((1, m), dtype=complex))
-
-
-def _population_slice(array, theta, estimates):
-    """Population loss over scalar estimates, exact unit channel."""
-    ch = _unit_channel()
+def _population_slice(array, theta, estimates, path_angle=0.0):
+    """Population loss over scalar estimates, exact unit channel, the
+    estimated gain at unit magnitude and the given path angle."""
+    ch = ChannelRealization(np.ones((1, 1), dtype=complex))
     aoas = AoAVector(np.array([theta]))
     out = []
     for est in np.atleast_1d(estimates):
         state = VariationalState(
             aoa_estimate=AoAVector(np.array([est])),
-            channel_means=ch.gains,
+            channel_means=ch.gains * np.exp(1j * path_angle),
             channel_covariance=np.zeros((1, 1), complex),
         )
         out.append(population_reconstruction(aoas, ch, state, array, 0.0))
@@ -348,127 +345,72 @@ class TestStationaryPoints:
             StationaryPointSet(angles=(0.1,), residuals=(1.0,))
 
 
+def _aoa_axis(num, lo=-math.pi / 2, hi=math.pi / 2):
+    return AxisSpec(target="aoa", start=lo, stop=hi, num=num)
+
+
+def _phase_axis(num, lo=-math.pi, hi=math.pi):
+    return AxisSpec(target="path_angle", start=lo, stop=hi, num=num)
+
+
 class TestEvaluateSurface:
     def test_one_dimensional_minimum_at_truth(self):
-        arr = ArrayConfig(32, 0.5)
-        aoas = AoAVector(np.array([THETA_11]))
-        ch = _unit_channel()
-        axis = AxisSpec(
-            target="aoa", user_index=0, start=-math.pi / 2, stop=math.pi / 2, num=18001
-        )
-        surface = evaluate_surface([axis], arr, aoas, ch)
-        grid = axis.values()
-        argmin = grid[int(np.argmin(surface.values))]
+        axis = _aoa_axis(18001)
+        surface = evaluate_surface([axis], ArrayConfig(32, 0.5), THETA_11)
+        argmin = axis.values()[int(np.argmin(surface.values))]
         assert abs(argmin - THETA_11) < math.radians(0.02)
 
-    def test_fast_path_matches_generic_loop(self):
-        arr = ArrayConfig(8, 0.5)
-        aoas = AoAVector(np.array([THETA_11]))
-        ch = _unit_channel(m=2)
-        axis = AxisSpec(target="aoa", user_index=0, start=-1.0, stop=1.0, num=41)
-        surface = evaluate_surface([axis], arr, aoas, ch)
-        direct = _population_slice(arr, THETA_11, axis.values()) * 2  # two snapshots
-        assert np.max(np.abs(surface.values - direct)) < 1e-9 * np.max(direct)
-
-    def test_fast_path_matches_generic_loop_second_user_wide_spacing(self):
-        rng = make_rng(141)
-        arr = ArrayConfig(32, 2.0)
-        aoas = AoAVector(np.radians([-20.0, 11.0]))
-        ch = ChannelRealization(rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
-        axis = AxisSpec(target="aoa", user_index=1, start=-1.2, stop=1.2, num=301)
-        surface = evaluate_surface([axis], arr, aoas, ch)
-        direct = []
-        for v in axis.values():
-            angles = np.array(aoas.angles)
-            angles[1] = v
-            state = VariationalState(
-                aoa_estimate=AoAVector(angles),
-                channel_means=ch.gains,
-                channel_covariance=np.zeros((2, 2), complex),
-            )
-            direct.append(population_reconstruction(aoas, ch, state, arr, 0.0))
-        direct = np.asarray(direct)
-        assert np.max(np.abs(surface.values - direct)) < 1e-9 * np.max(direct)
+    @pytest.mark.parametrize(
+        "targets",
+        [("aoa",), ("path_angle",), ("aoa", "path_angle"), ("path_angle", "aoa")],
+        ids="-".join,
+    )
+    def test_every_axis_set_matches_per_point_oracle(self, targets):
+        arr = ArrayConfig(16, 2.0)
+        made = {"aoa": _aoa_axis(13, -1.2, 1.2), "path_angle": _phase_axis(11, -3.0, 3.0)}
+        axes = [made[t] for t in targets]
+        surface = evaluate_surface(axes, arr, THETA_11)
+        assert surface.values.shape == tuple(ax.num for ax in axes)
+        oracle = np.empty(surface.values.shape)
+        for index in np.ndindex(oracle.shape):
+            point = {ax.target: ax.values()[i] for ax, i in zip(axes, index)}
+            oracle[index] = _population_slice(
+                arr, THETA_11, point.get("aoa", THETA_11), point.get("path_angle", 0.0)
+            )[0]
+        assert np.max(np.abs(surface.values - oracle)) <= 1e-12 * 4 * arr.n_antennas
 
     def test_one_dimensional_scan_builds_no_steering_matrix(self):
-        arr = ArrayConfig(32, 0.5)
-        aoas = AoAVector(np.array([THETA_11]))
-        axis = AxisSpec(target="aoa", user_index=0, start=-math.pi / 2, stop=math.pi / 2, num=3601)
-        ch = _unit_channel(m=40)
+        axis = _aoa_axis(3601)
         tracemalloc.start()
         try:
-            evaluate_surface([axis], arr, aoas, ch)
+            evaluate_surface([axis], ArrayConfig(32, 0.5), THETA_11)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 32 * axis.num * 16
 
-    @pytest.mark.parametrize(
-        "first, second",
-        [
-            (("aoa", 0), ("path_angle", 0)),
-            (("aoa", 0), ("path_angle", 1)),
-            (("path_angle", 1), ("aoa", 0)),
-            (("aoa", 0), ("aoa", 1)),
-        ],
-    )
-    def test_two_dimensional_matches_per_point_oracle(self, first, second):
-        rng = make_rng(142)
-        arr = ArrayConfig(16, 2.0)
-        aoas = AoAVector(np.radians([-20.0, 11.0]))
-        ch = ChannelRealization(rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3)))
-
-        def axis(spec, num):
-            target, user = spec
-            lo, hi = (-1.2, 1.2) if target == "aoa" else (-3.0, 3.0)
-            return AxisSpec(target=target, user_index=user, start=lo, stop=hi, num=num)
-
-        axes = [axis(first, 13), axis(second, 11)]
-        surface = evaluate_surface(axes, arr, aoas, ch)
-        oracle = np.empty(surface.values.shape)
-        for i, u in enumerate(axes[0].values()):
-            for j, v in enumerate(axes[1].values()):
-                angles = np.array(aoas.angles)
-                means = ch.gains.copy()
-                for ax, val in ((axes[0], u), (axes[1], v)):
-                    if ax.target == "aoa":
-                        angles[ax.user_index] = val
-                    else:
-                        means[ax.user_index] = np.abs(means[ax.user_index]) * np.exp(1j * val)
-                state = VariationalState(
-                    aoa_estimate=AoAVector(angles),
-                    channel_means=means,
-                    channel_covariance=np.zeros((2, 2), complex),
-                )
-                oracle[i, j] = population_reconstruction(aoas, ch, state, arr, 0.0)
-        assert np.max(np.abs(surface.values - oracle) / np.abs(oracle)) <= 1e-12
-
     def test_two_dimensional_surface_builds_no_full_steering_array(self):
         arr = ArrayConfig(16, 0.5)
-        aoas = AoAVector(np.array([THETA_11]))
-        axes = [
-            AxisSpec(target="aoa", user_index=0, start=-math.pi / 2, stop=math.pi / 2, num=200),
-            AxisSpec(target="path_angle", user_index=0, start=-math.pi, stop=math.pi, num=200),
-        ]
+        axes = [_aoa_axis(200), _phase_axis(200)]
         tracemalloc.start()
         try:
-            evaluate_surface(axes, arr, aoas, _unit_channel())
+            evaluate_surface(axes, arr, THETA_11)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < arr.n_antennas * 200 * 200 * 16 / 4
 
-    def test_two_dimensional_surface_is_not_copied(self):
-        """The returned values are the only grid-sized array: the surface
-        keeps evaluate_surface's locked array instead of copying it."""
-        axes = [
-            AxisSpec(target="aoa", user_index=0, start=-math.pi / 2, stop=math.pi / 2, num=1000),
-            AxisSpec(target="path_angle", user_index=0, start=-math.pi, stop=math.pi, num=1000),
-        ]
-        args = (ArrayConfig(8, 0.5), AoAVector(np.array([THETA_11])), _unit_channel())
+    @pytest.mark.parametrize("phase_first", [False, True])
+    def test_two_dimensional_surface_is_not_copied(self, phase_first):
+        """The returned values are the only grid-sized array, in either axis
+        order: the surface keeps evaluate_surface's locked array instead of
+        copying it."""
+        axes = [_aoa_axis(1000), _phase_axis(1000)]
+        if phase_first:
+            axes.reverse()
         tracemalloc.start()
         try:
-            surface = evaluate_surface(axes, *args)
+            surface = evaluate_surface(axes, ArrayConfig(8, 0.5), THETA_11)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -483,26 +425,13 @@ class TestEvaluateSurface:
 
     def test_duplicate_axes_rejected(self):
         arr = ArrayConfig(8, 0.5)
-        aoas = AoAVector(np.zeros(2))
-        ch = ChannelRealization(np.ones((2, 1), dtype=complex))
-        for target in ("aoa", "path_angle"):
-            axes = [
-                AxisSpec(target=target, user_index=1, start=-1.0, stop=1.0, num=5),
-                AxisSpec(target=target, user_index=1, start=-0.5, stop=0.5, num=4),
-            ]
+        for make in (_aoa_axis, _phase_axis):
             with pytest.raises(ValueError, match="same coordinate"):
-                evaluate_surface(axes, arr, aoas, ch)
-        # the same target for different users is a valid surface
-        axes[1] = AxisSpec(target="path_angle", user_index=0, start=-0.5, stop=0.5, num=4)
-        assert evaluate_surface(axes, arr, aoas, ch).values.shape == (5, 4)
+                evaluate_surface([make(5), make(4)], arr, 0.0)
+        assert evaluate_surface([_aoa_axis(5), _phase_axis(4)], arr, 0.0).values.shape == (5, 4)
 
     def _count_global_minima(self, n, spacing, num=36001):
-        arr = ArrayConfig(n, spacing)
-        aoas = AoAVector(np.array([THETA_11]))
-        axis = AxisSpec(
-            target="aoa", user_index=0, start=-math.pi / 2, stop=math.pi / 2, num=num
-        )
-        vals = evaluate_surface([axis], arr, aoas, _unit_channel()).values
+        vals = evaluate_surface([_aoa_axis(num)], ArrayConfig(n, spacing), THETA_11).values
         scale = 2.0 * n
         lows = vals <= vals.min() + 1e-7 * scale
         interior = (
@@ -514,15 +443,10 @@ class TestEvaluateSurface:
         assert self._count_global_minima(32, 0.5) == self._count_global_minima(64, 0.5) == 1
 
     def test_wide_spacing_adds_basins_in_two_dims(self):
-        aoas = AoAVector(np.array([THETA_11]))
-        axes = [
-            AxisSpec(target="aoa", user_index=0, start=-math.pi / 2, stop=math.pi / 2, num=241),
-            AxisSpec(target="path_angle", user_index=0, start=-math.pi, stop=math.pi, num=49),
-        ]
+        axes = [_aoa_axis(241), _phase_axis(49)]
 
         def count_basins(spacing):
-            arr = ArrayConfig(16, spacing)
-            v = evaluate_surface(axes, arr, aoas, _unit_channel()).values
+            v = evaluate_surface(axes, ArrayConfig(16, spacing), THETA_11).values
             inner = v[1:-1, 1:-1]
             neighbors = np.stack(
                 [
@@ -537,31 +461,39 @@ class TestEvaluateSurface:
         assert count_basins(2.0) > count_basins(0.5)
 
     def test_path_angle_axis_minimum_at_true_phase(self):
-        arr = ArrayConfig(16, 0.5)
-        gains = np.array([[math.sqrt(2.0) * np.exp(1j * 0.7)]])
-        ch = ChannelRealization(gains)
-        aoas = AoAVector(np.array([THETA_11]))
-        axis = AxisSpec(target="path_angle", user_index=0, start=-math.pi, stop=math.pi, num=721)
-        surface = evaluate_surface([axis], arr, aoas, ch)
+        axis = _phase_axis(721)
+        surface = evaluate_surface([axis], ArrayConfig(16, 0.5), THETA_11)
         argmin = axis.values()[int(np.argmin(surface.values))]
-        assert abs(argmin - 0.7) < 0.01
+        assert abs(argmin) < 0.01
+        assert surface.values.min() < 1e-12
 
     def test_resource_guard(self):
-        arr = ArrayConfig(8, 0.5)
-        aoas = AoAVector(np.array([0.0]))
-        axes = [
-            AxisSpec(target="aoa", user_index=0, start=-1.0, stop=1.0, num=4000),
-            AxisSpec(target="path_angle", user_index=0, start=-3.0, stop=3.0, num=4000),
-        ]
-        with pytest.raises(ValueError):
-            evaluate_surface(axes, arr, aoas, _unit_channel())
+        axes = [_aoa_axis(4000, -1.0, 1.0), _phase_axis(4000, -3.0, 3.0)]
+        with pytest.raises(ValueError, match="resource guard"):
+            evaluate_surface(axes, ArrayConfig(8, 0.5), 0.0)
 
-    def test_axis_validation(self):
-        with pytest.raises(ValueError):
-            AxisSpec(target="gain", user_index=0, start=0.0, stop=1.0, num=10)
-        with pytest.raises(ValueError):
-            AxisSpec(target="aoa", user_index=0, start=1.0, stop=0.0, num=10)
-        arr = ArrayConfig(8, 0.5)
-        axis = AxisSpec(target="aoa", user_index=3, start=-1.0, stop=1.0, num=5)
-        with pytest.raises(ValueError):
-            evaluate_surface([axis], arr, AoAVector(np.zeros(1)), _unit_channel())
+    @pytest.mark.parametrize(
+        "target, start, stop, message",
+        [
+            ("gain", 0.0, 1.0, "target"),
+            ("aoa", 1.0, 0.0, "start < stop"),
+            ("aoa", -math.inf, math.inf, "finite"),
+            ("aoa", math.nan, 1.0, "finite"),
+            ("path_angle", -1e308, 1e308, "finite"),
+            ("aoa", -1.5 * math.pi, 1.5 * math.pi, r"\[-pi/2, pi/2\]"),
+            ("aoa", 0.0, math.pi / 2 + 1e-9, r"\[-pi/2, pi/2\]"),
+        ],
+    )
+    def test_axis_validation(self, target, start, stop, message):
+        with pytest.raises(ValueError, match=message):
+            AxisSpec(target=target, start=start, stop=stop, num=10)
+
+    def test_axis_bounds_reach_the_ends_of_the_half_space(self):
+        # the AoAVector bound: +-pi/2 and float dust past it are valid
+        AxisSpec(target="aoa", start=-math.pi / 2 - 1e-13, stop=math.pi / 2, num=3)
+        AxisSpec(target="path_angle", start=-10.0, stop=10.0, num=3)
+
+    def test_true_angle_outside_the_half_space_rejected(self):
+        for bad in (2.0, math.nan):
+            with pytest.raises(ValueError, match="true_angle"):
+                evaluate_surface([_aoa_axis(5)], ArrayConfig(8, 0.5), bad)

@@ -11,7 +11,7 @@ import aoavi
 from aoavi import landscape, loss
 from aoavi.estimator import EstimationResult, OptimizerConfig, _aoa_gradient_raw
 from aoavi.harness import landscape_config_from_dict, scenario_from_dict
-from aoavi.landscape import StationaryPointSet
+from aoavi.landscape import AxisSpec, StationaryPointSet
 from aoavi.loss import LossBreakdown
 from aoavi.preprocess import Sector
 from aoavi.signal_model import ChannelRealization
@@ -73,6 +73,14 @@ def test_result_types_hold_only_what_is_read():
     assert [f.name for f in dataclasses.fields(ChannelRealization)] == ["gains"]
     assert not hasattr(ChannelRealization, "from_gains")
     assert [f.name for f in dataclasses.fields(StationaryPointSet)] == ["angles", "residuals"]
+    # a surface is the loss of the export's one unit-gain user
+    assert [f.name for f in dataclasses.fields(AxisSpec)] == ["target", "start", "stop", "num"]
+    assert list(inspect.signature(landscape.evaluate_surface).parameters) == [
+        "axes",
+        "array",
+        "true_angle",
+    ]
+    assert not hasattr(landscape, "_SURFACE_BLOCK")
 
 
 def _code_references(path: Path) -> set:

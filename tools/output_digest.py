@@ -18,8 +18,10 @@ It prints, in order:
   cells of the per-cell p50 iterations and trial sums;
 - one digest of the final state, loss trace, stop reason and trial count
   of every block estimated at seed 301;
-- one digest of the optima, stationary and surface CSVs of the
-  ``LANDSCAPE_CONFIGS`` exports.
+- one digest of each optima, stationary and surface CSV of the
+  ``LANDSCAPE_CONFIGS`` exports (``landscape config 2 surface: ...``), so
+  that a change that moves one file shows which, then one digest of all
+  of them in that order.
 
 The workload configs are read, not modified. BLAS is pinned to one thread,
 as in ``benchmarks/run.py``.
@@ -117,7 +119,9 @@ def main() -> None:
             paths = H.run_landscape_export(cfg, Path(tmp) / str(i), raw)
             for key in ("optima", "stationary", "surface"):
                 if key in paths:
-                    landscape.update(paths[key].read_bytes())
+                    data = paths[key].read_bytes()
+                    print(f"landscape config {i} {key}: {hashlib.sha256(data).hexdigest()}")
+                    landscape.update(data)
     print(f"landscape CSVs: {landscape.hexdigest()}")
 
 
