@@ -78,11 +78,13 @@ def _load_config(path_str: str) -> dict:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config parse error in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (UnicodeDecodeError, RecursionError) as exc:  # not UTF-8, or nested too deeply
+        raise ConfigError(f"config {path} is not readable JSON: {type(exc).__name__}") from exc
 
 
 def _apply_seed(d: dict, seed) -> dict:

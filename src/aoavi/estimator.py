@@ -18,9 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .loss import LossBreakdown, VariationalState, _breakdown, _reconstruction_sum_raw
+from .loss import LossBreakdown, VariationalState, _reconstruction_sum_raw, _state_loss
 from .preprocess import AngleGrid, Sector, pseudo_labels
-from .signal_model import AoAVector, ChannelPrior, ObservationSet, _antenna_index, array_matrix
+from .signal_model import AoAVector, ChannelPrior, ObservationSet, array_matrix
 
 # backtracking limits and stop tolerances; not part of the public config
 _MAX_HALVINGS = 40
@@ -124,35 +124,6 @@ def closed_form_channel_update(
     return means, cov
 
 
-def _aoa_gradient_raw(
-    signal: np.ndarray,
-    array,
-    angles: np.ndarray,
-    means: np.ndarray,
-    cov: np.ndarray,
-    noise_variance: float,
-) -> np.ndarray:
-    """Exact gradient of the reconstruction sum with respect to each AoA,
-    divided by noise_variance when it is positive (the loss term's
-    gradient; the divergence part does not involve the AoAs)."""
-    a_hat = array_matrix(array, AoAVector(angles))
-    # phase-slope vector per user: 2*pi*(d/lambda)*cos(theta_k) * [0..N-1]
-    slope = 2.0 * np.pi * array.spacing_ratio * np.cos(angles)
-    d_mat = a_hat * (_antenna_index(array.n_antennas) * slope[None, :])
-
-    resid = a_hat @ means - signal
-    cross = resid.conj().T @ d_mat
-    term1 = (means.T * cross).sum(axis=0).imag
-
-    # sum_m Cov_m = M Cov
-    term2 = (d_mat * (a_hat @ (means.shape[1] * cov)).conj()).sum(axis=0).imag
-
-    grad = 2.0 * (term1 + term2)
-    if noise_variance > 0:
-        grad = grad / noise_variance
-    return grad
-
-
 def estimate(
     obs: ObservationSet,
     prior: ChannelPrior,
@@ -192,11 +163,13 @@ def estimate(
     0.0 stop the descent as line_search_stall, before the channel update, so
     no repeated trace entry is appended.
 
-    Each trace entry equals total_loss at its state, also at zero noise
-    variance, where the divergence term is reported as 0.
+    A state whose loss is above the last entry's (a rise in round-off) is
+    not appended: the run stops as loss_plateau at the last entry's state,
+    so the trace is exactly non-increasing. Each trace entry equals
+    total_loss at its state, also at zero noise variance, where the
+    divergence term is reported as 0.
     """
     k = prior.k_users
-    s2 = obs.noise_variance
     lo, hi = sector.lo, sector.hi
 
     if initial_aoas is not None:
@@ -213,16 +186,21 @@ def estimate(
     evaluations = 0
     prev = None  # (angles, gradient, max|gradient|) before the last move
     while True:
-        means, cov = closed_form_channel_update(obs, AoAVector(angles), prior)
-        recon_raw = _reconstruction_sum_raw(obs.signal, obs.array, angles, means, cov)
-        trace.append(_breakdown(prior, means, cov, recon_raw, s2))
+        channel = closed_form_channel_update(obs, AoAVector(angles), prior)
+        entry, recon_raw, grad = _state_loss(obs, prior, angles, *channel)
+        if trace and entry.total > trace[-1].total:
+            # a rise in round-off (seen at large M): stop at the last entry's state
+            angles = prev[0]
+            stop_reason = "loss_plateau"
+            break
+        means, cov = channel
+        trace.append(entry)
         if len(trace) > 1 and trace[-2].total - trace[-1].total < _LOSS_TOLERANCE:
             stop_reason = "loss_plateau"
             break
         if len(trace) == cfg.max_outer_iterations:
             stop_reason = "budget"
             break
-        grad = _aoa_gradient_raw(obs.signal, obs.array, angles, means, cov, s2)
         gmax = float(np.abs(grad).max())
         if gmax < _GRADIENT_TOLERANCE:
             stop_reason = "gradient"

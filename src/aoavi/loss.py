@@ -24,6 +24,7 @@ from .signal_model import (
     ChannelPrior,
     ObservationSet,
     array_matrix,
+    _antenna_index,
     _frozen,
 )
 
@@ -119,6 +120,14 @@ def kl_gaussian(q_mean: np.ndarray, q_cov: np.ndarray, prior: ChannelPrior) -> f
     return q_mean.shape[1] * (trace_term - k + prior.log_det - logdet_q) + quad
 
 
+def _sum(a_hat: np.ndarray, resid: np.ndarray, cov: np.ndarray) -> float:
+    """The reconstruction sum from A and the residual Y - A Mu:
+    ||resid||_F^2 + sum_m tr(A Cov A^H), the latter as M tr(gram Cov)."""
+    sq = float(np.vdot(resid, resid).real)
+    gram = a_hat.conj().T @ a_hat
+    return sq + resid.shape[1] * float((gram * cov.T).sum().real)
+
+
 def _reconstruction_sum_raw(
     signal: np.ndarray,
     array: ArrayConfig,
@@ -128,28 +137,38 @@ def _reconstruction_sum_raw(
 ) -> float:
     """Reconstruction sum on raw arrays; hot path for line searches."""
     a_hat = array_matrix(array, AoAVector(angles))
-    resid = signal - a_hat @ means
-    sq = float(np.vdot(resid, resid).real)
-    gram = a_hat.conj().T @ a_hat
-    # sum_m tr(A Cov A^H) = M tr(gram Cov)
-    trace = means.shape[1] * float((gram * cov.T).sum().real)
-    return sq + trace
+    return _sum(a_hat, signal - a_hat @ means, cov)
 
 
-def _breakdown(
-    prior: ChannelPrior, means: np.ndarray, cov: np.ndarray, recon_raw: float, noise_variance: float
-) -> LossBreakdown:
-    """The one scorer of estimate()'s trace entries and of total_loss. At zero
-    noise variance the loss is the raw sum recon_raw, with the KL term 0."""
-    if noise_variance == 0.0:
-        return LossBreakdown(0.0, recon_raw)
-    return LossBreakdown(kl_gaussian(means, cov, prior), recon_raw / noise_variance)
+def _state_loss(
+    obs: ObservationSet, prior: ChannelPrior, angles: np.ndarray, means: np.ndarray, cov: np.ndarray
+) -> tuple[LossBreakdown, float, np.ndarray]:
+    """(breakdown, raw reconstruction sum, exact AoA gradient of the loss)
+    at one state, from one steering matrix and one residual: the scorer of
+    estimate()'s trace entries and of total_loss. The divergence term does
+    not involve the AoAs. At zero noise variance the loss is the raw sum
+    with the KL term 0 and the gradient is the raw sum's; else both are
+    divided by the variance."""
+    a_hat = array_matrix(obs.array, AoAVector(angles))
+    resid = obs.signal - a_hat @ means
+    raw = _sum(a_hat, resid, cov)
+    # phase-slope vector per user: 2*pi*(d/lambda)*cos(theta_k) * [0..N-1]
+    slope = 2.0 * np.pi * obs.array.spacing_ratio * np.cos(angles)
+    d_mat = a_hat * (_antenna_index(obs.array.n_antennas) * slope[None, :])
+    # resid is Y - A Mu, so the data part of the gradient enters negated
+    data = (means.T * (resid.conj().T @ d_mat)).sum(axis=0).imag
+    # sum_m Cov_m = M Cov
+    spread = (d_mat * (a_hat @ (means.shape[1] * cov)).conj()).sum(axis=0).imag
+    grad = 2.0 * (spread - data)
+    s2 = obs.noise_variance
+    if s2 == 0.0:
+        return LossBreakdown(0.0, raw), raw, grad
+    return LossBreakdown(kl_gaussian(means, cov, prior), raw / s2), raw, grad / s2
 
 
 def total_loss(obs: ObservationSet, state: VariationalState, prior: ChannelPrior) -> LossBreakdown:
     """Negative evidence bound: the snapshots' summed KL from the prior plus
     the normalized expected reconstruction error. It shares estimate()'s
     scorer, so it equals each trace entry exactly, also at zero noise."""
-    means, cov = state.channel_means, state.channel_covariance
-    raw = _reconstruction_sum_raw(obs.signal, obs.array, state.aoa_estimate.angles, means, cov)
-    return _breakdown(prior, means, cov, raw, obs.noise_variance)
+    angles, means, cov = state.aoa_estimate.angles, state.channel_means, state.channel_covariance
+    return _state_loss(obs, prior, angles, means, cov)[0]

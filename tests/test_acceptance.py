@@ -16,7 +16,6 @@ from scipy import optimize, stats
 from aoavi.cli import main as cli_main
 from aoavi.estimator import (
     OptimizerConfig,
-    _aoa_gradient_raw,
     closed_form_channel_update,
     estimate,
 )
@@ -35,7 +34,7 @@ from aoavi.landscape import (
     exact_population_gradient,
     stationary_points,
 )
-from aoavi.loss import VariationalState, kl_gaussian, total_loss
+from aoavi.loss import VariationalState, _state_loss, kl_gaussian, total_loss
 from aoavi.preprocess import AngleGrid, Sector, grid_steering, sector_grid
 from aoavi.signal_model import (
     AoAVector,
@@ -219,13 +218,8 @@ def test_02_gradients_match_finite_differences(report):
         est_angles = np.sort(rng.uniform(-1.2, 1.2, k))
         means, cov = _random_state(k, m, rng)
         state = VariationalState(AoAVector(est_angles), means, cov)
-        grad = _aoa_gradient_raw(
-            obs.signal,
-            array,
-            state.aoa_estimate.angles,
-            state.channel_means,
-            state.channel_covariance,
-            s2,
+        _, _, grad = _state_loss(
+            obs, prior, state.aoa_estimate.angles, state.channel_means, state.channel_covariance
         )
         fd = np.empty(k)
         for j in range(k):

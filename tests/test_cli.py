@@ -52,6 +52,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"\xff\xfe{}", "UnicodeDecodeError"), (b"[" * 100000, "RecursionError")],
+        ids=["not_utf8", "deep_nesting"],
+    )
+    def test_unreadable_json_is_config_error(self, tmp_path, capsys, content, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        rc = main(["estimate", "--config", str(path), "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not out.exists()
+
     def test_invalid_subcommand(self, capsys):
         rc = main(["frobnicate", "--config", "x.json"])
         assert rc == 1

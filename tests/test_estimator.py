@@ -13,15 +13,16 @@ from aoavi.estimator import (
     STOP_REASONS,
     EstimationResult,
     OptimizerConfig,
-    _aoa_gradient_raw,
     closed_form_channel_update,
     estimate,
 )
+from aoavi.harness import _estimate, _trial_block, scenario_from_dict
 from aoavi.landscape import enumerate_global_optima, stationary_points
 from aoavi.loss import (
     LossBreakdown,
     VariationalState,
     _reconstruction_sum_raw,
+    _state_loss,
     kl_gaussian,
     total_loss,
 )
@@ -157,17 +158,13 @@ class TestClosedFormChannelUpdate:
             assert total_loss(obs, perturbed, prior).total >= f_best - 1e-12
 
 
-def _gradient(obs, state, noise_variance=None):
-    """_aoa_gradient_raw at the state, as estimate() calls it unless another
-    noise variance is given."""
-    return _aoa_gradient_raw(
-        obs.signal,
-        obs.array,
-        state.aoa_estimate.angles,
-        state.channel_means,
-        state.channel_covariance,
-        obs.noise_variance if noise_variance is None else noise_variance,
-    )
+def _gradient(obs, state, prior, noise_variance=None):
+    """The AoA gradient _state_loss gives at the state, as estimate()
+    receives it unless another noise variance is given."""
+    if noise_variance is not None:
+        obs = dataclasses.replace(obs, noise_variance=noise_variance)
+    angles, means, cov = state.aoa_estimate.angles, state.channel_means, state.channel_covariance
+    return _state_loss(obs, prior, angles, means, cov)[2]
 
 
 def _recon_at(obs, state, angles, prior) -> float:
@@ -184,7 +181,7 @@ class TestAoaGradientObserved:
             k = int(rng.integers(1, 4))
             m = int(rng.integers(1, 8))
             obs, state, prior, *_ = random_problem(rng, n=n, k=k, m=m)
-            grad = _gradient(obs, state)
+            grad = _gradient(obs, state, prior)
             h = 1e-6
             for j in range(k):
                 up = state.aoa_estimate.angles.copy()
@@ -211,59 +208,55 @@ class TestAoaGradientObserved:
             channel_covariance=np.zeros((1, 1), complex),
         )
         scale = np.sum(np.abs(gains) ** 2) * arr.n_antennas / 0.3
-        assert abs(_gradient(obs, state)[0]) < 1e-8 * scale
+        # the KL term is infinite at zero covariance, so the raw gradient
+        # (zero noise variance, which skips it) is normalized here
+        assert abs(_gradient(obs, state, None, noise_variance=0.0)[0] / 0.3) < 1e-8 * scale
 
     def test_normalization_flag_scales_by_variance(self):
         rng = make_rng(77)
-        obs, state, *_ = random_problem(rng, n=8, k=2, m=3)
-        g1 = _gradient(obs, state)
-        g0 = _gradient(obs, state, noise_variance=0.0)
+        obs, state, prior, *_ = random_problem(rng, n=8, k=2, m=3)
+        g1 = _gradient(obs, state, prior)
+        g0 = _gradient(obs, state, prior, noise_variance=0.0)
         assert np.max(np.abs(g0 - g1 * obs.noise_variance)) < 1e-9 * np.max(np.abs(g0))
 
 
-def _record(monkeypatch):
-    """Wrap the gradient and the reconstruction sum estimate() calls;
-    returns the list of ("grad", angles, gradient) and ("recon", angles,
-    sum) events in call order."""
+def _record(monkeypatch, replace=lambda g: g):
+    """Wrap the state evaluator and the trial sum estimate() calls, with
+    each state's gradient replaced by replace(gradient); returns the list
+    of ("recon", angles, sum) and ("grad", angles, gradient) events in call
+    order, a state's sum then the gradient estimate() receives."""
     events = []
+
+    def recording_state(obs, prior, angles, *rest):
+        entry, raw, g = _state_loss(obs, prior, angles, *rest)
+        g = replace(g)
+        events.append(("recon", np.array(angles), raw))
+        events.append(("grad", np.array(angles), g))
+        return entry, raw, g
 
     def recording_recon(signal, array, angles, *rest):
         value = _reconstruction_sum_raw(signal, array, angles, *rest)
         events.append(("recon", np.array(angles), value))
         return value
 
-    def recording_grad(signal, array, angles, *rest):
-        g = _aoa_gradient_raw(signal, array, angles, *rest)
-        events.append(("grad", np.array(angles), g))
-        return g
-
+    monkeypatch.setattr("aoavi.estimator._state_loss", recording_state)
     monkeypatch.setattr("aoavi.estimator._reconstruction_sum_raw", recording_recon)
-    monkeypatch.setattr("aoavi.estimator._aoa_gradient_raw", recording_grad)
     return events
 
 
 def _fake_gradients(monkeypatch, values):
-    """_record, with the gradients replaced by the given K = 1 values in
-    turn; returns the events."""
-    events = _record(monkeypatch)
+    """_record, with the states' gradients replaced by the given K = 1
+    values in turn; returns the events."""
     gradients = iter(values)
-
-    def fake_grad(signal, array, angles, *rest):
-        g = np.array([next(gradients)])
-        events.append(("grad", np.array(angles), g))
-        return g
-
-    monkeypatch.setattr("aoavi.estimator._aoa_gradient_raw", fake_grad)
-    return events
+    return _record(monkeypatch, lambda g: np.array([next(gradients)]))
 
 
-def _searches(events, stop_reason):
+def _searches(events):
     """The line searches in _record's events: (angles, gradient, trials)
     each, trials the scored (angles, sum) pairs in order. The sum after a
-    search's trials is the next trace entry's, unless the search stalled."""
+    search's trials is the next state's, unless the search stalled."""
     grads = [i for i, e in enumerate(events) if e[0] == "grad"]
-    ends = [i - 1 for i in grads[1:]]
-    ends.append(len(events) - (stop_reason != "line_search_stall"))
+    ends = [i - 1 for i in grads[1:]] + [len(events)]
     return [
         (events[i][1], events[i][2], [e[1:] for e in events[i + 1 : end]])
         for i, end in zip(grads, ends)
@@ -289,7 +282,7 @@ class TestAoaDescentStep:
     def _one_search(self, monkeypatch, obs, prior, sector, start):
         events = _record(monkeypatch)
         result = estimate(obs, prior, sector, cfg=self.ONE_SEARCH, initial_aoas=start)
-        ((angles, _g, trials),) = _searches(events, result.stop_reason)
+        ((angles, _g, trials),) = _searches(events)
         base = events[0][2]
         return result, angles, base, trials
 
@@ -348,7 +341,7 @@ class TestAoaDescentStep:
         assert result.stop_reason == "line_search_stall"
         assert result.iterations_used == 1
         assert result.line_search_evaluations == _MAX_HALVINGS + 1
-        ((_, _, trials),) = _searches(events, result.stop_reason)
+        ((_, _, trials),) = _searches(events)
         assert len(trials) == _MAX_HALVINGS + 1
         for i, (trial, recon) in enumerate(trials):
             assert trial[0] == aoas.angles[0] - _MAX_FIRST_STEP_RAD * 0.5**i
@@ -510,9 +503,7 @@ class TestEstimate:
         """With the gradient negated every line-search trial ascends; the
         stall must stop the descent unconverged, without repeating the
         last trace entry."""
-        monkeypatch.setattr(
-            "aoavi.estimator._aoa_gradient_raw", lambda *args: -_aoa_gradient_raw(*args)
-        )
+        _record(monkeypatch, lambda g: -g)
         rng = make_rng(92)
         obs, prior, aoas = self._scenario(rng, snr_db=10.0)
         sector = Sector(center=0.0, width=2 * math.pi / 3)
@@ -527,25 +518,73 @@ class TestEstimate:
     def test_non_finite_gradient_stalls_without_scoring_a_trial(self, monkeypatch):
         """An inf gradient cannot give a finite trial step: the search
         reports a stall at once and no NaN trial angle is scored."""
-        scored = []
-
-        def recording_recon(signal, array, angles, *rest):
-            scored.append(np.array(angles))
-            return _reconstruction_sum_raw(signal, array, angles, *rest)
-
-        monkeypatch.setattr("aoavi.estimator._reconstruction_sum_raw", recording_recon)
-        monkeypatch.setattr(
-            "aoavi.estimator._aoa_gradient_raw",
-            lambda *args: np.full_like(_aoa_gradient_raw(*args), math.inf),
-        )
+        events = _record(monkeypatch, lambda g: np.full_like(g, math.inf))
         rng = make_rng(92)
         obs, prior, aoas = self._scenario(rng, snr_db=10.0)
         sector = Sector(center=0.0, width=2 * math.pi / 3)
         result = estimate(obs, prior, sector, initial_aoas=[aoas.angles[0] + 0.01])
         assert result.stop_reason == "line_search_stall"
         assert result.iterations_used == 1 and result.line_search_evaluations == 0
+        scored = [angles for kind, angles, _ in events if kind == "recon"]
         assert len(scored) == 1 and np.all(np.isfinite(scored[0]))
         assert np.all(np.isfinite(result.state.aoa_estimate.angles))
+
+    def test_rising_state_is_not_appended(self, monkeypatch):
+        """A state whose loss is a few ulps above the last entry's, as
+        round-off can make it, ends the run as loss_plateau at the last
+        entry's state: the trace stays exactly non-increasing and its last
+        entry equals total_loss at the returned state."""
+        states = []
+
+        def rising_third(obs, prior, angles, means, cov):
+            entry, raw, g = _state_loss(obs, prior, angles, means, cov)
+            states.append((np.array(angles), means, cov, entry.total))
+            if len(states) == 3:
+                previous = states[1][3]
+                rise = previous - entry.total + 4 * np.spacing(previous)
+                entry = LossBreakdown(entry.kl_term, entry.reconstruction_term + rise)
+                assert entry.total > previous
+            return entry, raw, g
+
+        monkeypatch.setattr("aoavi.estimator._state_loss", rising_third)
+        rng = make_rng(92)
+        obs, prior, aoas = self._scenario(rng, snr_db=10.0)
+        sector = Sector(center=0.0, width=2 * math.pi / 3)
+        result = estimate(obs, prior, sector, initial_aoas=[aoas.angles[0] + 0.01])
+        assert len(states) == 3
+        assert result.stop_reason == "loss_plateau"
+        assert result.iterations_used == 2
+        angles, means, cov, total = states[1]
+        assert np.array_equal(result.state.aoa_estimate.angles, angles)
+        assert np.array_equal(result.state.channel_means, means)
+        assert np.array_equal(result.state.channel_covariance, cov)
+        assert result.loss_trace[-1].total == total
+        assert total_loss(obs, result.state, prior) == result.loss_trace[-1]
+
+    def test_large_m_block_ends_at_a_plateau(self):
+        """A block of 20000 snapshots (loss near 7e5) whose state after the
+        last move rose by about 1e-9 in round-off on x86-64 with OpenBLAS;
+        appended, the rise made EstimationResult raise, and run_benchmark
+        counted the block as a failed trial."""
+        scenario = scenario_from_dict(
+            {
+                "array": {"n_antennas": 32, "spacing_ratio": 0.5},
+                "prior": {"mean": [[1.0, 0.0]], "covariance": [[[0.1, 0.0]]]},
+                "aoas_deg": "random-in-sector",
+                "n_snapshots": 20000,
+                "snr_db_list": [0.0, 10.0, 20.0],
+                "n_trials": 10,
+                "master_seed": 301,
+                "sector": {"center_deg": 0.0, "width_deg": 120.0},
+                "grid_step_deg": 0.5,
+            }
+        )
+        _, _, _, obs = _trial_block(scenario, 1, 9)
+        result = _estimate(scenario, obs)
+        assert result.stop_reason == "loss_plateau"
+        totals = [b.total for b in result.loss_trace]
+        assert all(b <= a for a, b in zip(totals, totals[1:]))
+        assert total_loss(obs, result.state, scenario.prior) == result.loss_trace[-1]
 
     def test_budget_hit_is_not_converged(self):
         """A budget smaller than the descent needs stops at the budget,
@@ -656,6 +695,34 @@ class TestEstimate:
         assert len(hits) == 12
 
 
+class TestSteeringBuilds:
+    """The estimator builds the steering matrix once per state, for the
+    channel update. The loss module builds it once per state, for the
+    trace entry and the AoA gradient together, and once per line-search
+    trial."""
+
+    def test_one_build_per_state_in_each_module(self, monkeypatch):
+        rng = make_rng(131)
+        arr = ArrayConfig(16, 0.5)
+        prior = random_prior(2, rng)
+        aoas = AoAVector(np.radians([-20.0, 25.0]))
+        obs = synthesize_observation(arr, aoas, sample_channel(prior, 10, rng), 0.1, rng)
+        sector = Sector(center=0.0, width=math.radians(120.0))
+        counts = {"estimator": 0, "loss": 0}
+        for module in counts:
+
+            def counted(*args, _module=module):
+                counts[_module] += 1
+                return array_matrix(*args)
+
+            monkeypatch.setattr(f"aoavi.{module}.array_matrix", counted)
+
+        result = estimate(obs, prior, sector, sector_grid(sector, math.radians(0.5)))
+        entries = result.iterations_used
+        assert result.stop_reason == "loss_plateau" and entries > 2
+        assert counts == {"estimator": entries, "loss": entries + result.line_search_evaluations}
+
+
 class TestLinalgCallBudget:
     """Each matrix is factorized once: the channel update solves its K x K
     system once per trace entry, the KL term reads the prior's stored
@@ -720,7 +787,7 @@ class TestLineSearchStart:
         obs, prior, sector, grid = self._block()
         events = _record(monkeypatch)
         result = estimate(obs, prior, sector, grid)
-        searches = _searches(events, result.stop_reason)
+        searches = _searches(events)
         assert len(searches) == result.iterations_used - 1
         recon_calls = sum(e[0] == "recon" for e in events)
         assert result.line_search_evaluations == recon_calls - result.iterations_used
@@ -764,7 +831,7 @@ class TestLineSearchStart:
         monkeypatch.setattr("aoavi.estimator._LOSS_TOLERANCE", 1e-300)
         events = _fake_gradients(monkeypatch, gradients)
         result = estimate(obs, prior, sector, initial_aoas=[math.radians(start_deg)])
-        searches = _searches(events, result.stop_reason)
+        searches = _searches(events)
         assert len(searches) == 2
         assert searches[1][0][0] != math.radians(start_deg)  # the first search moved
         for angles, g, trials in searches:
@@ -784,7 +851,7 @@ class TestLineSearchStart:
             warnings.simplefilter("error")
             result = estimate(obs, prior, sector, initial_aoas=[truth + 0.01])
         assert result.stop_reason == "line_search_stall"
-        (a0, g0, _), (a1, g1, trials) = _searches(events, result.stop_reason)
+        (a0, g0, _), (a1, g1, trials) = _searches(events)
         assert len(trials) == _MAX_HALVINGS + 1
         bb = _exact_bb2(a1, a0, g1, g0)
         assert bb == (Fraction(a0[0]) - Fraction(a1[0])) / (2 * Fraction(1e308))
@@ -804,7 +871,7 @@ class TestLineSearchStart:
         result = estimate(obs, prior, sector, initial_aoas=[truth + 0.03])
         assert result.stop_reason == "line_search_stall"
         assert result.iterations_used == 3
-        *earlier, (start, _g, trials) = _searches(events, result.stop_reason)
+        *earlier, (start, _g, trials) = _searches(events)
         base = events[max(i for i, e in enumerate(events) if e[0] == "grad") - 1][2]
         *rejected, (last, recon) = trials
         assert 0 < len(rejected) < _MAX_HALVINGS
@@ -826,7 +893,7 @@ class TestLineSearchStart:
             warnings.simplefilter("error", RuntimeWarning)
             result = estimate(obs, prior, sector, initial_aoas=[truth + 0.01])
         assert result.converged
-        searches = _searches(events, result.stop_reason)
+        searches = _searches(events)
         assert len(searches) > 2
         for i, (angles, g, trials) in enumerate(searches):
             assert np.max(np.abs(g)) > 1.4e154  # so |g|^2 overflows

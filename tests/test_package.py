@@ -9,7 +9,7 @@ from pathlib import Path
 
 import aoavi
 from aoavi import landscape, loss
-from aoavi.estimator import EstimationResult, OptimizerConfig, _aoa_gradient_raw
+from aoavi.estimator import EstimationResult, OptimizerConfig
 from aoavi.harness import landscape_config_from_dict, scenario_from_dict
 from aoavi.landscape import AxisSpec, StationaryPointSet
 from aoavi.loss import LossBreakdown
@@ -40,20 +40,23 @@ def test_public_names_resolve_once_and_exclude_removed_helpers():
 
 def test_removed_options_and_constructors_stay_removed():
     assert not hasattr(Sector, "full_range")
+    assert not hasattr(aoavi.estimator, "_aoa_gradient_raw")
     assert not hasattr(aoavi.signal_model, "array_response")
     removed = {
-        _aoa_gradient_raw: "normalized",
+        loss._state_loss: "normalized",
         landscape.evaluate_surface: "noise_variance",
         landscape.stationary_points: "tol",
     }
     for fn, param in removed.items():
         assert param not in inspect.signature(fn).parameters, fn.__name__
     # the loss term has one normalizer (total_loss), the population oracle
-    # lives in tests/conftest.py, and the polar form is np.abs / np.angle
+    # lives in tests/conftest.py, the polar form is np.abs / np.angle, and
+    # one state evaluator gives each trace entry and its AoA gradient
     for name in (
         "expected_reconstruction_observed",
         "population_reconstruction",
         "recover_path_parameters",
+        "_breakdown",
     ):
         assert not hasattr(loss, name), name
         assert not hasattr(aoavi, name), name
