@@ -32,11 +32,12 @@ from .landscape import (
     LossSurface,
     _check_axes,
     _check_scan_step,
+    _check_true_angle,
     enumerate_global_optima,
     evaluate_surface,
     stationary_points,
 )
-from .preprocess import AngleGrid, Sector, sector_grid
+from .preprocess import _MAX_GRID_POINTS, AngleGrid, Sector, sector_grid
 from .signal_model import (
     AoAVector,
     ArrayConfig,
@@ -101,9 +102,19 @@ class Scenario:
             raise ValueError("snr_db_list must be nonempty")
         for snr in self.snr_db_list:
             _snr_ratio(snr)  # a bad SNR fails here, not in a trial draw
+        # compared by value, so 0.0 and -0.0 are one SNR; the metadata is keyed by SNR
+        if len(set(self.snr_db_list)) < len(self.snr_db_list):
+            raise ValueError("snr_db_list must not repeat an SNR")
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be at least 1")
-        self.grid  # AngleGrid rejects a step that does not fit the sector
+        # AngleGrid rejects a step that does not fit the sector; the N x G
+        # steering matrix and the N x M block share its resource guard
+        for name, size in (
+            ("the grid points of sector and grid_step_deg", self.grid.n_points),
+            ("n_snapshots", self.n_snapshots),
+        ):
+            if self.array.n_antennas * size > _MAX_GRID_POINTS:
+                raise ValueError(f"array.n_antennas x {name} exceeds the 1e7-entry resource guard")
         if not self.suppression_radius >= 0:  # NaN fails too
             raise ValueError("suppression_radius must be non-negative")
         if self.aoas is not None and self.aoas.k_users != self.prior.k_users:
@@ -508,9 +519,8 @@ class LandscapeConfig:
     surface_axes: Optional[tuple[AxisSpec, ...]]
 
     def __post_init__(self):
-        if not abs(self.true_angle) <= math.pi / 2:  # NaN fails too
-            raise ValueError("true_angle must lie in [-pi/2, pi/2]")
         # the export's rules, checked before it writes anything
+        _check_true_angle(self.true_angle)
         _check_scan_step(self.array, self.scan_step)
         AngleGrid(-math.pi / 2, math.pi / 2, self.scan_step)  # the scan's size guard
         if self.surface_axes is not None:

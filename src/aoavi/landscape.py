@@ -38,7 +38,6 @@ import numpy as np
 from .preprocess import _MAX_GRID_POINTS, AngleGrid
 from .signal_model import _ANGLE_BOUND, ArrayConfig, _frozen
 
-_HALF_PI = math.pi / 2.0
 # |detector value| every returned root must satisfy
 _RESIDUAL_TOL = 1e-8
 # bracket width at which bisection may stop, radians
@@ -151,6 +150,12 @@ class LossSurface:
         object.__setattr__(self, "values", vals)
 
 
+def _check_true_angle(true_angle: float) -> None:
+    """The half-space rule of AoAVector for every true_angle argument."""
+    if not abs(true_angle) <= _ANGLE_BOUND:  # NaN fails too
+        raise ValueError("true_angle must lie in [-pi/2, pi/2]")
+
+
 def enumerate_global_optima(array: ArrayConfig, true_angle: float) -> GlobalOptimaSet:
     """Every angle in [-pi/2, pi/2] whose steering vector matches the true
     one up to per-element phase wrapping.
@@ -158,8 +163,7 @@ def enumerate_global_optima(array: ArrayConfig, true_angle: float) -> GlobalOpti
     sin(alias) = sin(true) - l * lambda/d for every integer l keeping the
     right side in [-1, 1]. Half-wavelength spacing admits only l = 0.
     """
-    if not abs(true_angle) <= _HALF_PI:  # NaN fails too
-        raise ValueError("true_angle must lie in [-pi/2, pi/2]")
+    _check_true_angle(true_angle)
     r = array.spacing_ratio
     s = math.sin(true_angle)
     # tolerate float dust on exactly-integer bounds in both directions
@@ -315,11 +319,12 @@ def stationary_points(
     1/(2 * (d/lambda) * (N-1)) radians near broadside.
     Intervals inside a pole guard band are screened with the exact finite
     sum instead of the divergent asymptotic ratio. The two ends +-pi/2
-    (roots of the cos factor) are always included. A root within 1e-4 rad
-    of the true angle is dropped: the condition vanishes identically at
-    the truth (its two phase arguments coincide), and that point is the
-    global optimum rather than a spurious attractor.
+    (roots of the cos factor) are always included, scored the same way.
+    A root within 1e-4 rad of the true angle is dropped: the condition
+    vanishes identically at the truth (its two phase arguments coincide),
+    and that point is the global optimum rather than a spurious attractor.
     """
+    _check_true_angle(true_angle)
     n_ant = array.n_antennas
     if n_ant < 16:
         warnings.warn("asymptotic stationary condition is unreliable below 16 antennas")
@@ -331,12 +336,16 @@ def stationary_points(
     def fsum_scaled(x: np.ndarray) -> np.ndarray:
         return stationary_condition_finite_sum(array, true_angle, x) / (n_ant - 1)
 
+    def near_pole(x: np.ndarray, fx: np.ndarray) -> np.ndarray:
+        bad = ~np.isfinite(fx)
+        for pole in (0.0, -true_angle):
+            bad |= np.abs(x - pole) < _GUARD_BAND
+        return bad
+
     xs = search.angles()
     f_lhs = lhs(xs)
     # an interval is guarded when either end is near a pole or non-finite
-    bad = ~np.isfinite(f_lhs)
-    for pole in (0.0, -true_angle):
-        bad |= np.abs(xs - pole) < _GUARD_BAND
+    bad = near_pole(xs, f_lhs)
     guarded = bad[:-1] | bad[1:]
     ends = np.zeros(xs.size, dtype=bool)
     ends[:-1] |= guarded
@@ -349,8 +358,12 @@ def stationary_points(
         _bracket_and_bisect(fsum_scaled, xs, f_sum, guarded),
     ]
     lo, hi = float(xs[0]) - search.step, float(xs[-1]) + search.step
-    edges = np.array([e for e in (-_HALF_PI, _HALF_PI) if lo <= e <= hi])
-    found.append((np.full(edges.size, xs.size), edges, np.abs(lhs(edges))))
+    edges = np.array([e for e in (-math.pi / 2, math.pi / 2) if lo <= e <= hi])
+    # an end at the pole -true_angle (a true angle at +-pi/2) is scored by
+    # the finite sum, as a guarded interval is
+    f_edges = lhs(edges)
+    f_edges = np.where(near_pole(edges, f_edges), fsum_scaled(edges), f_edges)
+    found.append((np.full(edges.size, xs.size), edges, np.abs(f_edges)))
     order_key, angles, residuals = (np.concatenate(parts) for parts in zip(*found))
 
     outside = np.abs(angles - true_angle) > _TRUE_ANGLE_WINDOW
@@ -390,15 +403,17 @@ def evaluate_surface(
         ||a(true) - a(v) e^{j phi}||^2 = 2N - 2 [C(v) cos phi + S(v) sin phi]
 
     with C + jS = sum_n exp(j n alpha (sin v - sin true)), alpha =
-    2 pi d/lambda. C and S are accumulated one antenna at a time, so no
-    N x T matrix is built, and the values are formed in place: the
-    returned array is the only grid-sized one. The grid may not exceed 1e7
-    points, and the two axes must vary different coordinates.
+    2 pi d/lambda. C is accumulated one antenna at a time, so no N x T
+    matrix is built; its ratio form would lose all precision at g near
+    2 pi k. S takes its closed form sin((N-1)g/2) sin(Ng/2) / sin(g/2),
+    g = alpha (sin v - sin true), and is 0 where sin(g/2) is exactly 0.
+    The values are formed in place: the returned array is the only
+    grid-sized one. The grid may not exceed 1e7 points, and the two axes
+    must vary different coordinates.
     """
     axes = tuple(axes)
     _check_axes(axes)
-    if not abs(true_angle) <= _HALF_PI:  # NaN fails too
-        raise ValueError("true_angle must lie in [-pi/2, pi/2]")
+    _check_true_angle(true_angle)
     by_target = {ax.target: ax.values() for ax in axes}
     v = by_target.get("aoa", np.array([true_angle]))
     phi = by_target.get("path_angle", np.zeros(1))
@@ -406,10 +421,11 @@ def evaluate_surface(
 
     gap = 2.0 * np.pi * array.spacing_ratio * (np.sin(v) - math.sin(true_angle))
     c = np.zeros_like(gap)
-    s = np.zeros_like(gap)
     for i in range(n):
         c += np.cos(i * gap)
-        s += np.sin(i * gap)
+    half = np.sin(0.5 * gap)
+    s = np.sin(0.5 * (n - 1) * gap) * np.sin(0.5 * n * gap)
+    s = np.divide(s, half, out=np.zeros_like(gap), where=half != 0.0)
 
     values = np.empty(tuple(ax.num for ax in axes))
     # the same memory seen as an (AoA, path angle) grid, whatever the axis order

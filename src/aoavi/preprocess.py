@@ -8,17 +8,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .signal_model import AoAVector, ArrayConfig, ObservationSet, _steering
+from .signal_model import _ANGLE_BOUND, AoAVector, ArrayConfig, ObservationSet, _steering
 
-_HALF_PI = np.pi / 2
-# resource guard on grid sizes, shared with the landscape surfaces
+# resource guard on grid sizes, shared with the landscape surfaces and with
+# a scenario's N x G steering matrix and N x M block
 _MAX_GRID_POINTS = 10**7
 
 
 @dataclass(frozen=True)
 class AngleGrid:
-    """Uniform inclusive grid of candidate angles, radians; at most 1e7
-    points."""
+    """Uniform inclusive grid of candidate angles, radians, within
+    [-pi/2, pi/2] up to AoAVector's 1e-12 of rounding; at most 1e7 points."""
 
     min_angle: float
     max_angle: float
@@ -27,13 +27,16 @@ class AngleGrid:
     def __post_init__(self):
         if not self.min_angle < self.max_angle:
             raise ValueError("min_angle must be < max_angle")
-        if abs(self.min_angle) > _HALF_PI + 1e-9 or abs(self.max_angle) > _HALF_PI + 1e-9:
+        if not (self.min_angle >= -_ANGLE_BOUND and self.max_angle <= _ANGLE_BOUND):
             raise ValueError("grid must lie within [-pi/2, pi/2]")
         if not (self.step > 0 and (self.max_angle - self.min_angle) / self.step >= 1):
             raise ValueError("step must be > 0 and span at least one step")
         # n_points > _MAX_GRID_POINTS, with no int() of an overflowing count
         if (self.max_angle - self.min_angle) / self.step + 1e-9 >= _MAX_GRID_POINTS:
             raise ValueError("grid exceeds the 1e7-point resource guard")
+        # n_points' rounding tolerance can put the last angle past max_angle
+        if not self.min_angle + self.step * (self.n_points - 1) <= _ANGLE_BOUND:
+            raise ValueError("grid must lie within [-pi/2, pi/2]")
 
     @property
     def n_points(self) -> int:
@@ -46,12 +49,8 @@ class AngleGrid:
 
 @dataclass(frozen=True)
 class Sector:
-    """Angular search sector [center - width/2, center + width/2], radians.
-
-    The sector may spill past +-pi/2 by 1e-9 of rounding; lo and hi are
-    clipped to [-pi/2, pi/2], so every user of the bounds sees the same
-    range.
-    """
+    """Angular search sector [lo, hi] = [center - width/2, center + width/2],
+    radians, within [-pi/2, pi/2] up to AoAVector's 1e-12 of rounding."""
 
     center: float
     width: float
@@ -60,19 +59,16 @@ class Sector:
         if not self.width > 0:
             raise ValueError("width must be positive")
         # written so that a NaN center or width fails the check
-        if not (
-            self.center - self.width / 2 >= -_HALF_PI - 1e-9
-            and self.center + self.width / 2 <= _HALF_PI + 1e-9
-        ):
+        if not (self.lo >= -_ANGLE_BOUND and self.hi <= _ANGLE_BOUND):
             raise ValueError("sector must be finite and lie within [-pi/2, pi/2]")
 
     @property
     def lo(self) -> float:
-        return max(self.center - self.width / 2, -_HALF_PI)
+        return self.center - self.width / 2
 
     @property
     def hi(self) -> float:
-        return min(self.center + self.width / 2, _HALF_PI)
+        return self.center + self.width / 2
 
 
 def empirical_covariance(obs: ObservationSet) -> np.ndarray:
@@ -151,8 +147,7 @@ def pseudo_labels(
 ) -> AoAVector:
     """One grid angle per user: the K largest distinct peaks of the
     codebook correlation, picked by ``_pick_peaks`` (ties toward the
-    smaller angle), sorted ascending. A grid may spill 1e-9 past +-pi/2,
-    so the angles are clipped to [-pi/2, pi/2] as Sector.lo/hi are.
+    smaller angle), sorted ascending.
 
     ``suppression_radius`` (radians) is the minimum separation between
     picks; the default 0 takes the K largest strict local maxima.
@@ -164,7 +159,7 @@ def pseudo_labels(
     corr = _correlation_profile(obs, grid)
     angles = _grid_angles(grid)
     order, _degraded = _pick_peaks(corr, angles, k_users, suppression_radius)
-    return AoAVector(np.clip(angles[order], -_HALF_PI, _HALF_PI))
+    return AoAVector(angles[order])
 
 
 def sector_grid(sector: Sector, step: float) -> AngleGrid:

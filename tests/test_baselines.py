@@ -158,8 +158,7 @@ class TestMusicEstimate:
         peaks = tuple(float(angles[i]) for i in chosen)
         corr = np.abs(np.sum(obs.signal, axis=1).conj() @ steer) / obs.n_snapshots
         order, _ = _pick_peaks(corr, angles, k)
-        labels = np.clip(angles[order], -math.pi / 2, math.pi / 2)
-        return values, peaks, degraded, labels
+        return values, peaks, degraded, angles[order]
 
     @pytest.mark.parametrize("spacing", [0.5, 2.0])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -246,6 +245,21 @@ class TestMusicEstimate:
         with pytest.raises(ValueError):
             music_estimate(obs, grid, 4)  # N = K leaves no noise subspace
 
+    def test_peak_past_the_half_space_end_is_a_valid_aoa(self):
+        """A grid end within AngleGrid's 1e-12 of -pi/2 is within AoAVector's
+        too: the peak there feeds ls_channel, and is the pseudo-label."""
+        rng = make_rng(136)
+        arr = ArrayConfig(8, 0.5)
+        grid = AngleGrid(-math.pi / 2 - 5e-13, 0.0, math.radians(0.5))
+        prior = ChannelPrior(mean=np.ones(1, complex), covariance=np.eye(1, dtype=complex))
+        aoas = AoAVector(np.radians([-89.9]))
+        obs = synthesize_observation(arr, aoas, sample_channel(prior, 10, rng), 0.0, rng)
+        spectrum = music_estimate(obs, grid, 1)
+        assert spectrum.peaks == (-math.pi / 2 - 5e-13,)
+        gains = ls_channel(obs, AoAVector(np.array(spectrum.peaks)))
+        assert gains.shape == (1, 10)
+        assert pseudo_labels(obs, grid, 1).angles.tolist() == list(spectrum.peaks)
+
     def test_spectrum_type_invariants(self):
         grid = AngleGrid(-1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
@@ -277,8 +291,8 @@ class TestMusicSpectrum:
         [
             AngleGrid(-1.0, 1.0, 0.5),
             AngleGrid(-0.3, 0.4, 0.013),
-            # ends 1e-9 past +-pi/2, the most AngleGrid admits
-            AngleGrid(-math.pi / 2 - 1e-9, math.pi / 2 + 1e-9, math.radians(1.0)),
+            # ends 5e-13 past +-pi/2, within the 1e-12 AngleGrid admits
+            AngleGrid(-math.pi / 2 - 5e-13, math.pi / 2 + 5e-13, math.radians(1.0)),
             # a step of 2e-12 puts the midpoints at the 1e-12 tolerance
             AngleGrid(0.1, 0.1 + 8e-12, 2e-12),
         ],

@@ -156,6 +156,8 @@ class TestExitCodes:
             ({"snr_db_list": [20.0, -math.inf]}, "positive finite linear SNR"),
             ({"snr_db_list": [-4000.0]}, "positive finite linear SNR"),
             ({"snr_db_list": [True]}, "'snr_db_list[0]' must be a number"),
+            ({"snr_db_list": [10.0, 10.0]}, "snr_db_list must not repeat an SNR"),
+            ({"snr_db_list": [0.0, -0.0]}, "snr_db_list must not repeat an SNR"),
         ],
     )
     def test_non_finite_prior_or_bad_snr_is_config_error(
@@ -167,6 +169,17 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert "config error" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("center_deg", [5e-8, -5e-8])
+    def test_sector_past_the_half_space_is_config_error(self, tmp_path, capsys, center_deg):
+        # 8.7e-10 rad past +-pi/2: more than the 1e-12 of rounding an angle may carry
+        payload = _scenario_payload(sector={"center_deg": center_deg, "width_deg": 180.0})
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", _write_config(tmp_path, payload), "--out-dir", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "sector must be finite and lie within" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -523,6 +523,44 @@ class TestScenarioFromDict:
             scenario_from_dict(d)
 
     @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            # 6,000,001 grid points: a 3.07 GB steering matrix at N = 32
+            (
+                {
+                    "array": {"n_antennas": 32, "spacing_ratio": 0.5},
+                    "sector": {"center_deg": 0.0, "width_deg": 120.0},
+                    "grid_step_deg": 2e-5,
+                },
+                "grid_step_deg",
+            ),
+            # 201 grid points: 3.2 GB at N = 1e6
+            ({"array": {"n_antennas": 10**6, "spacing_ratio": 0.5}}, "grid_step_deg"),
+            ({"n_snapshots": 10**7 // 16 + 1}, "n_snapshots"),
+        ],
+    )
+    def test_steering_matrix_or_block_over_the_size_guard_rejected(self, overrides, field):
+        """Only parsed: a config over the guard is never run here."""
+        d = dict(_full_scenario_dict(), **overrides)
+        with pytest.raises(
+            ConfigError, match=rf"array\.n_antennas x .*{field} exceeds the 1e7-entry resource guard"
+        ):
+            scenario_from_dict(d)
+
+    def test_block_at_the_size_guard_accepted(self):
+        d = dict(_full_scenario_dict(), n_snapshots=10**7 // 16)
+        assert scenario_from_dict(d).n_snapshots * 16 == 10**7
+
+    @pytest.mark.parametrize(
+        "snrs", [[10.0, 10.0], [0.0, 20.0, -0.0], [math.inf, 5, math.inf]], ids=str
+    )
+    def test_repeated_snr_rejected(self, snrs):
+        # the metadata side-car keys each row's runtime and diagnostics by SNR
+        d = dict(_full_scenario_dict(), snr_db_list=snrs)
+        with pytest.raises(ConfigError, match="snr_db_list must not repeat an SNR"):
+            scenario_from_dict(d)
+
+    @pytest.mark.parametrize(
         "path",
         [
             "n_trials",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import aoavi.landscape
+from aoavi.harness import LandscapeConfig
 from aoavi.landscape import (
     AxisSpec,
     GlobalOptimaSet,
@@ -340,6 +341,12 @@ class TestStationaryPoints:
         # plus the scan and the +-pi/2 endpoints
         assert len(calls) <= depth + 2
 
+    @pytest.mark.parametrize("bad", [math.nan, 2.0])
+    def test_true_angle_outside_the_half_space_rejected(self, bad):
+        search = AngleGrid(-math.pi / 2, math.pi / 2, SCAN_STEP)
+        with pytest.raises(ValueError, match=r"true_angle must lie in \[-pi/2, pi/2\]"):
+            stationary_points(ArrayConfig(32, 0.5), bad, search)
+
     def test_type_rejects_large_residuals(self):
         with pytest.raises(ValueError):
             StationaryPointSet(angles=(0.1,), residuals=(1.0,))
@@ -497,3 +504,26 @@ class TestEvaluateSurface:
         for bad in (2.0, math.nan):
             with pytest.raises(ValueError, match="true_angle"):
                 evaluate_surface([_aoa_axis(5)], ArrayConfig(8, 0.5), bad)
+
+    def test_closed_form_s_is_zero_where_its_denominator_is(self):
+        # the AoA axis meets the true angle exactly, where sin(g/2) = 0;
+        # there C = N and S = 0, with no RuntimeWarning from the division
+        arr = ArrayConfig(8, 0.5)
+        phase = _phase_axis(7, -3.0, 3.0)
+        surface = evaluate_surface([_aoa_axis(3, -0.4, 0.4), phase], arr, 0.4)
+        at_truth = 2.0 * arr.n_antennas * (1.0 - np.cos(phase.values()))
+        assert np.max(np.abs(surface.values[2] - at_truth)) <= 1e-12 * 4 * arr.n_antennas
+
+
+@pytest.mark.parametrize("edge", [math.pi / 2 + 5e-13, -math.pi / 2 - 5e-13, math.pi / 2])
+def test_true_angle_within_the_angle_bound_accepted_by_every_entry_point(edge):
+    """+-pi/2 and AoAVector's 1e-12 of rounding past it are a valid true
+    angle for each landscape entry point and for the export's config. The
+    pole -true_angle then sits at the other end of the scan."""
+    AoAVector(np.array([edge]))
+    arr = ArrayConfig(32, 0.5)
+    step = math.radians(0.05)
+    assert edge in enumerate_global_optima(arr, edge).alias_angles
+    evaluate_surface([_aoa_axis(5)], arr, edge)
+    stationary_points(arr, edge, AngleGrid(-math.pi / 2, math.pi / 2, step))
+    LandscapeConfig(array=arr, true_angle=edge, scan_step=step, surface_axes=None)

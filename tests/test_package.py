@@ -71,6 +71,14 @@ def test_removed_options_and_constructors_stay_removed():
     assert not hasattr(LossBreakdown, "from_parts")
 
 
+def test_one_half_space_bound():
+    # every angle bound reads signal_model._ANGLE_BOUND; no module keeps
+    # its own pi/2 with a tolerance of its own
+    for module in (aoavi.preprocess, landscape):
+        assert not hasattr(module, "_HALF_PI"), module.__name__
+        assert module._ANGLE_BOUND is aoavi.signal_model._ANGLE_BOUND
+
+
 def test_result_types_hold_only_what_is_read():
     assert not hasattr(aoavi.preprocess, "PseudoLabels")
     assert [f.name for f in dataclasses.fields(ChannelRealization)] == ["gains"]

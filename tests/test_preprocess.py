@@ -52,6 +52,23 @@ class TestAngleGrid:
         # the finest grid in use: acceptance 04's 0.001 deg scan
         assert AngleGrid(-math.pi / 2, math.pi / 2, math.radians(0.001)).n_points == 180_001
 
+    @pytest.mark.parametrize("spill", [1e-9, 1.1e-12])
+    def test_ends_past_the_angle_bound_rejected(self, spill):
+        # the AoAVector rule: 1e-12 of rounding past +-pi/2, no more
+        for lo, hi in ((-math.pi / 2 - spill, 0.0), (0.0, math.pi / 2 + spill)):
+            with pytest.raises(ValueError, match=r"\[-pi/2, pi/2\]"):
+                AngleGrid(lo, hi, 0.01)
+        g = AngleGrid(-math.pi / 2 - 5e-13, math.pi / 2 + 5e-13, math.radians(1.0))
+        assert g.angles()[0] == -math.pi / 2 - 5e-13
+
+    def test_last_angle_past_the_angle_bound_rejected(self):
+        # span / step is 1e-9 short of 100, which n_points rounds up to a
+        # 101st angle 7.9e-12 past pi/2
+        step = (math.pi / 2) / (100 - 5e-10)
+        with pytest.raises(ValueError, match=r"\[-pi/2, pi/2\]"):
+            AngleGrid(0.0, math.pi / 2, step)
+        assert AngleGrid(0.0, math.pi / 2 - 1e-9, step).angles()[-1] < math.pi / 2
+
     def test_cached_angles_read_only_and_equal(self):
         g = AngleGrid(min_angle=-math.pi / 2, max_angle=math.pi / 2, step=math.radians(0.01))
         a = _grid_angles(g)
@@ -76,13 +93,18 @@ class TestSector:
         with pytest.raises(ValueError):
             Sector(center=center, width=width)
 
-    def test_bounds_clip_to_half_space(self):
+    def test_bounds_pass_a_spill_within_the_angle_bound_unclipped(self):
         s = Sector(center=0.0, width=math.pi)
-        assert abs(s.lo + math.pi / 2) < 1e-12
-        assert abs(s.hi - math.pi / 2) < 1e-12
-        # rounding spill the invariant tolerates is clipped exactly
-        spill = Sector(center=1e-10, width=math.pi + 1e-9)
-        assert (spill.lo, spill.hi) == (-math.pi / 2, math.pi / 2)
+        assert (s.lo, s.hi) == (-math.pi / 2, math.pi / 2)
+        # the AoAVector rule: 1e-12 of rounding past +-pi/2 is kept as it is
+        spill = Sector(center=0.0, width=math.pi + 1e-12)
+        assert (spill.lo, spill.hi) == (-math.pi / 2 - 5e-13, math.pi / 2 + 5e-13)
+        AoAVector(np.array([spill.lo, spill.hi]))
+
+    @pytest.mark.parametrize("center", [1e-9, -1e-9])
+    def test_spill_past_the_angle_bound_rejected(self, center):
+        with pytest.raises(ValueError, match=r"\[-pi/2, pi/2\]"):
+            Sector(center=center, width=math.pi)
 
 
 class TestEmpiricalCovariance:
@@ -229,16 +251,16 @@ class TestPseudoLabels:
         on_grid = np.abs(labels.angles[:, None] - grid.angles()[None, :]).min(axis=1)
         assert np.max(on_grid) < 1e-12
 
-    def test_labels_clip_to_half_space(self):
-        # AngleGrid accepts ends 1e-9 past -pi/2; the label is an AoAVector,
-        # clipped to [-pi/2, pi/2] as Sector.lo/hi are
+    def test_labels_are_grid_angles_past_the_half_space_end_unclipped(self):
+        # AngleGrid and AoAVector share the 1e-12 bound, so a grid end
+        # 5e-13 past -pi/2 is a valid label as it stands
         rng = make_rng(35)
         arr = ArrayConfig(8, 0.5)
-        grid = AngleGrid(-math.pi / 2 - 5e-10, 0.0, 0.01)
+        grid = AngleGrid(-math.pi / 2 - 5e-13, 0.0, 0.01)
         obs = _noiseless_obs(arr, [-90.0], [[1.0]], rng)
         labels = pseudo_labels(obs, grid, 1)
         assert isinstance(labels, AoAVector)
-        assert labels.angles.tolist() == [-math.pi / 2]
+        assert labels.angles.tolist() == [-math.pi / 2 - 5e-13]
 
     def test_grid_too_small_rejected(self):
         rng = make_rng(30)

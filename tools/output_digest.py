@@ -21,7 +21,12 @@ It prints, in order:
 - one digest of each optima, stationary and surface CSV of the
   ``LANDSCAPE_CONFIGS`` exports (``landscape config 2 surface: ...``), so
   that a change that moves one file shows which, then one digest of all
-  of them in that order.
+  of them in that order;
+- one digest of each CLI data artifact that ``aoavi simulate``,
+  ``aoavi estimate`` and ``aoavi benchmark --format json`` write for the
+  ``sweep_k1`` config at seed 301 with 2 trials (``observations.json``,
+  ``estimate.json``, ``benchmark.json``); the ``*_meta.json`` side-cars
+  hold wall-clock timings and are left out.
 
 The workload configs are read, not modified. BLAS is pinned to one thread,
 as in ``benchmarks/run.py``.
@@ -29,7 +34,9 @@ as in ``benchmarks/run.py``.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -45,10 +52,17 @@ sys.path[:0] = [str(_ROOT / "src"), str(_ROOT / "benchmarks")]
 import numpy as np  # noqa: E402
 
 import aoavi.harness as H  # noqa: E402
+from aoavi.cli import main as cli_main  # noqa: E402
 from workloads import LANDSCAPE_CONFIGS, WORKLOADS  # noqa: E402
 
 SEEDS = (301, 302, 303)
 WORKLOAD_ORDER = ("sweep_k1", "alias_grid", "sweep_multiuser")
+# (subcommand, extra arguments, data artifact) of the CLI digests
+CLI_RUNS = (
+    ("simulate", [], "observations.json"),
+    ("estimate", [], "estimate.json"),
+    ("benchmark", ["--format", "json"], "benchmark.json"),
+)
 
 
 def _result_bytes(result) -> bytes:
@@ -80,6 +94,24 @@ def _summary(rows) -> str:
         f" {stops};"
         f" median p50 iterations {iters:g}; median p50 trial sums {trials:g}"
     )
+
+
+def _cli_digests() -> None:
+    """Run each CLI subcommand on the sweep_k1 config at seed 301 with 2
+    trials, through cli.main into a temporary directory, and print the
+    digest of its data artifact."""
+    config = dict(WORKLOADS["sweep_k1"].scenario_configs(SEEDS[0])[0], n_trials=2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        for command, extra, artifact in CLI_RUNS:
+            out = Path(tmp) / command
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli_main([command, "--config", str(path), "--out-dir", str(out), *extra])
+            if rc != 0:
+                raise SystemExit(f"aoavi {command} exited with {rc}")
+            data = (out / artifact).read_bytes()
+            print(f"cli {command} {artifact}: {hashlib.sha256(data).hexdigest()}")
 
 
 def main() -> None:
@@ -123,6 +155,7 @@ def main() -> None:
                     print(f"landscape config {i} {key}: {hashlib.sha256(data).hexdigest()}")
                     landscape.update(data)
     print(f"landscape CSVs: {landscape.hexdigest()}")
+    _cli_digests()
 
 
 if __name__ == "__main__":
