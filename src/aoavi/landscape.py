@@ -6,7 +6,8 @@ Three kinds of structure are exposed:
   lattice in sin(theta) with pitch lambda/d (aliases beyond the true angle
   exist whenever the element spacing exceeds half a wavelength);
 * stationary points of the single-user accurate-channel slice, located by
-  a sign-change scan plus bisection of the large-N stationary condition
+  a sign-change scan plus lockstep ITP refinement (regula falsi kept on
+  bisection's schedule) of the large-N stationary condition
 
       cos(th) * [ cos(z*(N-1))/z - cos(e*(N-1))/e ] = 0,
       z = 2*a*sin(th),  e = a*(sin(theta_true) + sin(th)),  a = 2*pi*d/lambda,
@@ -40,8 +41,10 @@ from .signal_model import _ANGLE_BOUND, ArrayConfig, _frozen
 
 # |detector value| every returned root must satisfy
 _RESIDUAL_TOL = 1e-8
-# bracket width at which bisection may stop, radians
+# bracket width at which root refinement may stop, radians
 _ROOT_TOL = 1e-10
+# ITP truncation kappa_1, per unit of a bracket's initial width
+_ITP_KAPPA1 = 0.2
 # half-width of the pole guard bands, radians
 _GUARD_BAND = 1e-3
 # roots this close to the true angle are the optimum, not traps
@@ -192,8 +195,9 @@ def enumerate_global_optima(array: ArrayConfig, true_angle: float) -> GlobalOpti
 
 def _eta_zeta(array: ArrayConfig, true_angle: float, theta_hat: np.ndarray):
     alpha = 2.0 * np.pi * array.spacing_ratio
-    eta = alpha * (np.sin(true_angle) + np.sin(theta_hat))
-    zeta = 2.0 * alpha * np.sin(theta_hat)
+    sin_hat = np.sin(theta_hat)
+    eta = alpha * (np.sin(true_angle) + sin_hat)
+    zeta = 2.0 * alpha * sin_hat
     return eta, zeta
 
 
@@ -249,17 +253,24 @@ def exact_population_gradient(
     return -2.0 * channel_power * series
 
 
-def _bracket_and_bisect(f, xs: np.ndarray, fx: np.ndarray, usable: np.ndarray):
+def _bracket_and_refine(f, xs: np.ndarray, fx: np.ndarray, usable: np.ndarray):
     """Roots of the vectorized detector f on the scan intervals
     [xs[i], xs[i+1]] with usable[i] set, given its scan values fx.
 
     An exact zero at an interval's left end is a root as it stands; a strict
-    sign change is a bracket. All brackets are bisected in lockstep, one
-    call of f per step, each under the scalar rules: halve at the midpoint,
-    keep the half where fa * fm <= 0, report the endpoint with the smaller
-    |f|, and stop once the bracket is within 4 eps of machine width, or
-    within _ROOT_TOL with a residual well under the reporting tolerance
-    (at most 200 steps). Returns (interval index, root, residual) arrays.
+    sign change is a bracket. All brackets are refined in lockstep, one call
+    of f per step, each by the ITP step (Oliveira & Takahashi, ACM TOMS
+    47(1), 2021) with kappa_2 = 2 and n_0 = 0. The regula falsi point is
+    moved toward the midpoint by kappa_1 w^2 (w the bracket width), but by
+    no less than half the floor width, so that a point regula falsi has
+    already put on the root to round-off still crosses it. The result is
+    then projected into a window around the midpoint that keeps the bracket
+    on bisection's schedule: no bracket takes more steps than halving down
+    to the floor width would. Each step keeps the part where fa * fp <= 0,
+    reports the endpoint with the smaller |f|, and stops once the bracket is
+    within 4 eps of machine width, or within _ROOT_TOL with a residual well
+    under the reporting tolerance (at most 200 steps). Returns (interval
+    index, root, residual) arrays.
     """
     fa, fb = fx[:-1], fx[1:]
     at_zero = np.flatnonzero(usable & (fa == 0.0))
@@ -267,6 +278,10 @@ def _bracket_and_bisect(f, xs: np.ndarray, fx: np.ndarray, usable: np.ndarray):
         which = np.flatnonzero(usable & (fa != 0.0) & (fa * fb < 0.0))
     a, b, fa, fb = xs[which], xs[which + 1], fa[which], fb[which]
     floor_width = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
+    # kappa_1 of each bracket, and the halvings from its width to the floor
+    kappa1 = _ITP_KAPPA1 / (b - a)
+    mantissa, exponent = np.frexp((b - a) / floor_width)
+    halvings = exponent - (mantissa == 0.5)
     roots = np.empty(which.size)
     residuals = np.empty(which.size)
     live = np.arange(which.size)
@@ -274,22 +289,31 @@ def _bracket_and_bisect(f, xs: np.ndarray, fx: np.ndarray, usable: np.ndarray):
         if live.size == 0:
             break
         mid = 0.5 * (a + b)
-        fm = f(mid)
-        left = fa * fm <= 0.0
-        b, fb = np.where(left, mid, b), np.where(left, fm, fb)
-        a, fa = np.where(left, a, mid), np.where(left, fa, fm)
-        at_a = np.abs(fa) < np.abs(fb)
-        best = np.where(at_a, a, b)
-        best_res = np.where(at_a, np.abs(fa), np.abs(fb))
+        width = b - a
+        # the regula falsi point's offset from the midpoint, truncated by the
+        # shift and clipped to ITP's projection radius (ITP's epsilon is half
+        # the floor width)
+        offset = (b * fa - a * fb) / (fa - fb) - mid
+        shift = np.maximum(kappa1 * width * width, 0.5 * floor_width)
+        radius = np.ldexp(floor_width, halvings - (step + 1)) - 0.5 * width
+        probe = mid + np.sign(offset) * np.minimum(np.maximum(np.abs(offset) - shift, 0.0), radius)
+        fp = f(probe)
+        left = fa * fp <= 0.0
+        b, fb = np.where(left, probe, b), np.where(left, fp, fb)
+        a, fa = np.where(left, a, probe), np.where(left, fa, fp)
+        res_a, res_b = np.abs(fa), np.abs(fb)
+        best_res = np.minimum(res_a, res_b)
         width = b - a
         done = (width <= floor_width) | ((width <= _ROOT_TOL) & (best_res < 0.1 * _RESIDUAL_TOL))
         if step == 199:
             done[:] = True
-        roots[live[done]] = best[done]
+        if not done.any():
+            continue
+        roots[live[done]] = np.where(res_a < res_b, a, b)[done]
         residuals[live[done]] = best_res[done]
         keep = ~done
-        live, a, b, fa, fb, floor_width = (
-            x[keep] for x in (live, a, b, fa, fb, floor_width)
+        live, a, b, fa, fb, floor_width, kappa1, halvings = (
+            x[keep] for x in (live, a, b, fa, fb, floor_width, kappa1, halvings)
         )
     return (
         np.concatenate([at_zero, which]),
@@ -314,9 +338,10 @@ def stationary_points(
     """Locate the asymptotic condition's roots over the search grid.
 
     Sign changes are scanned at the grid resolution, then all brackets are
-    bisected in lockstep to 1e-10 rad. The scan step is asserted to be well
-    under the condition's oscillation period, about
-    1/(2 * (d/lambda) * (N-1)) radians near broadside.
+    refined in lockstep to 1e-10 rad by ITP steps, never more steps than
+    bisection would take. The scan step is asserted to be well under the
+    condition's oscillation period, about 1/(2 * (d/lambda) * (N-1))
+    radians near broadside.
     Intervals inside a pole guard band are screened with the exact finite
     sum instead of the divergent asymptotic ratio. The two ends +-pi/2
     (roots of the cos factor) are always included, scored the same way.
@@ -354,8 +379,8 @@ def stationary_points(
     f_sum[ends] = fsum_scaled(xs[ends])
 
     found = [
-        _bracket_and_bisect(lhs, xs, f_lhs, ~guarded),
-        _bracket_and_bisect(fsum_scaled, xs, f_sum, guarded),
+        _bracket_and_refine(lhs, xs, f_lhs, ~guarded),
+        _bracket_and_refine(fsum_scaled, xs, f_sum, guarded),
     ]
     lo, hi = float(xs[0]) - search.step, float(xs[-1]) + search.step
     edges = np.array([e for e in (-math.pi / 2, math.pi / 2) if lo <= e <= hi])

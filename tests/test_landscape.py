@@ -46,17 +46,29 @@ def _population_slice(array, theta, estimates, path_angle=0.0):
     return np.asarray(out)
 
 
-def _reference_bisect(f, a, b, fa, fb, tol):
-    """Scalar bisection, one bracket at a time: the rules stationary_points
+def _reference_refine(f, a, b, fa, fb, tol):
+    """Scalar ITP refinement in the paper's interpolate, truncate and
+    project form, one bracket at a time: the rules stationary_points
     applies to all brackets in lockstep."""
     floor_width = 4.0 * np.finfo(float).eps * max(1.0, abs(a), abs(b))
-    for _ in range(200):
+    eps_itp = 0.5 * floor_width
+    kappa1 = 0.2 / (b - a)
+    mantissa, exponent = math.frexp((b - a) / (2.0 * eps_itp))
+    n_max = exponent - (mantissa == 0.5)
+    for step in range(200):
         mid = 0.5 * (a + b)
-        fm = f(mid)
-        if fa * fm <= 0.0:
-            b, fb = mid, fm
+        width = b - a
+        falsi = (b * fa - a * fb) / (fa - fb)
+        sigma = 0.0 if mid == falsi else math.copysign(1.0, mid - falsi)
+        delta = max(kappa1 * width * width, eps_itp)
+        trial = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
+        radius = eps_itp * 2.0 ** (n_max - step) - 0.5 * width
+        x = trial if abs(trial - mid) <= radius else mid - sigma * radius
+        fx = f(x)
+        if fa * fx <= 0.0:
+            b, fb = x, fx
         else:
-            a, fa = mid, fm
+            a, fa = x, fx
         width = b - a
         best = (a, abs(fa)) if abs(fa) < abs(fb) else (b, abs(fb))
         if width <= floor_width:
@@ -93,7 +105,7 @@ def _reference_stationary_points(array, true_angle, search, tol=1e-10):
         if fa == 0.0:
             roots.append((a, abs(fa)))
         elif fa * fb < 0.0:
-            roots.append(_reference_bisect(f, a, b, fa, fb, tol))
+            roots.append(_reference_refine(f, a, b, fa, fb, tol))
     lo, hi = float(xs[0]), float(xs[-1])
     for edge in (-math.pi / 2, math.pi / 2):
         if lo - search.step <= edge <= hi + search.step:
@@ -319,12 +331,14 @@ class TestStationaryPoints:
         assert len(pts.angles) == len(ref_angles)
         assert np.max(np.abs(np.subtract(pts.angles, ref_angles))) <= 1e-12
         assert max(pts.residuals) < 1e-8
-        # every config has a root bisected on the finite sum inside the
+        # every config has a root refined on the finite sum inside the
         # guard band of each pole
         for pole in (0.0, -theta):
             assert min(abs(a - pole) for a in ref_angles) < 1e-3
 
-    def test_detector_calls_bounded_by_bisection_depth(self, monkeypatch):
+    @staticmethod
+    def _count_lhs_calls(monkeypatch, array, theta):
+        """stationary_points' result and how often it called the lhs."""
         counted = aoavi.landscape.stationary_condition_lhs
         calls = []
 
@@ -333,13 +347,47 @@ class TestStationaryPoints:
             return counted(*args)
 
         monkeypatch.setattr(aoavi.landscape, "stationary_condition_lhs", counting)
-        arr = ArrayConfig(32, 2.0)
-        pts = stationary_points(arr, THETA_11, AngleGrid(-math.pi / 2, math.pi / 2, SCAN_STEP))
+        pts = stationary_points(array, theta, AngleGrid(-math.pi / 2, math.pi / 2, SCAN_STEP))
+        return pts, len(calls)
+
+    def test_detector_calls_bounded_by_bisection_depth(self, monkeypatch):
+        pts, calls = self._count_lhs_calls(monkeypatch, ArrayConfig(32, 2.0), THETA_11)
         assert len(pts.angles) == 295
         # halvings from one scan step down to the 4-eps floor width
         depth = math.ceil(math.log2(SCAN_STEP / (4.0 * np.finfo(float).eps)))
         # plus the scan and the +-pi/2 endpoints
-        assert len(calls) <= depth + 2
+        assert calls <= depth + 2
+
+    @pytest.mark.parametrize("n, spacing, theta", BENCHMARK_LANDSCAPES)
+    def test_interpolation_cuts_detector_calls_on_benchmark_arrays(self, n, spacing, theta, monkeypatch):
+        _, calls = self._count_lhs_calls(monkeypatch, ArrayConfig(n, spacing), theta)
+        # halving alone needs 30-36 calls here: 21 steps to reach 1e-10 rad
+        # and more where the residual is not yet below 1e-9
+        assert calls <= 16
+
+    @pytest.mark.parametrize("frac", [0.3, 0.5, 0.9999])
+    def test_steep_step_refined_within_bisection_depth(self, frac):
+        """A tanh step is saturated at +-1 outside 1e-5 rad of its root, so
+        while the bracket is wider, regula falsi points land near the
+        midpoint and gain nothing over halving; the refinement must still
+        end within bisection's depth."""
+        xs = np.array([0.0, SCAN_STEP])
+        center = frac * SCAN_STEP
+        calls = []
+
+        def step(x):
+            calls.append(None)
+            return np.tanh(1e5 * (x - center))
+
+        index, roots, residuals = aoavi.landscape._bracket_and_refine(
+            step, xs, step(xs), np.array([True])
+        )
+        calls.pop(0)  # the scan
+        depth = math.ceil(math.log2(SCAN_STEP / (4.0 * np.finfo(float).eps)))
+        assert index.tolist() == [0]
+        assert len(calls) <= depth
+        assert residuals[0] < 1e-9
+        assert abs(roots[0] - center) < 1e-14
 
     @pytest.mark.parametrize("bad", [math.nan, 2.0])
     def test_true_angle_outside_the_half_space_rejected(self, bad):
