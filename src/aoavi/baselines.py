@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import AngleGrid, _grid_angles, _pick_peaks, empirical_covariance, grid_steering
+from .preprocess import AngleGrid, _pick_peaks, empirical_covariance, grid_steering
 from .signal_model import AoAVector, ObservationSet, array_matrix
 from .signal_model import _frozen
 
@@ -43,7 +43,7 @@ class MusicSpectrum:
             raise ValueError("peaks must be sorted ascending")
         # rounded subtraction is monotone, so the grid angle nearest a peak
         # (as |angle - peak| rounds) is one of the two that bracket it
-        angles = _grid_angles(self.grid)
+        angles = self.grid.angles()
         above = np.minimum(np.searchsorted(angles, peaks), angles.size - 1)
         below = np.maximum(above - 1, 0)
         dist = np.minimum(np.abs(angles[below] - peaks), np.abs(angles[above] - peaks))
@@ -96,7 +96,7 @@ def music_estimate(obs: ObservationSet, grid: AngleGrid, k_sources: int) -> Musi
     np.maximum(values, _EIGEN_FLOOR, out=values)
     np.divide(1.0, values, out=values)
     values.setflags(write=False)
-    angles = _grid_angles(grid)
+    angles = grid.angles()
     chosen, degraded = _pick_peaks(values, angles, k_sources)
     peak_angles = tuple(float(angles[i]) for i in chosen)
     return MusicSpectrum(grid=grid, values=values, peaks=peak_angles, degraded=degraded)

@@ -54,7 +54,7 @@ class EstimationResult:
     """Final posterior state plus the optimization record.
 
     loss_trace holds one LossBreakdown per outer iteration and its totals
-    are non-increasing within 1e-9 absolute slack (enforced here).
+    are exactly non-increasing (enforced here).
     stop_reason is one of STOP_REASONS: the gradient fell below its
     tolerance, one iteration lowered the loss by less than its tolerance,
     the line search stalled, or the trace reached max_outer_iterations.
@@ -81,8 +81,8 @@ class EstimationResult:
             raise ValueError(f"stop_reason must be one of {STOP_REASONS}")
         totals = [b.total for b in self.loss_trace]
         for earlier, later in zip(totals, totals[1:]):
-            if later > earlier + 1e-9:
-                raise ValueError("loss trace must be non-increasing (1e-9 slack)")
+            if later > earlier:
+                raise ValueError("loss trace must be non-increasing")
 
 
 def closed_form_channel_update(

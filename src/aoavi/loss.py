@@ -62,14 +62,6 @@ class VariationalState:
         object.__setattr__(self, "channel_means", _frozen(mu))
         object.__setattr__(self, "channel_covariance", _frozen(cov))
 
-    @property
-    def n_snapshots(self) -> int:
-        return self.channel_means.shape[1]
-
-    @property
-    def k_users(self) -> int:
-        return self.channel_means.shape[0]
-
 
 @dataclass(frozen=True)
 class LossBreakdown:

@@ -18,7 +18,8 @@ _MAX_GRID_POINTS = 10**7
 @dataclass(frozen=True)
 class AngleGrid:
     """Uniform inclusive grid of candidate angles, radians, within
-    [-pi/2, pi/2] up to AoAVector's 1e-12 of rounding; at most 1e7 points."""
+    [-pi/2, pi/2] up to AoAVector's 1e-12 of rounding; at most 1e7 points.
+    The angles are built once per grid value and are read-only."""
 
     min_angle: float
     max_angle: float
@@ -43,8 +44,12 @@ class AngleGrid:
         # inclusive endpoints; tolerate rounding in (max-min)/step
         return int(np.floor((self.max_angle - self.min_angle) / self.step + 1e-9)) + 1
 
+    @lru_cache(maxsize=8)
     def angles(self) -> np.ndarray:
-        return self.min_angle + self.step * np.arange(self.n_points)
+        """The grid angles, ascending; one array shared by equal grids."""
+        out = self.min_angle + self.step * np.arange(self.n_points)
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -79,20 +84,12 @@ def empirical_covariance(obs: ObservationSet) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _grid_angles(grid: AngleGrid) -> np.ndarray:
-    """grid.angles(), built once per grid; shared and read-only."""
-    out = grid.angles()
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=8)
 def grid_steering(array: ArrayConfig, grid: AngleGrid) -> np.ndarray:
     """N x G steering matrix whose column g is array_matrix's column at
     grid angle g, bit for bit: both come from the same steering kernel.
     Cached across Monte Carlo trials; the returned array is shared and
     read-only."""
-    out = _steering(array, _grid_angles(grid))
+    out = _steering(array, grid.angles())
     out.setflags(write=False)
     return out
 
@@ -157,7 +154,7 @@ def pseudo_labels(
     if not suppression_radius >= 0:  # NaN fails too
         raise ValueError("suppression_radius must be non-negative")
     corr = _correlation_profile(obs, grid)
-    angles = _grid_angles(grid)
+    angles = grid.angles()
     order, _degraded = _pick_peaks(corr, angles, k_users, suppression_radius)
     return AoAVector(angles[order])
 

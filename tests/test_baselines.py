@@ -153,7 +153,7 @@ class TestMusicEstimate:
         steer = grid_steering(obs.array, grid)
         denom = n - np.sum(np.abs(vecs[:, n - k :].conj().T @ steer) ** 2, axis=0)
         values = 1.0 / np.maximum(denom, 1e-8)
-        angles = grid.angles()
+        angles = grid.min_angle + grid.step * np.arange(grid.n_points)
         chosen, degraded = _pick_peaks(values, angles, k)
         peaks = tuple(float(angles[i]) for i in chosen)
         corr = np.abs(np.sum(obs.signal, axis=1).conj() @ steer) / obs.n_snapshots

@@ -368,6 +368,24 @@ class TestEstimationResult:
                 line_search_evaluations=1,
             )
 
+    def test_trace_rising_by_round_off_rejected(self):
+        state = VariationalState(
+            aoa_estimate=AoAVector(np.zeros(1)),
+            channel_means=np.zeros((1, 1), complex),
+            channel_covariance=np.zeros((1, 1), complex),
+        )
+        # estimate() appends no state that raises the loss, so no rise is
+        # round-off to forgive
+        rising = (LossBreakdown(0.0, 1.0), LossBreakdown(0.0, 1.0 + 1e-12))
+        with pytest.raises(ValueError, match="non-increasing"):
+            EstimationResult(
+                state=state, loss_trace=rising, stop_reason="gradient", line_search_evaluations=1
+            )
+        flat = (LossBreakdown(0.0, 1.0), LossBreakdown(0.0, 1.0))
+        assert EstimationResult(
+            state=state, loss_trace=flat, stop_reason="gradient", line_search_evaluations=1
+        ).iterations_used == 2
+
     def test_converged_follows_stop_reason(self):
         state = VariationalState(
             aoa_estimate=AoAVector(np.zeros(1)),

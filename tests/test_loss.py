@@ -65,8 +65,7 @@ class TestVariationalState:
             channel_means=np.zeros((1, 4), complex),
             channel_covariance=np.eye(1, dtype=complex),
         )
-        assert state.n_snapshots == 4
-        assert state.k_users == 1
+        assert state.channel_means.shape == (1, 4)
         assert state.channel_covariance.shape == (1, 1)
 
     def test_rejects_per_snapshot_covariances(self):
@@ -247,7 +246,7 @@ class TestExpectedReconstructionObserved:
         s = 10**5
         totals = np.zeros(s)
         l = _chol_like(state.channel_covariance)
-        for m in range(state.n_snapshots):
+        for m in range(state.channel_means.shape[1]):
             eps = (rng.normal(size=(2, s)) + 1j * rng.normal(size=(2, s))) * math.sqrt(0.5)
             draws = state.channel_means[:, m][:, None] + l @ eps
             resid = obs.signal[:, m][:, None] - a_hat @ draws
@@ -349,7 +348,7 @@ class TestTotalLoss:
         assert abs(b.reconstruction_term - raw / obs.noise_variance) < 1e-9
         per_m = sum(
             kl_gaussian(state.channel_means[:, m], state.channel_covariance, prior)
-            for m in range(state.n_snapshots)
+            for m in range(state.channel_means.shape[1])
         )
         assert abs(b.kl_term - per_m) < 1e-9 * max(1.0, per_m)
 

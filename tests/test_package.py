@@ -12,7 +12,7 @@ from aoavi import landscape, loss
 from aoavi.estimator import EstimationResult, OptimizerConfig
 from aoavi.harness import landscape_config_from_dict, scenario_from_dict
 from aoavi.landscape import AxisSpec, StationaryPointSet
-from aoavi.loss import LossBreakdown
+from aoavi.loss import LossBreakdown, VariationalState
 from aoavi.preprocess import Sector
 from aoavi.signal_model import ChannelRealization
 
@@ -92,6 +92,11 @@ def test_result_types_hold_only_what_is_read():
         "true_angle",
     ]
     assert not hasattr(landscape, "_SURFACE_BLOCK")
+    # a grid's angles have one path, AngleGrid.angles, and the posterior
+    # state's shape is read from its channel means
+    assert not hasattr(aoavi.preprocess, "_grid_angles")
+    assert not hasattr(VariationalState, "k_users")
+    assert not hasattr(VariationalState, "n_snapshots")
 
 
 def _code_references(path: Path) -> set:

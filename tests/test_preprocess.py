@@ -7,7 +7,6 @@ from aoavi.preprocess import (
     AngleGrid,
     Sector,
     _correlation_profile,
-    _grid_angles,
     _pick_peaks,
     empirical_covariance,
     grid_steering,
@@ -71,10 +70,14 @@ class TestAngleGrid:
 
     def test_cached_angles_read_only_and_equal(self):
         g = AngleGrid(min_angle=-math.pi / 2, max_angle=math.pi / 2, step=math.radians(0.01))
-        a = _grid_angles(g)
-        assert _grid_angles(g) is a
+        a = g.angles()
+        assert g.angles() is a
         assert not a.flags.writeable
-        assert a.tobytes() == g.angles().tobytes()
+        assert a.tobytes() == (g.min_angle + g.step * np.arange(g.n_points)).tobytes()
+        # an equal but distinct grid shares the array: the scans' working
+        # memory bounds leave no room for a second 18001-point copy
+        twin = AngleGrid(min_angle=-math.pi / 2, max_angle=math.pi / 2, step=math.radians(0.01))
+        assert twin is not g and twin.angles() is a
 
     def test_endpoints_inclusive(self):
         g = AngleGrid(min_angle=-0.5, max_angle=0.5, step=0.25)
