@@ -3,8 +3,10 @@
 The channel path has an exact coordinate minimizer (a ridge-regularized
 projection), so it is updated in closed form. The AoA path moves by projected
 gradient descent with a backtracking line search that starts at the
-Barzilai-Borwein step. Starting from the pseudo-labels, the two alternate, so
-the overall objective never increases.
+Barzilai-Borwein step (half of it for a single user, whose trial sums are 2 to
+4 times as curved as the objective). Starting from the pseudo-labels, the two
+alternate, so the overall objective never increases; the run stops once one
+iteration lowers it by less than a relative 1e-12.
 
 Each observation is optimized independently; nothing is amortized across
 observations.
@@ -26,7 +28,7 @@ from .signal_model import AoAVector, ChannelPrior, ObservationSet, array_matrix
 _MAX_HALVINGS = 40
 _MAX_FIRST_STEP_RAD = math.radians(0.5)
 _GRADIENT_TOLERANCE = 1e-7  # on the AoA gradient max-norm, divided by sigma^2
-_LOSS_TOLERANCE = 1e-10  # on one iteration's loss decrement
+_LOSS_RTOL = 1e-12  # on one iteration's loss decrement, relative to |loss|
 
 # why estimate() stopped; only the first two count as converged
 STOP_REASONS = ("gradient", "loss_plateau", "line_search_stall", "budget")
@@ -141,8 +143,8 @@ def estimate(
     channel posterior is solved there in closed form; that state is the
     first loss-trace entry. Then gradient descent on the AoAs alternates
     with the closed-form channel update until the gradient max-norm falls
-    below 1e-7, one iteration lowers the loss by less than 1e-10, or the
-    trace holds max_outer_iterations entries.
+    below 1e-7, one iteration lowers the loss by less than 1e-12 times its
+    magnitude, or the trace holds max_outer_iterations entries.
     Only the first two count as converged.
 
     Each AoA move is a projected backtracking search at the fixed channel:
@@ -150,12 +152,18 @@ def estimate(
     reconstruction sum does not rise, else the step halves. Trials compare
     unnormalized sums, as the divergence term is fixed during an AoA move
     and 1/sigma^2 preserves order. The first search starts at the cap,
-    which moves the AoA with the largest gradient entry by 0.5 deg. Each
-    later one starts at the shorter of the cap and the Barzilai-Borwein step
-    s.y / y.y (BB2; IMA J. Numer. Anal. 8, 1988): s is the last accepted
-    move of the AoAs and y the change of the gradient over it. At the
-    closed-form channel the gradient is that of the objective (envelope
-    theorem), so the step reads its curvature along s. A quotient that is
+    which moves the AoA with the largest gradient entry by 0.5 deg; from
+    pseudo-labels, the cap is 0.5 deg halved until it is no larger than the
+    grid step (0.5 deg / 64 on a 0.01-deg grid), as a pseudo-label lies
+    within about one grid step of the minimum. Each later search starts at the
+    shorter of the 0.5-deg cap and the Barzilai-Borwein step s.y / y.y
+    (BB2; IMA J. Numer. Anal. 8, 1988): s is the last accepted move of the
+    AoAs and y the change of the gradient over it. At the closed-form
+    channel the gradient is that of the objective (envelope theorem), so the
+    step reads its curvature along s. For a single user it starts at half
+    the BB2 step: there the fixed-channel trial sum is 2(2N-1)/(N+1) times
+    as curved as the objective, so the full step overshoots the no-rise
+    bound and is rejected (in all but a few searches). A quotient that is
     not a positive float falls back to the cap. Both gradients are scaled by
     one power of two before y is formed, so y.y stays finite where the
     unscaled one would overflow. A gradient that is not finite (no trial is
@@ -172,6 +180,7 @@ def estimate(
     k = prior.k_users
     lo, hi = sector.lo, sector.hi
 
+    first_cap = _MAX_FIRST_STEP_RAD
     if initial_aoas is not None:
         start = np.sort(np.asarray(initial_aoas, dtype=float).reshape(-1))
         if start.size != k:
@@ -180,6 +189,8 @@ def estimate(
         if grid is None:
             raise ValueError("need a pseudo-label grid when initial_aoas is not given")
         start = pseudo_labels(obs, grid, k, suppression_radius=suppression_radius).angles
+        while first_cap > grid.step:
+            first_cap *= 0.5
     angles = np.clip(start, lo, hi)
 
     trace = []
@@ -195,7 +206,7 @@ def estimate(
             break
         means, cov = channel
         trace.append(entry)
-        if len(trace) > 1 and trace[-2].total - trace[-1].total < _LOSS_TOLERANCE:
+        if len(trace) > 1 and trace[-2].total - entry.total < _LOSS_RTOL * abs(entry.total):
             stop_reason = "loss_plateau"
             break
         if len(trace) == cfg.max_outer_iterations:
@@ -208,8 +219,10 @@ def estimate(
         if not math.isfinite(gmax):
             stop_reason = "line_search_stall"
             break
-        step = _MAX_FIRST_STEP_RAD / gmax
-        if prev is not None:
+        if prev is None:
+            step = first_cap / gmax
+        else:
+            step = _MAX_FIRST_STEP_RAD / gmax
             # y = g - g_prev from both gradients scaled by 2**-e, so that
             # neither y nor y @ y overflows; s @ y / y @ y is then the BB2
             # step times 2**e. e >= 0, so 2.0**-e cannot overflow.
@@ -218,8 +231,8 @@ def estimate(
             y = np.ldexp(grad, -e) - np.ldexp(prev[1], -e)
             yy = float(y @ y)
             bb = float(s @ y) / yy * 2.0**-e if yy > 0 else 0.0
-            if bb > 0:  # else the cap, as in the first search
-                step = min(step, bb)
+            if bb > 0:  # else the cap
+                step = min(step, 0.5 * bb if k == 1 else bb)
         for _ in range(_MAX_HALVINGS + 1):
             evaluations += 1
             trial = (angles - step * grad).clip(lo, hi)

@@ -8,6 +8,7 @@ import pytest
 
 from aoavi.baselines import ls_channel
 from aoavi.estimator import (
+    _LOSS_RTOL,
     _MAX_FIRST_STEP_RAD,
     _MAX_HALVINGS,
     STOP_REASONS,
@@ -633,6 +634,41 @@ class TestEstimate:
         assert flat.stop_reason == "gradient" and flat.converged
         assert flat.iterations_used == 1 and flat.line_search_evaluations == 0
 
+    def test_plateau_is_the_first_relative_decrement_below_tolerance(self):
+        """The run stops at the first iteration that lowers the loss by less
+        than 1e-12 of its magnitude, and no sooner."""
+        obs, prior, aoas = self._scenario(make_rng(93), snr_db=10.0)
+        sector = Sector(center=0.0, width=2 * math.pi / 3)
+        result = estimate(obs, prior, sector, initial_aoas=[aoas.angles[0] + 0.01])
+        assert result.stop_reason == "loss_plateau"
+        totals = [b.total for b in result.loss_trace]
+        drops = [a - b < _LOSS_RTOL * abs(b) for a, b in zip(totals, totals[1:])]
+        assert len(drops) > 2 and drops[-1] and not any(drops[:-1])
+
+    def test_plateau_decision_unchanged_when_signal_and_noise_scale(self):
+        """Y times c, the noise variance and the prior covariance times c^2
+        (c a power of two) leave the loss and its gradient unchanged and
+        scale every raw sum by c^2: the stop reason, the iteration and trial
+        counts and the final angles are the same."""
+        obs, prior, _ = self._scenario(make_rng(95), snr_db=20.0)
+        sector = Sector(center=0.0, width=2 * math.pi / 3)
+        grid = sector_grid(sector, math.radians(0.5))
+        c = 2.0**20
+        scaled_obs = ObservationSet(
+            signal=obs.signal * c, noise_variance=obs.noise_variance * c * c, array=obs.array
+        )
+        scaled_prior = ChannelPrior(mean=prior.mean * c, covariance=prior.covariance * c * c)
+        base = estimate(obs, prior, sector, grid)
+        scaled = estimate(scaled_obs, scaled_prior, sector, grid)
+        assert base.stop_reason == scaled.stop_reason == "loss_plateau"
+        assert base.iterations_used == scaled.iterations_used > 2
+        assert base.line_search_evaluations == scaled.line_search_evaluations
+        assert np.array_equal(base.state.aoa_estimate.angles, scaled.state.aoa_estimate.angles)
+        # equal raw sum / sigma^2 terms, so the raw sums differ by c^2
+        for a, b in zip(base.loss_trace, scaled.loss_trace):
+            assert b.reconstruction_term == a.reconstruction_term
+            assert abs(b.kl_term - a.kl_term) <= 1e-12 * abs(a.total)
+
     def test_noiseless_input_runs_unnormalized(self):
         rng = make_rng(86)
         arr = ArrayConfig(16, 0.5)
@@ -823,6 +859,52 @@ class TestLineSearchStart:
         assert below > 0  # later searches start below the cap
 
     @pytest.mark.parametrize(
+        "grid_step_deg, from_labels, cap_deg",
+        [(0.5, True, 0.5), (0.01, True, 0.5 / 64), (0.01, False, 0.5)],
+        ids=["labels_on_half_degree_grid", "labels_on_hundredth_degree_grid", "initial_aoas"],
+    )
+    def test_first_cap_follows_the_label_grid(
+        self, monkeypatch, grid_step_deg, from_labels, cap_deg
+    ):
+        """From pseudo-labels, the first trial moves the largest-gradient
+        AoA by 0.5 deg halved until it is within one grid step; from
+        initial_aoas, by 0.5 deg."""
+        obs, prior, sector, _ = self._block()
+        grid = sector_grid(sector, math.radians(grid_step_deg))
+        start = None if from_labels else [math.radians(17.0) + 0.01]
+        events = _record(monkeypatch)
+        estimate(obs, prior, sector, grid, initial_aoas=start)
+        angles, g, trials = _searches(events)[0]
+        cap = math.radians(cap_deg) / np.max(np.abs(g))
+        assert np.array_equal(trials[0][0], np.clip(angles - cap * g, sector.lo, sector.hi))
+
+    def test_two_user_search_starts_at_the_full_secant_step(self, monkeypatch):
+        """At K = 2 each search after the first starts at the shorter of the
+        cap and the secant step s @ y / y @ y itself, not half of it."""
+        rng = make_rng(96)
+        arr = ArrayConfig(32, 0.5)
+        aoas = AoAVector(np.radians([-20.0, 25.0]))
+        prior = ChannelPrior(mean=np.ones(2, complex), covariance=0.25 * np.eye(2, dtype=complex))
+        ch = sample_channel(prior, 40, rng)
+        s2 = snr_to_noise_variance(10.0, arr, prior, aoas)
+        obs = synthesize_observation(arr, aoas, ch, s2, rng)
+        sector = Sector(center=0.0, width=2 * math.pi / 3)
+        events = _record(monkeypatch)
+        estimate(obs, prior, sector, initial_aoas=aoas.angles + [0.01, -0.01])
+        searches = _searches(events)
+        assert len(searches) > 2
+        secant_starts = 0
+        for (prev_angles, prev_g, _), (angles, g, trials) in zip(searches, searches[1:]):
+            cap = _MAX_FIRST_STEP_RAD / np.max(np.abs(g))
+            bb = _exact_bb2(angles, prev_angles, g, prev_g)
+            step = float(bb) if 0 < bb < cap else cap
+            secant_starts += 0 < bb < cap
+            expected = np.clip(angles - step * g, sector.lo, sector.hi)
+            slack = 4 * np.spacing(np.abs(angles)) + 1e-12 * np.abs(step * g)
+            assert np.all(np.abs(trials[0][0] - expected) <= slack)
+        assert secant_starts > 0
+
+    @pytest.mark.parametrize(
         "start_deg, sector_deg, gradients",
         [
             # s @ y / y @ y is 0.5 deg / 2**-53, far past the cap
@@ -844,9 +926,9 @@ class TestLineSearchStart:
         s @ y / y @ y is past it, or is not a positive float."""
         obs, prior, _, _ = self._block()
         sector = Sector(center=0.0, width=math.radians(sector_deg))
-        # a move of a few ulps lowers the loss by less than the 1e-10 loss
-        # tolerance, which would end the run before the second search
-        monkeypatch.setattr("aoavi.estimator._LOSS_TOLERANCE", 1e-300)
+        # a move of a few ulps lowers the loss by less than 1e-12 of its
+        # magnitude, which would end the run before the second search
+        monkeypatch.setattr("aoavi.estimator._LOSS_RTOL", 1e-300)
         events = _fake_gradients(monkeypatch, gradients)
         result = estimate(obs, prior, sector, initial_aoas=[math.radians(start_deg)])
         searches = _searches(events)
@@ -856,12 +938,13 @@ class TestLineSearchStart:
             cap = _MAX_FIRST_STEP_RAD / np.max(np.abs(g))
             assert np.array_equal(trials[0][0], np.clip(angles - cap * g, sector.lo, sector.hi))
 
-    def test_opposite_huge_gradients_take_the_secant_step(self, monkeypatch):
+    def test_opposite_huge_gradients_take_half_the_secant_step(self, monkeypatch):
         """Gradients of +1e308 then -1e308: the unscaled y = -2e308 would
-        overflow, the scaled one does not. The second search starts at the
-        exact secant step, half the accepted first move back, with no
-        warning and no exception. The fake second gradient points uphill,
-        so all its trials are rejected and the run stalls."""
+        overflow, the scaled one does not. The second search (K = 1) starts
+        at exactly half the secant step, a quarter of the accepted first
+        move back, with no warning and no exception. The fake second
+        gradient points uphill, so all its trials are rejected and the run
+        stalls."""
         obs, prior, sector, _ = self._block()
         truth = math.radians(17.0)
         events = _fake_gradients(monkeypatch, [1e308, -1e308])
@@ -874,7 +957,7 @@ class TestLineSearchStart:
         bb = _exact_bb2(a1, a0, g1, g0)
         assert bb == (Fraction(a0[0]) - Fraction(a1[0])) / (2 * Fraction(1e308))
         assert bb < _MAX_FIRST_STEP_RAD / 1e308  # below the cap
-        expected = float(Fraction(a1[0]) - bb * Fraction(g1[0]))
+        expected = float(Fraction(a1[0]) - bb / 2 * Fraction(g1[0]))
         assert abs(trials[0][0][0] - expected) <= 4 * np.spacing(expected)
 
     def test_secant_step_halving_to_zero_stalls(self, monkeypatch):
@@ -902,8 +985,8 @@ class TestLineSearchStart:
         """At 3000 dB the gradients are near 1e304, so y @ y of the
         unscaled gradients overflows a float. Both gradients are scaled by
         one power of two, so each search after the first still starts at
-        the secant step s @ y / y @ y, with no warning, and the run
-        converges."""
+        half the secant step s @ y / y @ y (K = 1), with no warning, and
+        the run converges."""
         obs, prior, sector, _ = self._block(snr_db=3000.0)
         truth = math.radians(17.0)
         events = _record(monkeypatch)
@@ -918,9 +1001,9 @@ class TestLineSearchStart:
             step = _MAX_FIRST_STEP_RAD / np.max(np.abs(g))
             if i > 0:
                 prev_angles, prev_g, _ = searches[i - 1]
-                bb = _exact_bb2(angles, prev_angles, g, prev_g)
-                assert 0 < bb < step  # here every later search is below the cap
-                step = float(bb)
+                half = _exact_bb2(angles, prev_angles, g, prev_g) / 2
+                assert 0 < half < step  # here every later search is below the cap
+                step = float(half)
             expected = np.clip(angles - step * g, sector.lo, sector.hi)
             # exact at the cap; after it, the estimator's float arithmetic
             # rounds the exact quotient
