@@ -7,7 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import AngleGrid, _pick_peaks, empirical_covariance, grid_steering
+from .preprocess import (
+    AngleGrid,
+    _pick_peaks,
+    _steering_products,
+    empirical_covariance,
+    grid_steering,
+)
 from .signal_model import AoAVector, ObservationSet, array_matrix
 from .signal_model import _frozen
 
@@ -66,7 +72,8 @@ def music_estimate(obs: ObservationSet, grid: AngleGrid, k_sources: int) -> Musi
 
     Every ULA steering vector has ||a||^2 = N, and E E^H = I - U U^H, so
     the noise projection is evaluated as N - ||U^H a(theta)||^2: a K x G
-    product instead of an (N-K) x G one. Near a noiseless peak that
+    product instead of an (N-K) x G one, formed from the grid steering's
+    first rows by ``_steering_products``. Near a noiseless peak that
     difference can round to just below zero; the 1e-8 floor absorbs the
     round-off as it absorbs exact orthogonality.
     """
@@ -84,14 +91,17 @@ def music_estimate(obs: ObservationSet, grid: AngleGrid, k_sources: int) -> Musi
     _eigvals, eigvecs = np.linalg.eigh(cov)
     signal_basis = eigvecs[:, n - k_sources :]
 
-    steer = grid_steering(obs.array, grid)
-    # one float buffer, in place; the rows are added in the order
-    # np.sum(axis=0) adds them, so the values match that expression bit for bit
-    power = np.abs(signal_basis.conj().T @ steer)
-    np.square(power, out=power)
-    values = power[0]
-    for row in power[1:]:
-        values += row
+    values = np.empty(grid.n_points)
+    powers = grid_steering(obs.array, grid)
+    # in place, one grid chunk at a time; the rows are added in the order
+    # np.sum(axis=0) adds them, so the values match that expression of the
+    # same products bit for bit
+    for cols, proj in _steering_products(signal_basis.conj().T, powers):
+        chunk = values[cols]
+        np.abs(proj[0], out=chunk)
+        np.square(chunk, out=chunk)
+        for row in proj[1:]:
+            chunk += np.square(np.abs(row))
     np.subtract(n, values, out=values)
     np.maximum(values, _EIGEN_FLOOR, out=values)
     np.divide(1.0, values, out=values)

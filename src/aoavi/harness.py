@@ -108,7 +108,7 @@ class Scenario:
         if self.n_snapshots < 1:
             raise ValueError("n_snapshots must be at least 1")
         # AngleGrid rejects a step that does not fit the sector; the N x G
-        # steering matrix and the N x M block share its resource guard
+        # grid scan and the N x M block share its resource guard
         for name, size in (
             ("the grid points of sector and grid_step_deg", self.grid.n_points),
             ("n_snapshots", self.n_snapshots),
@@ -569,9 +569,9 @@ def optima_csv(array: ArrayConfig, true_angle: float) -> str:
 def stationary_csv(array: ArrayConfig, true_angle: float, scan_step: float) -> str:
     grid = AngleGrid(-math.pi / 2, math.pi / 2, scan_step)
     points = stationary_points(array, true_angle, grid)
+    degrees = np.degrees(points.angles).tolist()
     lines = [STATIONARY_CSV_HEADER]
-    for angle, residual in zip(points.angles, points.residuals):
-        lines.append(f"{math.degrees(angle)!r},{residual!r}")
+    lines += [f"{angle!r},{residual!r}" for angle, residual in zip(degrees, points.residuals)]
     return "\n".join(lines) + "\n"
 
 

@@ -5,14 +5,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
 from .signal_model import _ANGLE_BOUND, AoAVector, ArrayConfig, ObservationSet, _steering
 
 # resource guard on grid sizes, shared with the landscape surfaces and with
-# a scenario's N x G steering matrix and N x M block
+# a scenario's N x G grid scan and N x M block
 _MAX_GRID_POINTS = 10**7
+
+# a grid scan evaluates each steering column as a polynomial in z from its
+# first _BABY_STEPS + 1 powers, _SCAN_CHUNK grid columns at a time
+_BABY_STEPS = 8
+_SCAN_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -85,22 +91,62 @@ def empirical_covariance(obs: ObservationSet) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def grid_steering(array: ArrayConfig, grid: AngleGrid) -> np.ndarray:
-    """N x G steering matrix whose column g is array_matrix's column at
-    grid angle g, bit for bit: both come from the same steering kernel.
-    Cached across Monte Carlo trials; the returned array is shared and
-    read-only."""
-    out = _steering(array, grid.angles())
+    """Rows 0..B of the N x G grid steering matrix, B = _BABY_STEPS (all N
+    rows when N <= B): the baby steps and the giant step that
+    ``_steering_products`` evaluates every column from. They are the
+    steering of the first B + 1 antennas, so each row equals array_matrix's
+    row at that grid angle bit for bit. Cached across Monte Carlo trials;
+    the returned array is shared and read-only."""
+    head = ArrayConfig(min(_BABY_STEPS + 1, array.n_antennas), array.spacing_ratio)
+    out = _steering(head, grid.angles())
     out.setflags(write=False)
     return out
+
+
+def _steering_products(
+    coef: np.ndarray, powers: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Yield (columns, coef @ A[:, columns]) for a K x N ``coef`` and the
+    N x G grid steering matrix A whose leading rows are ``powers``, from
+    ``grid_steering``, one _SCAN_CHUNK-column slice of the grid at a time.
+
+    Column g of A is z^n, n = 0..N-1, with z = exp(-j 2 pi (d/lambda)
+    sin theta_g), so coef @ A = sum_q (coef[:, qB:(q+1)B] @ A[:B]) (z^B)^q:
+    the length-B coefficient blocks (the last one zero-padded) times the
+    baby rows 0..B-1 in one product, combined by Horner's rule in the giant
+    step z^B, row B (Paterson & Stockmeyer, SIAM J. Comput. 2(1), 1973).
+    The products share one buffer, so each yielded K x W array is
+    overwritten by the next step.
+    """
+    k, n = coef.shape
+    b = min(_BABY_STEPS, n)
+    q = -(-n // b)
+    padded = np.zeros((k, q * b), dtype=complex)
+    padded[:, :n] = coef
+    # rows i*K..(i+1)*K-1 hold coefficient block i
+    blocks = padded.reshape(k, q, b).transpose(1, 0, 2).reshape(q * k, b)
+    g = powers.shape[1]
+    buf = np.empty(q * k * min(g, _SCAN_CHUNK), dtype=complex)
+    for lo in range(0, g, _SCAN_CHUNK):
+        cols = slice(lo, lo + _SCAN_CHUNK)
+        baby = powers[:b, cols]
+        prod = np.matmul(blocks, baby, out=buf[: q * k * baby.shape[1]].reshape(q * k, -1))
+        acc = prod[(q - 1) * k :]
+        for i in range(q - 2, -1, -1):
+            acc *= powers[b, cols]
+            acc += prod[i * k : (i + 1) * k]
+        yield cols, acc
 
 
 def _correlation_profile(obs: ObservationSet, grid: AngleGrid) -> np.ndarray:
     """Empirical codebook correlation r(theta, Y) = (1/M) |1_M^T Y^H a(theta)|
     at every grid angle. Invariant to a global phase rotation of Y."""
-    steer = grid_steering(obs.array, grid)
     # sum_m y_m^H a(theta) = (column-summed Y)^H a(theta)
     colsum = np.sum(obs.signal, axis=1)
-    profile = np.abs(colsum.conj() @ steer)
+    profile = np.empty(grid.n_points)
+    powers = grid_steering(obs.array, grid)
+    for cols, proj in _steering_products(colsum.conj()[None, :], powers):
+        np.abs(proj[0], out=profile[cols])
     profile /= obs.n_snapshots
     return profile
 

@@ -35,12 +35,13 @@ from aoavi.landscape import (
     stationary_points,
 )
 from aoavi.loss import VariationalState, _state_loss, kl_gaussian, total_loss
-from aoavi.preprocess import AngleGrid, Sector, grid_steering, sector_grid
+from aoavi.preprocess import AngleGrid, Sector, sector_grid
 from aoavi.signal_model import (
     AoAVector,
     ArrayConfig,
     ChannelPrior,
     ChannelRealization,
+    _steering,
     array_matrix,
     sample_channel,
     snr_to_noise_variance,
@@ -130,7 +131,7 @@ def test_01_alias_enumeration_and_landscape_scan(report):
     angles = scan.angles()
     scan_ok = True
     for array, opt in ((ArrayConfig(32, 0.5), half), (ArrayConfig(32, 2.0), wide)):
-        steering = grid_steering(array, scan)
+        steering = _steering(array, angles)  # the full N x G matrix, uncached
         a_true = array_matrix(array, AoAVector([true_angle]))[:, 0]
         loss = 2.0 * array.n_antennas - 2.0 * np.real(a_true.conj() @ steering)
         # tie the closed-form scan to the population oracle at a few angles

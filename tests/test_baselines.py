@@ -9,7 +9,9 @@ from aoavi.estimator import closed_form_channel_update
 from aoavi.preprocess import (
     AngleGrid,
     Sector,
+    _correlation_profile,
     _pick_peaks,
+    _steering_products,
     empirical_covariance,
     grid_steering,
     pseudo_labels,
@@ -21,6 +23,7 @@ from aoavi.signal_model import (
     ChannelPrior,
     ChannelRealization,
     ObservationSet,
+    _steering,
     array_matrix,
     sample_channel,
     snr_to_noise_variance,
@@ -78,7 +81,8 @@ class TestMusicEstimate:
         n = obs.array.n_antennas
         _w, vecs = np.linalg.eigh(empirical_covariance(obs))
         noise = vecs[:, : n - k]
-        denom = np.sum(np.abs(noise.conj().T @ grid_steering(obs.array, grid)) ** 2, axis=0)
+        steer = _steering(obs.array, grid.angles())
+        denom = np.sum(np.abs(noise.conj().T @ steer) ** 2, axis=0)
         values = 1.0 / np.maximum(denom, 1e-8)
         angles = grid.angles()
         padded = np.concatenate(([-np.inf], values, [-np.inf]))
@@ -121,9 +125,9 @@ class TestMusicEstimate:
 
     def test_spectrum_working_memory_is_o_k_g(self):
         """With the grid steering cached, the scan allocates far less than
-        the N x G steering matrix itself; an (N-K) x G complex product
-        would not fit. Beyond the K x G complex projection and its K x G
-        float magnitude, in which the spectrum is formed, no grid-sized
+        the N x G steering matrix; an (N-K) x G complex product would not
+        fit. Beyond the G-point spectrum, formed in place, the scan holds
+        one grid chunk of block products at a time, so no other grid-sized
         array is allocated."""
         rng = make_rng(133)
         arr = ArrayConfig(32, 2.0)
@@ -146,17 +150,24 @@ class TestMusicEstimate:
     @staticmethod
     def _allocating_scans(obs, grid, k):
         """MUSIC and the pseudo-label profile as plain allocating
-        expressions, each temporary its own array, and the angles rebuilt
-        from the grid on every call."""
+        expressions of the blocked steering products, joined over the whole
+        grid, each temporary its own array, and the angles rebuilt from the
+        grid on every call."""
         n = obs.array.n_antennas
+        powers = grid_steering(obs.array, grid)
+
+        def products(coef):
+            chunks = [p.copy() for _, p in _steering_products(coef, powers)]
+            return np.concatenate(chunks, axis=1)
+
         _w, vecs = np.linalg.eigh(empirical_covariance(obs))
-        steer = grid_steering(obs.array, grid)
-        denom = n - np.sum(np.abs(vecs[:, n - k :].conj().T @ steer) ** 2, axis=0)
+        denom = n - np.sum(np.abs(products(vecs[:, n - k :].conj().T)) ** 2, axis=0)
         values = 1.0 / np.maximum(denom, 1e-8)
         angles = grid.min_angle + grid.step * np.arange(grid.n_points)
         chosen, degraded = _pick_peaks(values, angles, k)
         peaks = tuple(float(angles[i]) for i in chosen)
-        corr = np.abs(np.sum(obs.signal, axis=1).conj() @ steer) / obs.n_snapshots
+        colsum = np.sum(obs.signal, axis=1)
+        corr = np.abs(products(colsum.conj()[None, :])[0]) / obs.n_snapshots
         order, _ = _pick_peaks(corr, angles, k)
         return values, peaks, degraded, angles[order]
 
@@ -186,6 +197,43 @@ class TestMusicEstimate:
             assert spectrum.peaks == peaks
             assert spectrum.degraded == degraded
             assert pseudo_labels(obs, grid, k).angles.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize(
+        "spacing, center_deg, width_deg, step_deg",
+        [(0.5, 0.0, 120.0, 0.5), (2.0, 15.0, 30.0, 0.01), (2.0, 0.0, 180.0, 0.01)],
+        ids=["241", "3001", "18001"],
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_scans_match_direct_product_on_benchmark_grids(
+        self, k, spacing, center_deg, width_deg, step_deg
+    ):
+        """The blocked scans against the direct N x G product, on the
+        grids of the sweep_k1 and alias_grid workloads, within round-off:
+        the profile to 32 N eps of its maximum, the MUSIC denominator
+        N - ||U^H a||^2 (up to the 1e-8 floor) to 32 N^2 eps absolute."""
+        arr = ArrayConfig(32, spacing)
+        n = arr.n_antennas
+        eps = np.finfo(float).eps
+        grid = sector_grid(
+            Sector(center=math.radians(center_deg), width=math.radians(width_deg)),
+            math.radians(step_deg),
+        )
+        steer = _steering(arr, grid.angles())
+        prior = ChannelPrior(mean=np.zeros(k, complex), covariance=np.eye(k, dtype=complex))
+        rng = make_rng(150 + k)
+        for snr_db in (None, 0.0, 10.0, 20.0):
+            picks = np.sort(rng.choice(grid.n_points, k, replace=False))
+            aoas = AoAVector(grid.angles()[picks])
+            s2 = 0.0 if snr_db is None else snr_to_noise_variance(snr_db, arr, prior, aoas)
+            obs = synthesize_observation(arr, aoas, sample_channel(prior, 40, rng), s2, rng)
+            ref = np.abs(np.sum(obs.signal, axis=1).conj() @ steer) / obs.n_snapshots
+            got = _correlation_profile(obs, grid)
+            assert np.max(np.abs(got - ref)) <= 32 * n * eps * np.max(ref)
+            _w, vecs = np.linalg.eigh(empirical_covariance(obs))
+            power = np.sum(np.abs(vecs[:, n - k :].conj().T @ steer) ** 2, axis=0)
+            denom = np.maximum(n - power, 1e-8)
+            values = music_estimate(obs, grid, k).values
+            assert np.max(np.abs(1.0 / values - denom)) <= 32 * n**2 * eps
 
     def test_nan_eigenvectors_raise(self, monkeypatch):
         """A LAPACK that returns NaN eigenvectors instead of raising

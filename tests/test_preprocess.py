@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from aoavi.preprocess import (
+    _BABY_STEPS,
+    _SCAN_CHUNK,
     AngleGrid,
     Sector,
     _correlation_profile,
     _pick_peaks,
+    _steering_products,
     empirical_covariance,
     grid_steering,
     pseudo_labels,
@@ -19,6 +22,7 @@ from aoavi.signal_model import (
     ChannelPrior,
     ChannelRealization,
     ObservationSet,
+    _steering,
     array_matrix,
     sample_channel,
     synthesize_observation,
@@ -369,9 +373,11 @@ class TestSectorGrid:
 
 class TestGridSteering:
     def test_columns_are_responses(self):
+        # with N <= B the cache holds every row
         arr = ArrayConfig(8, 0.5)
         grid = AngleGrid(-0.4, 0.4, 0.1)
         mat = grid_steering(arr, grid)
+        assert mat.shape == (8, grid.n_points)
         for i, theta in enumerate(grid.angles()):
             assert np.max(np.abs(mat[:, i] - steering_vector(arr, theta))) < 1e-12
 
@@ -382,14 +388,41 @@ class TestGridSteering:
     def test_bit_identical_to_array_matrix_and_read_only(
         self, spacing, center_deg, width_deg, step_deg
     ):
+        """The cache is rows 0..B of the steering matrix, bit for bit."""
         arr = ArrayConfig(32, spacing)
         sector = Sector(center=math.radians(center_deg), width=math.radians(width_deg))
         grid = sector_grid(sector, math.radians(step_deg))
         mat = grid_steering(arr, grid)
+        rows = _BABY_STEPS + 1
+        assert mat.shape == (rows, grid.n_points)
+        assert mat.nbytes <= rows * grid.n_points * 16
         for g, theta in enumerate(grid.angles()):
-            column = array_matrix(arr, AoAVector([theta]))[:, 0]
+            column = array_matrix(arr, AoAVector([theta]))[:rows, 0]
             # byte equality: stricter than np.array_equal, it also pins signed zeros
             assert mat[:, g].tobytes() == column.tobytes()
         assert not mat.flags.writeable
         with pytest.raises(ValueError):
             mat[0, 0] = 0.0
+
+    def test_holds_9_of_32_rows(self):
+        arr = ArrayConfig(32, 2.0)
+        grid = sector_grid(Sector(center=0.0, width=math.pi), math.radians(0.01))
+        full = _steering(arr, grid.angles())
+        assert grid_steering(arr, grid).nbytes * 32 == full.nbytes * 9
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 13, 32, 40])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_products_match_direct_product(self, n, k):
+        """Any N, whole blocks or a zero-padded last one, over a grid of
+        several chunks with a partial last one."""
+        arr = ArrayConfig(n, 1.5)
+        grid = AngleGrid(-1.5, 1.5, 3.0 / (2 * _SCAN_CHUNK + 99))
+        assert grid.n_points == 2 * _SCAN_CHUNK + 100
+        rng = make_rng(160 + n)
+        coef = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+        want = coef @ _steering(arr, grid.angles())
+        got = np.full(want.shape, np.nan, dtype=complex)
+        for cols, proj in _steering_products(coef, grid_steering(arr, grid)):
+            got[:, cols] = proj
+        scale = np.sum(np.abs(coef), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 32 * n * np.finfo(float).eps * scale)

@@ -11,11 +11,13 @@ It prints, in order:
   ``alias_grid``, ``sweep_multiuser``), the running digest of
   ``benchmark_csv(run_benchmark(scenario))`` followed by the JSON list of
   its rows' diagnostics, over the workload's scenario configs at seeds
-  301-303, then one line read from the same rows, so that a change that
-  alters the digests on purpose shows by how much: the proposed
-  ``mse_aoa`` of each (seed, config, SNR) cell, the proposed trials' stop
-  reasons totalled in ``STOP_REASONS`` order, and the medians over those
-  cells of the per-cell p50 iterations and trial sums;
+  301-303; then the digest of that workload's ``benchmark_csv`` text
+  alone, which a change that moves only the diagnostics (say, a count of
+  skipped work) leaves as it was; then one line read from the same rows,
+  so that a change that alters the digests on purpose shows by how much:
+  the proposed ``mse_aoa`` of each (seed, config, SNR) cell, the proposed
+  trials' stop reasons totalled in ``STOP_REASONS`` order, and the medians
+  over those cells of the per-cell p50 iterations and trial sums;
 - one digest of the final state, loss trace, stop reason and trial count
   of every block estimated at seed 301;
 - one digest of each optima, stationary and surface CSV of the
@@ -133,14 +135,18 @@ def main() -> None:
     running = hashlib.sha256()
     for name in WORKLOAD_ORDER:
         workload_rows = []
+        csv_only = hashlib.sha256()
         for seed in SEEDS:
             record = seed == SEEDS[0]
             for cfg in WORKLOADS[name].scenario_configs(seed):
                 rows = H.run_benchmark(H.scenario_from_dict(cfg))
+                csv = H.benchmark_csv(rows)
                 diagnostics = json.dumps([row.diagnostics for row in rows], sort_keys=True)
-                running.update((H.benchmark_csv(rows) + diagnostics).encode())
+                running.update((csv + diagnostics).encode())
+                csv_only.update(csv.encode())
                 workload_rows += rows
         print(f"benchmark {name}: {running.hexdigest()}")
+        print(f"  {name} CSVs alone: {csv_only.hexdigest()}")
         print(_summary(workload_rows))
     print(f"blocks at seed {SEEDS[0]} ({n_blocks}): {blocks.hexdigest()}")
 
