@@ -155,7 +155,11 @@ def estimate(
     which moves the AoA with the largest gradient entry by 0.5 deg; from
     pseudo-labels, the cap is 0.5 deg halved until it is no larger than the
     grid step (0.5 deg / 64 on a 0.01-deg grid), as a pseudo-label lies
-    within about one grid step of the minimum. Each later search starts at the
+    within about one grid step of the minimum. A single user's label is
+    interpolated between grid angles and lies closer (0.07 of a step at
+    p90 on the benchmark's K = 1 blocks), so there the cap is halved until
+    it is no larger than a sixteenth of the step (0.5 deg / 16 on a 0.5-deg
+    grid, 0.5 deg / 1024 on a 0.01-deg grid). Each later search starts at the
     shorter of the 0.5-deg cap and the Barzilai-Borwein step s.y / y.y
     (BB2; IMA J. Numer. Anal. 8, 1988): s is the last accepted move of the
     AoAs and y the change of the gradient over it. At the closed-form
@@ -189,7 +193,8 @@ def estimate(
         if grid is None:
             raise ValueError("need a pseudo-label grid when initial_aoas is not given")
         start = pseudo_labels(obs, grid, k, suppression_radius=suppression_radius).angles
-        while first_cap > grid.step:
+        limit = grid.step / 16 if k == 1 else grid.step
+        while first_cap > limit:
             first_cap *= 0.5
     angles = np.clip(start, lo, hi)
 

@@ -188,9 +188,17 @@ def pseudo_labels(
     k_users: int,
     suppression_radius: float = 0.0,
 ) -> AoAVector:
-    """One grid angle per user: the K largest distinct peaks of the
+    """One angle per user from the K largest distinct peaks of the
     codebook correlation, picked by ``_pick_peaks`` (ties toward the
     smaller angle), sorted ascending.
+
+    For K > 1 the labels are the picked grid angles. For K = 1 a pick i
+    that is a strict interior local maximum moves to the vertex of the
+    parabola through the profile at i - 1, i, i + 1:
+    angles[i] + step * 0.5 * (c[i-1] - c[i+1]) / (c[i-1] - 2 c[i] + c[i+1]).
+    The peak is strict, so the offset is under half a step and the label
+    stays between the neighbouring grid angles. A pick at a grid end, or a
+    non-strict one, stays on the grid.
 
     ``suppression_radius`` (radians) is the minimum separation between
     picks; the default 0 takes the K largest strict local maxima.
@@ -202,7 +210,12 @@ def pseudo_labels(
     corr = _correlation_profile(obs, grid)
     angles = grid.angles()
     order, _degraded = _pick_peaks(corr, angles, k_users, suppression_radius)
-    return AoAVector(angles[order])
+    labels = angles[order]
+    i = int(order[0])
+    if k_users == 1 and 0 < i < corr.size - 1 and corr[i - 1] < corr[i] > corr[i + 1]:
+        left, mid, right = corr[i - 1 : i + 2]
+        labels = labels + grid.step * 0.5 * (left - right) / (left - 2 * mid + right)
+    return AoAVector(labels)
 
 
 def sector_grid(sector: Sector, step: float) -> AngleGrid:

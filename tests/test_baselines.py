@@ -152,7 +152,8 @@ class TestMusicEstimate:
         """MUSIC and the pseudo-label profile as plain allocating
         expressions of the blocked steering products, joined over the whole
         grid, each temporary its own array, and the angles rebuilt from the
-        grid on every call."""
+        grid on every call; a K = 1 label at a strict interior peak moves to
+        the vertex of the parabola through it and its neighbours."""
         n = obs.array.n_antennas
         powers = grid_steering(obs.array, grid)
 
@@ -169,7 +170,12 @@ class TestMusicEstimate:
         colsum = np.sum(obs.signal, axis=1)
         corr = np.abs(products(colsum.conj()[None, :])[0]) / obs.n_snapshots
         order, _ = _pick_peaks(corr, angles, k)
-        return values, peaks, degraded, angles[order]
+        labels = angles[order]
+        i = order[0]
+        if k == 1 and 0 < i < grid.n_points - 1 and corr[i - 1] < corr[i] > corr[i + 1]:
+            left, mid, right = corr[i - 1 : i + 2]
+            labels = labels + grid.step * 0.5 * (left - right) / (left - 2 * mid + right)
+        return values, peaks, degraded, labels
 
     @pytest.mark.parametrize("spacing", [0.5, 2.0])
     @pytest.mark.parametrize("k", [1, 2, 3])

@@ -815,12 +815,14 @@ class TestLineSearchStart:
     """Where each outer iteration's line search starts, read from the trial
     angles estimate() scores."""
 
-    def _block(self, snr_db=20.0):
-        """One seeded block: K = 1 at 17 deg, N = 32, d/lambda = 0.5."""
+    def _block(self, snr_db=20.0, aoas_deg=(17.0,)):
+        """One seeded block: K = 1 at 17 deg (or one user at each of
+        aoas_deg), N = 32, d/lambda = 0.5."""
         rng = make_rng(94)
         arr = ArrayConfig(32, 0.5)
-        aoas = AoAVector(np.radians([17.0]))
-        prior = ChannelPrior(mean=np.zeros(1, complex), covariance=np.eye(1, dtype=complex))
+        aoas = AoAVector(np.radians(aoas_deg))
+        k = aoas.k_users
+        prior = ChannelPrior(mean=np.zeros(k, complex), covariance=np.eye(k, dtype=complex))
         ch = sample_channel(prior, 40, rng)
         s2 = snr_to_noise_variance(snr_db, arr, prior, aoas)
         obs = synthesize_observation(arr, aoas, ch, s2, rng)
@@ -837,7 +839,8 @@ class TestLineSearchStart:
 
     def test_first_trial_is_capped(self, monkeypatch):
         """Each search's first trial moves AoA k by at most
-        0.5 deg * |g_k| / max|g|; the first search starts at that cap."""
+        0.5 deg * |g_k| / max|g|; the first search, from a single-user label
+        on a 0.5-deg grid, starts at a sixteenth of that cap."""
         obs, prior, sector, grid = self._block()
         events = _record(monkeypatch)
         result = estimate(obs, prior, sector, grid)
@@ -850,6 +853,8 @@ class TestLineSearchStart:
         for i, (angles, g, trials) in enumerate(searches):
             moved = np.abs(trials[0][0] - angles)
             cap = _MAX_FIRST_STEP_RAD * np.abs(g) / np.max(np.abs(g))
+            if i == 0:
+                cap /= 16
             # the displacement is read back from rounded angles
             slack = 4 * np.spacing(np.abs(angles))
             assert np.all(moved <= cap + slack)
@@ -859,17 +864,31 @@ class TestLineSearchStart:
         assert below > 0  # later searches start below the cap
 
     @pytest.mark.parametrize(
-        "grid_step_deg, from_labels, cap_deg",
-        [(0.5, True, 0.5), (0.01, True, 0.5 / 64), (0.01, False, 0.5)],
-        ids=["labels_on_half_degree_grid", "labels_on_hundredth_degree_grid", "initial_aoas"],
+        "aoas_deg, grid_step_deg, from_labels, cap_deg",
+        [
+            ((17.0,), 0.5, True, 0.5 / 16),
+            ((17.0,), 0.01, True, 0.5 / 1024),
+            ((17.0,), 0.01, False, 0.5),
+            ((-20.0, 25.0), 0.5, True, 0.5),
+            ((-20.0, 25.0), 0.01, True, 0.5 / 64),
+        ],
+        ids=[
+            "labels_on_half_degree_grid",
+            "labels_on_hundredth_degree_grid",
+            "initial_aoas",
+            "two_user_labels_on_half_degree_grid",
+            "two_user_labels_on_hundredth_degree_grid",
+        ],
     )
     def test_first_cap_follows_the_label_grid(
-        self, monkeypatch, grid_step_deg, from_labels, cap_deg
+        self, monkeypatch, aoas_deg, grid_step_deg, from_labels, cap_deg
     ):
         """From pseudo-labels, the first trial moves the largest-gradient
-        AoA by 0.5 deg halved until it is within one grid step; from
-        initial_aoas, by 0.5 deg."""
-        obs, prior, sector, _ = self._block()
+        AoA by 0.5 deg halved until it is within a sixteenth of the grid
+        step for a single user, whose label is interpolated between grid
+        angles, and within one step for K > 1, whose labels are grid
+        angles; from initial_aoas, by 0.5 deg."""
+        obs, prior, sector, _ = self._block(aoas_deg=aoas_deg)
         grid = sector_grid(sector, math.radians(grid_step_deg))
         start = None if from_labels else [math.radians(17.0) + 0.01]
         events = _record(monkeypatch)

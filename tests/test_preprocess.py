@@ -191,20 +191,43 @@ class TestCodebookCorrelation:
             ) < 1e-10
 
 
+def _vertex(angle, step, left, mid, right):
+    """The vertex of the parabola through (angle - step, left), (angle,
+    mid) and (angle + step, right)."""
+    return angle + step * 0.5 * (left - right) / (left - 2 * mid + right)
+
+
+def _profile_at(obs, thetas):
+    """(1/M) |sum_m y_m^H a(theta)| at each theta, point by point from
+    steering vectors."""
+    return [
+        abs(np.sum(obs.signal.conj().T @ steering_vector(obs.array, t))) / obs.n_snapshots
+        for t in thetas
+    ]
+
+
 class TestPseudoLabels:
-    def test_on_grid_source_recovered_exactly(self):
+    def test_on_grid_source_label_is_the_profile_vertex(self):
+        """A K = 1 source on a grid angle is the profile's strict peak, so
+        its label moves to the vertex through that angle and its
+        neighbours: 5.6e-6 rad from the source, as the profile is
+        symmetric in sin(theta), not in theta."""
         rng = make_rng(26)
         arr = ArrayConfig(32, 0.5)
         grid = AngleGrid(math.radians(-60.0), math.radians(60.0), math.radians(0.5))
         theta0 = grid.angles()[137]
         obs = _noiseless_obs(arr, [math.degrees(theta0)], [[1.0, 1.0j]], rng)
         labels = pseudo_labels(obs, grid, 1)
-        assert labels.angles[0] == theta0
+        expected = _vertex(theta0, grid.step, *_profile_at(obs, grid.angles()[136:139]))
+        assert abs(labels.angles[0] - expected) < 1e-12
+        assert 1e-6 < abs(labels.angles[0] - theta0) < 1e-5
 
     def test_matches_exhaustive_scan(self):
-        # oracle: the two largest strict local maxima (endpoints eligible,
+        # oracle: the K largest strict local maxima (endpoints eligible,
         # ties toward the smaller angle) of (1/M) |sum_m y_m^H a(theta)|,
-        # built point by point from steering vectors
+        # built point by point from steering vectors; at K = 1 an interior
+        # pick moves to the vertex of the parabola through it and its
+        # neighbours
         rng = make_rng(27)
         arr = ArrayConfig(8, 0.5)
         grid = AngleGrid(-1.0, 1.0, 0.02)
@@ -214,10 +237,7 @@ class TestPseudoLabels:
             ch = sample_channel(prior, 6, rng)
             aoas = AoAVector(np.sort(rng.uniform(-0.9, 0.9, size=2)))
             obs = synthesize_observation(arr, aoas, ch, 0.3, rng)
-            profile = [
-                abs(np.sum(obs.signal.conj().T @ steering_vector(arr, t))) / obs.n_snapshots
-                for t in angles
-            ]
+            profile = _profile_at(obs, angles)
             maxima = [
                 g
                 for g in range(len(profile))
@@ -229,6 +249,35 @@ class TestPseudoLabels:
             expected = np.sort(angles[top])
             got = pseudo_labels(obs, grid, 2)
             assert np.max(np.abs(got.angles - expected)) < 1e-12
+            g = top[0]
+            assert 0 < g < len(profile) - 1
+            expected = _vertex(angles[g], grid.step, *profile[g - 1 : g + 2])
+            got = pseudo_labels(obs, grid, 1)
+            assert abs(got.angles[0] - expected) < 1e-12
+            assert abs(got.angles[0] - angles[g]) < grid.step / 2
+
+    @pytest.mark.parametrize(
+        "profile, index, refined",
+        [
+            ([0.0, 1.0, 3.0, 2.0, 0.0], 2, True),
+            ([0.0, 2.0, 2.0, 1.0, 0.0], 1, False),
+            ([3.0, 2.0, 1.0, 2.0, 2.5], 0, False),
+        ],
+        ids=["strict_interior_peak", "plateau", "grid_end"],
+    )
+    def test_single_user_vertex_rule(self, monkeypatch, profile, index, refined):
+        """At K = 1 only a strict interior pick leaves the grid; a plateau
+        (no strict maximum, so the fill picks the smaller angle) and a pick
+        at a grid end stay on it."""
+        rng = make_rng(36)
+        obs = _noiseless_obs(ArrayConfig(4, 0.5), [0.0], [[1.0]], rng)
+        grid = AngleGrid(-0.2, 0.2, 0.1)
+        monkeypatch.setattr(
+            "aoavi.preprocess._correlation_profile", lambda *_: np.array(profile)
+        )
+        angle = grid.angles()[index]
+        expected = _vertex(angle, grid.step, *profile[index - 1 : index + 2]) if refined else angle
+        assert pseudo_labels(obs, grid, 1).angles[0] == expected
 
     def test_well_separated_sources_located(self):
         # The snapshot-coherent correlation statistic needs gains that do

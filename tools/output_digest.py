@@ -17,7 +17,10 @@ It prints, in order:
   so that a change that alters the digests on purpose shows by how much:
   the proposed ``mse_aoa`` of each (seed, config, SNR) cell, the proposed
   trials' stop reasons totalled in ``STOP_REASONS`` order, and the medians
-  over those cells of the per-cell p50 iterations and trial sums;
+  over those cells of the per-cell p50 iterations and trial sums; then
+  the total outer iterations and line-search trial sums of the workload's
+  estimates at seed 301 and over seeds 301-303, exact counts of the work
+  that a change which only skips work lowers;
 - one digest of the final state, loss trace, stop reason and trial count
   of every block estimated at seed 301;
 - one digest of each optima, stationary and surface CSV of the
@@ -120,11 +123,13 @@ def main() -> None:
     blocks = hashlib.sha256()
     n_blocks = 0
     record = False
+    work = np.zeros(2, dtype=int)  # outer iterations, trial sums
     estimate = H.estimate
 
     def recording_estimate(*args, **kwargs):
         nonlocal n_blocks
         result = estimate(*args, **kwargs)
+        work[:] += (result.iterations_used, result.line_search_evaluations)
         if record:
             blocks.update(_result_bytes(result))
             n_blocks += 1
@@ -136,6 +141,7 @@ def main() -> None:
     for name in WORKLOAD_ORDER:
         workload_rows = []
         csv_only = hashlib.sha256()
+        work[:] = 0
         for seed in SEEDS:
             record = seed == SEEDS[0]
             for cfg in WORKLOADS[name].scenario_configs(seed):
@@ -145,9 +151,16 @@ def main() -> None:
                 running.update((csv + diagnostics).encode())
                 csv_only.update(csv.encode())
                 workload_rows += rows
+            if record:
+                first_seed_work = work.copy()
         print(f"benchmark {name}: {running.hexdigest()}")
         print(f"  {name} CSVs alone: {csv_only.hexdigest()}")
         print(_summary(workload_rows))
+        print(
+            f"  {name} outer iterations/trial sums: seed {SEEDS[0]}"
+            f" {first_seed_work[0]}/{first_seed_work[1]};"
+            f" seeds {SEEDS[0]}-{SEEDS[-1]} {work[0]}/{work[1]}"
+        )
     print(f"blocks at seed {SEEDS[0]} ({n_blocks}): {blocks.hexdigest()}")
 
     landscape = hashlib.sha256()
