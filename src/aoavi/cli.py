@@ -26,7 +26,6 @@ import numpy as np
 
 from .harness import (
     ConfigError,
-    LandscapeConfig,
     benchmark_csv,
     benchmark_rows_json,
     complex_to_pairs,
@@ -36,6 +35,7 @@ from .harness import (
     run_metadata,
     scenario_from_dict,
     _estimate,
+    _json_text,
     _trial_block,
 )
 
@@ -107,18 +107,17 @@ def _cmd_simulate(args, config: dict) -> int:
     blocks = []
     for si, snr in enumerate(scenario.snr_db_list):
         for t in range(scenario.n_trials):
-            aoas, _channel, s2, obs = _trial_block(scenario, si, t)
+            aoas, _channel, obs = _trial_block(scenario, si, t)
             blocks.append(
                 {
                     "snr_db": float(snr),
                     "trial": t,
-                    "noise_variance": s2,
+                    "noise_variance": obs.noise_variance,
                     "true_aoas_deg": [math.degrees(a) for a in aoas.angles],
                     "signal": complex_to_pairs(obs.signal),
                 }
             )
-    payload = json.dumps({"observations": blocks}, indent=2, sort_keys=True) + "\n"
-    (out / "observations.json").write_text(payload)
+    (out / "observations.json").write_text(_json_text({"observations": blocks}))
     meta = run_metadata(config, {"simulate": (time.perf_counter() - t0) * 1e3})
     (out / "observations_meta.json").write_text(meta)
     print(f"wrote {out / 'observations.json'}")
@@ -129,7 +128,7 @@ def _cmd_estimate(args, config: dict) -> int:
     scenario = scenario_from_dict(config)
     out = _out_dir(args)
     t0 = time.perf_counter()
-    aoas, _channel, s2, obs = _trial_block(scenario, 0, 0)
+    aoas, _channel, obs = _trial_block(scenario, 0, 0)
     result = _estimate(scenario, obs)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
 
@@ -138,7 +137,7 @@ def _cmd_estimate(args, config: dict) -> int:
     true_deg = sorted(math.degrees(a) for a in aoas.angles)
     payload = {
         "snr_db": float(scenario.snr_db_list[0]),
-        "noise_variance": s2,
+        "noise_variance": obs.noise_variance,
         "true_aoas_deg": true_deg,
         "estimated_aoas_deg": est_deg,
         "abs_error_deg": [abs(e - t) for e, t in zip(est_deg, true_deg)],
@@ -153,7 +152,7 @@ def _cmd_estimate(args, config: dict) -> int:
         "path_gains": np.abs(means).tolist(),
         "path_angles": np.angle(means).tolist(),
     }
-    (out / "estimate.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    (out / "estimate.json").write_text(_json_text(payload))
     meta = run_metadata(config, {"estimate": elapsed_ms})
     (out / "estimate_meta.json").write_text(meta)
     print(f"wrote {out / 'estimate.json'}")
@@ -161,9 +160,8 @@ def _cmd_estimate(args, config: dict) -> int:
 
 
 def _cmd_landscape(args, config: dict) -> int:
-    cfg: LandscapeConfig = landscape_config_from_dict(config)
-    out = _out_dir(args)
-    paths = run_landscape_export(cfg, out, config)
+    cfg = landscape_config_from_dict(config)
+    paths = run_landscape_export(cfg, Path(args.out_dir), config)
     for name in sorted(paths):
         print(f"wrote {paths[name]}")
     return 0

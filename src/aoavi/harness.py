@@ -232,16 +232,15 @@ def _draw_aoas(scenario: Scenario, rng: np.random.Generator) -> AoAVector:
 
 
 def _trial_block(scenario: Scenario, snr_index: int, trial_index: int):
-    """The seeded draw of one trial: true AoAs, channel, noise variance and
-    the observation block, in the order the seeding contract fixes."""
+    """The seeded draw of one trial, in the order the seeding contract fixes:
+    true AoAs, channel and the observation block, which holds sigma^2."""
     rng = trial_rng(scenario.master_seed, snr_index, trial_index)
     aoas = _draw_aoas(scenario, rng)
     channel = sample_channel(scenario.prior, scenario.n_snapshots, rng)
     s2 = snr_to_noise_variance(
         scenario.snr_db_list[snr_index], scenario.array, scenario.prior, aoas
     )
-    obs = synthesize_observation(scenario.array, aoas, channel, s2, rng)
-    return aoas, channel, s2, obs
+    return aoas, channel, synthesize_observation(scenario.array, aoas, channel, s2, rng)
 
 
 def _estimate(scenario: Scenario, obs):
@@ -252,25 +251,22 @@ def _estimate(scenario: Scenario, obs):
     )
 
 
-def _score_proposed(scenario: Scenario, obs, aoas, channel):
-    """Errors of the variational estimate and its stop diagnostics, a
+def _run_proposed(scenario: Scenario, obs):
+    """The variational estimate's angles, gains and stop diagnostics, a
     (stop_reason, iterations_used, line_search_evaluations) triple."""
     result = _estimate(scenario, obs)
-    errs = aligned_squared_errors(
-        aoas, channel, result.state.aoa_estimate.angles, result.state.channel_means
-    )
-    return errs, (result.stop_reason, result.iterations_used, result.line_search_evaluations)
+    run = (result.stop_reason, result.iterations_used, result.line_search_evaluations)
+    return result.state.aoa_estimate.angles, result.state.channel_means, run
 
 
-def _score_music_ls(scenario: Scenario, obs, aoas, channel):
-    """Errors of MUSIC peaks plus least-squares gains; no stop diagnostics."""
+def _run_music_ls(scenario: Scenario, obs):
+    """MUSIC peaks plus least-squares gains; no stop diagnostics."""
     spectrum = music_estimate(obs, scenario.grid, scenario.prior.k_users)
     peak_angles = np.asarray(spectrum.peaks, dtype=float)
-    gains = ls_channel(obs, AoAVector(peak_angles))
-    return aligned_squared_errors(aoas, channel, peak_angles, gains), None
+    return peak_angles, ls_channel(obs, AoAVector(peak_angles)), None
 
 
-_METHODS = ((PROPOSED, _score_proposed), (MUSIC_LS, _score_music_ls))
+_METHODS = ((PROPOSED, _run_proposed), (MUSIC_LS, _run_music_ls))
 
 
 def run_benchmark(scenario: Scenario) -> list[MetricRow]:
@@ -293,12 +289,13 @@ def run_benchmark(scenario: Scenario) -> list[MetricRow]:
             for name, _ in _METHODS
         }
         for t in range(scenario.n_trials):
-            aoas, channel, _s2, obs = _trial_block(scenario, si, t)
-            for name, score in _METHODS:
+            aoas, channel, obs = _trial_block(scenario, si, t)
+            for name, method in _METHODS:
                 a = acc[name]
                 t0 = time.perf_counter()
                 try:
-                    errs, run = score(scenario, obs, aoas, channel)
+                    angles, gains, run = method(scenario, obs)
+                    errs = aligned_squared_errors(aoas, channel, angles, gains)
                 except _NUMERICAL_FAILURES as exc:
                     a["failures"][_failure_name(exc)] += 1
                 else:
@@ -333,16 +330,24 @@ def _benchmark_cells(r: MetricRow) -> tuple:
     return (r.method, r.snr_db, r.mse_aoa, r.mse_path_gain, r.mse_path_angle, r.trials, r.failures)
 
 
+def _csv_text(rows) -> str:
+    """The one CSV writer: each row's cells joined by commas, one line per
+    row. str() writes each float in its shortest round-trip form."""
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def _json_text(payload) -> str:
+    """The one JSON writer: sorted keys, two-space indent, a final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def benchmark_csv(rows: Sequence[MetricRow]) -> str:
-    """Deterministic CSV of the sweep; str() writes each float in its
-    shortest round-trip form."""
-    lines = [BENCHMARK_CSV_HEADER] + [",".join(map(str, _benchmark_cells(r))) for r in rows]
-    return "\n".join(lines) + "\n"
+    """Deterministic CSV of the sweep."""
+    return _csv_text([(BENCHMARK_CSV_HEADER,), *map(_benchmark_cells, rows)])
 
 
 def benchmark_rows_json(rows: Sequence[MetricRow]) -> str:
-    payload = {"rows": [dict(zip(_BENCHMARK_COLUMNS, _benchmark_cells(r))) for r in rows]}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_text({"rows": [dict(zip(_BENCHMARK_COLUMNS, _benchmark_cells(r))) for r in rows]})
 
 
 def run_metadata(config_echo: dict, runtime_ms: dict, diagnostics: Optional[dict] = None) -> str:
@@ -354,7 +359,7 @@ def run_metadata(config_echo: dict, runtime_ms: dict, diagnostics: Optional[dict
     }
     if diagnostics is not None:
         payload["diagnostics"] = diagnostics
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_text(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -560,19 +565,16 @@ def landscape_config_from_dict(d: dict) -> LandscapeConfig:
 
 def optima_csv(array: ArrayConfig, true_angle: float) -> str:
     opt = enumerate_global_optima(array, true_angle)
-    lines = [OPTIMA_CSV_HEADER]
-    for angle, l in zip(opt.alias_angles, opt.alias_integers):
-        lines.append(f"{l},{math.sin(angle)!r},{math.degrees(angle)!r}")
-    return "\n".join(lines) + "\n"
+    angles = opt.alias_angles
+    rows = zip(opt.alias_integers, map(math.sin, angles), map(math.degrees, angles))
+    return _csv_text([(OPTIMA_CSV_HEADER,), *rows])
 
 
 def stationary_csv(array: ArrayConfig, true_angle: float, scan_step: float) -> str:
     grid = AngleGrid(-math.pi / 2, math.pi / 2, scan_step)
     points = stationary_points(array, true_angle, grid)
     degrees = np.degrees(points.angles).tolist()
-    lines = [STATIONARY_CSV_HEADER]
-    lines += [f"{angle!r},{residual!r}" for angle, residual in zip(degrees, points.residuals)]
-    return "\n".join(lines) + "\n"
+    return _csv_text([(STATIONARY_CSV_HEADER,), *zip(degrees, points.residuals)])
 
 
 def _axis_label(ax: AxisSpec) -> str:
@@ -585,24 +587,17 @@ def _axis_out_values(ax: AxisSpec) -> np.ndarray:
     return np.degrees(vals) if ax.target == "aoa" else vals
 
 
-def _csv_floats(values: np.ndarray) -> str:
-    # one tolist() and repr per value; the shortest round-trip form
-    return ",".join(map(repr, values.tolist()))
-
-
 def surface_csv(surface: LossSurface) -> str:
     """1-D: axis-value row then loss row. 2-D: header row carries the second
     axis's values; each data row starts with the first axis's value."""
     axes = surface.axes
     if len(axes) == 1:
-        line1 = f"{_axis_label(axes[0])},{_csv_floats(_axis_out_values(axes[0]))}"
-        line2 = f"loss,{_csv_floats(surface.values)}"
-        return line1 + "\n" + line2 + "\n"
+        header = [_axis_label(axes[0]), *_axis_out_values(axes[0]).tolist()]
+        return _csv_text([header, ["loss", *surface.values.tolist()]])
     corner = f"{_axis_label(axes[0])}\\{_axis_label(axes[1])}"
-    lines = [f"{corner},{_csv_floats(_axis_out_values(axes[1]))}"]
-    for x, row in zip(_axis_out_values(axes[0]).tolist(), surface.values):
-        lines.append(f"{x!r},{_csv_floats(row)}")
-    return "\n".join(lines) + "\n"
+    first = _axis_out_values(axes[0]).tolist()
+    rows = [[x, *row] for x, row in zip(first, surface.values.tolist())]
+    return _csv_text([[corner, *_axis_out_values(axes[1]).tolist()], *rows])
 
 
 def run_landscape_export(cfg: LandscapeConfig, out_dir: Path, config_echo: dict) -> dict:

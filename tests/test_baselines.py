@@ -462,3 +462,33 @@ class TestLsChannel:
         obs = synthesize_observation(arr, AoAVector(np.array([0.2])), ch, 0.1, rng)
         with pytest.raises(ValueError, match="rank-deficient"):
             ls_channel(obs, AoAVector(np.array(aoas_rad)))
+
+
+_GRID = AngleGrid(-0.5, 0.5, 0.25)
+
+
+def _music_obs(n_antennas: int, n_snapshots: int = 5) -> ObservationSet:
+    signal = make_rng(0).standard_normal((n_antennas, n_snapshots)) + 0j
+    return ObservationSet(signal=signal, noise_variance=1.0, array=ArrayConfig(n_antennas, 0.5))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: MusicSpectrum(_GRID, np.ones(_GRID.n_points + 1), ()),
+            "one spectrum value per grid point required",
+        ),
+        (lambda: MusicSpectrum(_GRID, np.ones(_GRID.n_points), (0.25, 0.0)), "sorted ascending"),
+        (lambda: music_estimate(_music_obs(4), _GRID, 0), "k_sources must be at least 1"),
+        (lambda: music_estimate(_music_obs(2), _GRID, 2), "need more antennas than sources"),
+        (
+            lambda: music_estimate(_music_obs(8), AngleGrid(-0.5, 0.5, 1.0), 3),
+            "grid too small for the requested number of peaks",
+        ),
+    ],
+    ids=["spectrum_shape", "unsorted_peaks", "k_below_1", "n_not_above_k", "grid_below_k"],
+)
+def test_input_checks_name_the_rule(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

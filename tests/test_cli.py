@@ -289,7 +289,7 @@ class TestArtifacts:
         assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 0
         payload = json.loads((out / "estimate.json").read_text())
         scenario = scenario_from_dict(config)
-        result = _estimate(scenario, _trial_block(scenario, 0, 0)[3])
+        result = _estimate(scenario, _trial_block(scenario, 0, 0)[2])
         means = result.state.channel_means
         assert payload["path_gains"] == np.abs(means).tolist()
         assert payload["path_angles"] == np.angle(means).tolist()

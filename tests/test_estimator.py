@@ -598,7 +598,7 @@ class TestEstimate:
                 "grid_step_deg": 0.5,
             }
         )
-        _, _, _, obs = _trial_block(scenario, 1, 9)
+        _, _, obs = _trial_block(scenario, 1, 9)
         result = _estimate(scenario, obs)
         assert result.stop_reason == "loss_plateau"
         totals = [b.total for b in result.loss_trace]

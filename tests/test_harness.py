@@ -302,7 +302,7 @@ class TestRunBenchmark:
         for si, row in enumerate(r for r in rows if r.method == PROPOSED):
             results = [
                 estimate(
-                    _trial_block(scenario, si, t)[3],
+                    _trial_block(scenario, si, t)[2],
                     scenario.prior,
                     scenario.sector,
                     grid,
@@ -809,3 +809,27 @@ class TestLandscapeExport:
         assert axis[int(np.argmin(loss))] == pytest.approx(11.0)
         meta = json.loads(paths["meta"].read_text())
         assert "surface" in meta["runtime_ms"]
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: _single_user_scenario(n_trials=0), ValueError, "n_trials must be at least 1"),
+        (lambda: _single_user_scenario(snr_db_list=()), ValueError, "snr_db_list must be nonempty"),
+        (lambda: _single_user_scenario(n_snapshots=0), ValueError, "n_snapshots must be at least"),
+        (
+            lambda: _single_user_scenario(aoas=AoAVector([0.1, 0.2])),
+            ValueError,
+            "aoas and prior must agree on the user count",
+        ),
+        (
+            lambda: aoavi.harness._as_complex([[1.0, 0.0], [1.0]], "prior.mean", 1),
+            ConfigError,
+            "field 'prior.mean' must be a list of [re, im] pairs",
+        ),
+    ],
+    ids=["no_trials", "no_snr", "no_snapshots", "aoas_vs_prior", "ragged_pairs"],
+)
+def test_input_checks_name_the_rule(build, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        build()

@@ -575,3 +575,28 @@ def test_true_angle_within_the_angle_bound_accepted_by_every_entry_point(edge):
     evaluate_surface([_aoa_axis(5)], arr, edge)
     stationary_points(arr, edge, AngleGrid(-math.pi / 2, math.pi / 2, step))
     LandscapeConfig(array=arr, true_angle=edge, scan_step=step, surface_axes=None)
+
+
+_AXIS = AxisSpec("aoa", -0.1, 0.1, 3)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GlobalOptimaSet(0.1, (0.1,), (0, 1), 2.0), "one lattice integer per alias"),
+        (lambda: GlobalOptimaSet(0.1, (0.2, 0.1), (0, 1), 2.0), "alias_angles must be strictly"),
+        (lambda: GlobalOptimaSet(0.1, (0.2,), (0,), 2.0), "the true angle must be among"),
+        (lambda: StationaryPointSet((0.2, 0.1), (0.0, 0.0)), "angles must be strictly ascending"),
+        (lambda: StationaryPointSet((0.1,), ()), "one residual per angle required"),
+        (lambda: AxisSpec("aoa", -0.1, 0.1, 1), "need at least two grid points"),
+        (lambda: LossSurface((_AXIS,), np.zeros(4)), "values shape must match"),
+        (lambda: aoavi.landscape._check_axes((_AXIS,) * 3), "one or two axes supported"),
+    ],
+    ids=[
+        "optima_integers", "optima_order", "optima_truth", "roots_order", "roots_residuals",
+        "axis_num", "surface_shape", "three_axes",
+    ],
+)
+def test_input_checks_name_the_rule(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

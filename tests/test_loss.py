@@ -364,3 +364,26 @@ class TestTotalLoss:
         assert abs(b.reconstruction_term - a.reconstruction_term / 2) < 1e-10 * max(
             1.0, a.reconstruction_term
         )
+
+
+_ONE_USER = AoAVector(np.array([0.1]))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: VariationalState(_ONE_USER, np.zeros(3), np.eye(1)), "channel_means must be K x"),
+        (
+            lambda: VariationalState(_ONE_USER, np.zeros((2, 3)), np.eye(1)),
+            "channel_means row count must equal the user count",
+        ),
+        (
+            lambda: kl_gaussian(np.zeros(2), np.eye(2), ChannelPrior(np.zeros(1), np.eye(1))),
+            "q dimensions must match the prior",
+        ),
+    ],
+    ids=["means_1d", "means_rows", "kl_shape"],
+)
+def test_input_checks_name_the_rule(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import aoavi
-from aoavi import landscape, loss
+from aoavi import harness, landscape, loss
 from aoavi.estimator import EstimationResult, OptimizerConfig
 from aoavi.harness import landscape_config_from_dict, scenario_from_dict
 from aoavi.landscape import AxisSpec, StationaryPointSet
@@ -130,6 +130,41 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
     # in the landscape
     exempt = {"total_loss", "exact_population_gradient"}
     assert sorted(set(aoavi.__all__) - exempt - used) == []
+
+
+def _json_dumps_calls(path: Path) -> int:
+    """The json.dumps calls in a module's code, found by an AST walk."""
+    return sum(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "dumps"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
+def test_one_path_from_a_trial_to_its_artifacts():
+    # both methods are scored by one aligned_squared_errors call in
+    # run_benchmark, the CSVs have one writer, every JSON artifact goes
+    # through one json.dumps, and sigma^2 is read from the observation block
+    for removed in ("_score_proposed", "_score_music_ls", "_csv_floats"):
+        assert not hasattr(harness, removed), removed
+    scenario = scenario_from_dict(
+        {
+            "array": {"n_antennas": 4, "spacing_ratio": 0.5},
+            "prior": {"mean": [[1.0, 0.0]], "covariance": [[[0.1, 0.0]]]},
+            "n_snapshots": 2,
+            "snr_db_list": [10.0],
+            "n_trials": 1,
+            "master_seed": 1,
+            "sector": {"center_deg": 0.0, "width_deg": 60.0},
+            "grid_step_deg": 1.0,
+        }
+    )
+    assert len(harness._trial_block(scenario, 0, 0)) == 3
+    package = Path(aoavi.__file__).resolve().parent
+    assert sum(map(_json_dumps_calls, package.glob("*.py"))) == 1
 
 
 def test_runtime_imports_only_numpy_and_the_standard_library():

@@ -364,3 +364,27 @@ class TestSnrToNoiseVariance:
         per_antenna = np.mean(np.abs(obs.signal) ** 2)
         s2 = snr_to_noise_variance(0.0, arr, prior, aoas)
         assert abs(s2 - per_antenna) < 0.05 * per_antenna
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AoAVector(np.array([])), "at least one angle required"),
+        (
+            lambda: ChannelPrior(np.zeros(2), np.eye(1)),
+            "covariance must be K x K for a K-vector mean",
+        ),
+        (
+            lambda: ObservationSet(np.zeros(4, dtype=complex), 1.0, ArrayConfig(4, 0.5)),
+            "signal must be an N x M matrix",
+        ),
+        (
+            lambda: sample_channel(ChannelPrior(np.zeros(1), np.eye(1)), 0, make_rng(0)),
+            "n_snapshots must be >= 1",
+        ),
+    ],
+    ids=["empty_aoas", "prior_shape", "signal_1d", "no_snapshots"],
+)
+def test_input_checks_name_the_rule(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -25,7 +25,9 @@ It prints, in order:
   of every block estimated at seed 301;
 - one digest of each optima, stationary and surface CSV of the
   ``LANDSCAPE_CONFIGS`` exports (``landscape config 2 surface: ...``), so
-  that a change that moves one file shows which, then one digest of all
+  that a change that moves one file shows which, each config's digests
+  followed by its stationary-root and optima counts (the data rows of its
+  two CSVs, the pair ``LANDSCAPE_COUNTS`` records), then one digest of all
   of them in that order;
 - one digest of each CLI data artifact that ``aoavi simulate``,
   ``aoavi estimate`` and ``aoavi benchmark --format json`` write for the
@@ -173,6 +175,10 @@ def main() -> None:
                     data = paths[key].read_bytes()
                     print(f"landscape config {i} {key}: {hashlib.sha256(data).hexdigest()}")
                     landscape.update(data)
+            roots, optima = (
+                len(paths[key].read_text().splitlines()) - 1 for key in ("stationary", "optima")
+            )
+            print(f"landscape config {i} counts: {roots} stationary roots, {optima} optima")
     print(f"landscape CSVs: {landscape.hexdigest()}")
     _cli_digests()
 
