@@ -7,13 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import (
-    AngleGrid,
-    _pick_peaks,
-    _steering_products,
-    empirical_covariance,
-    grid_steering,
-)
+from .preprocess import AngleGrid, _pick_peaks, _steering_products, empirical_covariance
 from .signal_model import AoAVector, ObservationSet, array_matrix
 from .signal_model import _frozen
 
@@ -72,10 +66,9 @@ def music_estimate(obs: ObservationSet, grid: AngleGrid, k_sources: int) -> Musi
 
     Every ULA steering vector has ||a||^2 = N, and E E^H = I - U U^H, so
     the noise projection is evaluated as N - ||U^H a(theta)||^2: a K x G
-    product instead of an (N-K) x G one, formed from the grid steering's
-    first rows by ``_steering_products``. Near a noiseless peak that
-    difference can round to just below zero; the 1e-8 floor absorbs the
-    round-off as it absorbs exact orthogonality.
+    product instead of an (N-K) x G one, formed by ``_steering_products``.
+    Near a noiseless peak that difference can round to just below zero; the
+    1e-8 floor absorbs the round-off as it absorbs exact orthogonality.
     """
     if k_sources < 1:
         raise ValueError("k_sources must be at least 1")
@@ -92,11 +85,10 @@ def music_estimate(obs: ObservationSet, grid: AngleGrid, k_sources: int) -> Musi
     signal_basis = eigvecs[:, n - k_sources :]
 
     values = np.empty(grid.n_points)
-    powers = grid_steering(obs.array, grid)
     # in place, one grid chunk at a time; the rows are added in the order
     # np.sum(axis=0) adds them, so the values match that expression of the
     # same products bit for bit
-    for cols, proj in _steering_products(signal_basis.conj().T, powers):
+    for cols, proj in _steering_products(signal_basis.conj().T, obs.array, grid):
         chunk = values[cols]
         np.abs(proj[0], out=chunk)
         np.square(chunk, out=chunk)

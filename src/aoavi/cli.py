@@ -100,6 +100,16 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write(out: Path, name: str, text: str, meta: str) -> int:
+    """Write the data artifact ``name``, its <stem>_meta.json side-car and
+    the ``wrote`` line; returns the success exit code."""
+    path = out / name
+    path.write_text(text)
+    (out / f"{path.stem}_meta.json").write_text(meta)
+    print(f"wrote {path}")
+    return 0
+
+
 def _cmd_simulate(args, config: dict) -> int:
     scenario = scenario_from_dict(config)
     out = _out_dir(args)
@@ -117,11 +127,9 @@ def _cmd_simulate(args, config: dict) -> int:
                     "signal": complex_to_pairs(obs.signal),
                 }
             )
-    (out / "observations.json").write_text(_json_text({"observations": blocks}))
+    text = _json_text({"observations": blocks})
     meta = run_metadata(config, {"simulate": (time.perf_counter() - t0) * 1e3})
-    (out / "observations_meta.json").write_text(meta)
-    print(f"wrote {out / 'observations.json'}")
-    return 0
+    return _write(out, "observations.json", text, meta)
 
 
 def _cmd_estimate(args, config: dict) -> int:
@@ -152,11 +160,8 @@ def _cmd_estimate(args, config: dict) -> int:
         "path_gains": np.abs(means).tolist(),
         "path_angles": np.angle(means).tolist(),
     }
-    (out / "estimate.json").write_text(_json_text(payload))
     meta = run_metadata(config, {"estimate": elapsed_ms})
-    (out / "estimate_meta.json").write_text(meta)
-    print(f"wrote {out / 'estimate.json'}")
-    return 0
+    return _write(out, "estimate.json", _json_text(payload), meta)
 
 
 def _cmd_landscape(args, config: dict) -> int:
@@ -171,19 +176,13 @@ def _cmd_benchmark(args, config: dict) -> int:
     scenario = scenario_from_dict(config)
     out = _out_dir(args)
     rows = run_benchmark(scenario)
-    if args.format == "csv":
-        data_path = out / "benchmark.csv"
-        data_path.write_text(benchmark_csv(rows))
-    else:
-        data_path = out / "benchmark.json"
-        data_path.write_text(benchmark_rows_json(rows))
+    text = benchmark_csv(rows) if args.format == "csv" else benchmark_rows_json(rows)
     runtimes = {f"{r.method}@{r.snr_db!r}dB": r.runtime_ms for r in rows}
     diagnostics = {
         f"{r.method}@{r.snr_db!r}dB": r.diagnostics for r in rows if r.diagnostics is not None
     }
-    (out / "benchmark_meta.json").write_text(run_metadata(config, runtimes, diagnostics))
-    print(f"wrote {data_path}")
-    return 0
+    meta = run_metadata(config, runtimes, diagnostics)
+    return _write(out, f"benchmark.{args.format}", text, meta)
 
 
 _COMMANDS = {

@@ -56,7 +56,8 @@ class EstimationResult:
     """Final posterior state plus the optimization record.
 
     loss_trace holds one LossBreakdown per outer iteration and its totals
-    are exactly non-increasing (enforced here).
+    are exactly non-increasing. A rising trace or an unknown stop reason is
+    a defect, not a numerical failure, so it raises AssertionError.
     stop_reason is one of STOP_REASONS: the gradient fell below its
     tolerance, one iteration lowered the loss by less than its tolerance,
     the line search stalled, or the trace reached max_outer_iterations.
@@ -79,12 +80,13 @@ class EstimationResult:
         return len(self.loss_trace)
 
     def __post_init__(self):
+        # explicit raises, which python -O keeps
         if self.stop_reason not in STOP_REASONS:
-            raise ValueError(f"stop_reason must be one of {STOP_REASONS}")
+            raise AssertionError(f"stop_reason must be one of {STOP_REASONS}")
         totals = [b.total for b in self.loss_trace]
         for earlier, later in zip(totals, totals[1:]):
             if later > earlier:
-                raise ValueError("loss trace must be non-increasing")
+                raise AssertionError("loss trace must be non-increasing")
 
 
 def closed_form_channel_update(

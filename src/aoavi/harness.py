@@ -273,7 +273,8 @@ def run_benchmark(scenario: Scenario) -> list[MetricRow]:
     """Full Monte Carlo sweep: for every SNR and trial, synthesize one
     observation block and run both methods on it. Per-trial numerical
     failures (ValueError, LinAlgError) are counted and excluded from the
-    means; any other exception propagates. A method's runtime covers its
+    means; any other exception propagates, such as the AssertionError of
+    a broken EstimationResult contract. A method's runtime covers its
     scoring. Output order: SNRs as listed, proposed before the classical
     baseline. Every row's diagnostics counts its failures by type; each
     proposed row also carries the stop diagnostics of its scored trials."""

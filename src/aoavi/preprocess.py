@@ -104,11 +104,12 @@ def grid_steering(array: ArrayConfig, grid: AngleGrid) -> np.ndarray:
 
 
 def _steering_products(
-    coef: np.ndarray, powers: np.ndarray
+    coef: np.ndarray, array: ArrayConfig, grid: AngleGrid
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Yield (columns, coef @ A[:, columns]) for a K x N ``coef`` and the
-    N x G grid steering matrix A whose leading rows are ``powers``, from
-    ``grid_steering``, one _SCAN_CHUNK-column slice of the grid at a time.
+    N x G steering matrix A of ``array`` over ``grid``, one
+    _SCAN_CHUNK-column slice of the grid at a time. The kernel reads A's
+    leading rows from the ``grid_steering`` cache itself.
 
     Column g of A is z^n, n = 0..N-1, with z = exp(-j 2 pi (d/lambda)
     sin theta_g), so coef @ A = sum_q (coef[:, qB:(q+1)B] @ A[:B]) (z^B)^q:
@@ -125,6 +126,7 @@ def _steering_products(
     padded[:, :n] = coef
     # rows i*K..(i+1)*K-1 hold coefficient block i
     blocks = padded.reshape(k, q, b).transpose(1, 0, 2).reshape(q * k, b)
+    powers = grid_steering(array, grid)
     g = powers.shape[1]
     buf = np.empty(q * k * min(g, _SCAN_CHUNK), dtype=complex)
     for lo in range(0, g, _SCAN_CHUNK):
@@ -144,8 +146,7 @@ def _correlation_profile(obs: ObservationSet, grid: AngleGrid) -> np.ndarray:
     # sum_m y_m^H a(theta) = (column-summed Y)^H a(theta)
     colsum = np.sum(obs.signal, axis=1)
     profile = np.empty(grid.n_points)
-    powers = grid_steering(obs.array, grid)
-    for cols, proj in _steering_products(colsum.conj()[None, :], powers):
+    for cols, proj in _steering_products(colsum.conj()[None, :], obs.array, grid):
         np.abs(proj[0], out=profile[cols])
     profile /= obs.n_snapshots
     return profile
@@ -192,13 +193,14 @@ def pseudo_labels(
     codebook correlation, picked by ``_pick_peaks`` (ties toward the
     smaller angle), sorted ascending.
 
-    For K > 1 the labels are the picked grid angles. For K = 1 a pick i
-    that is a strict interior local maximum moves to the vertex of the
-    parabola through the profile at i - 1, i, i + 1:
+    For K > 1 the labels are the picked grid angles. For K = 1 an interior
+    pick i that ``_pick_peaks`` did not fill (so a strict local maximum)
+    moves to the vertex of the parabola through the profile at i - 1, i,
+    i + 1:
     angles[i] + step * 0.5 * (c[i-1] - c[i+1]) / (c[i-1] - 2 c[i] + c[i+1]).
     The peak is strict, so the offset is under half a step and the label
     stays between the neighbouring grid angles. A pick at a grid end, or a
-    non-strict one, stays on the grid.
+    filled one, stays on the grid.
 
     ``suppression_radius`` (radians) is the minimum separation between
     picks; the default 0 takes the K largest strict local maxima.
@@ -209,10 +211,10 @@ def pseudo_labels(
         raise ValueError("suppression_radius must be non-negative")
     corr = _correlation_profile(obs, grid)
     angles = grid.angles()
-    order, _degraded = _pick_peaks(corr, angles, k_users, suppression_radius)
+    order, degraded = _pick_peaks(corr, angles, k_users, suppression_radius)
     labels = angles[order]
     i = int(order[0])
-    if k_users == 1 and 0 < i < corr.size - 1 and corr[i - 1] < corr[i] > corr[i + 1]:
+    if k_users == 1 and not degraded and 0 < i < corr.size - 1:
         left, mid, right = corr[i - 1 : i + 2]
         labels = labels + grid.step * 0.5 * (left - right) / (left - 2 * mid + right)
     return AoAVector(labels)

@@ -155,10 +155,9 @@ class TestMusicEstimate:
         grid on every call; a K = 1 label at a strict interior peak moves to
         the vertex of the parabola through it and its neighbours."""
         n = obs.array.n_antennas
-        powers = grid_steering(obs.array, grid)
 
         def products(coef):
-            chunks = [p.copy() for _, p in _steering_products(coef, powers)]
+            chunks = [p.copy() for _, p in _steering_products(coef, obs.array, grid)]
             return np.concatenate(chunks, axis=1)
 
         _w, vecs = np.linalg.eigh(empirical_covariance(obs))

@@ -361,7 +361,7 @@ class TestEstimationResult:
             LossBreakdown(0.0, 1.0),
             LossBreakdown(0.0, 2.0),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(AssertionError):
             EstimationResult(
                 state=state,
                 loss_trace=rising,
@@ -378,7 +378,7 @@ class TestEstimationResult:
         # estimate() appends no state that raises the loss, so no rise is
         # round-off to forgive
         rising = (LossBreakdown(0.0, 1.0), LossBreakdown(0.0, 1.0 + 1e-12))
-        with pytest.raises(ValueError, match="non-increasing"):
+        with pytest.raises(AssertionError, match="non-increasing"):
             EstimationResult(
                 state=state, loss_trace=rising, stop_reason="gradient", line_search_evaluations=1
             )
@@ -403,7 +403,7 @@ class TestEstimationResult:
             )
 
         assert [result(r).converged for r in STOP_REASONS] == [True, True, False, False]
-        with pytest.raises(ValueError):
+        with pytest.raises(AssertionError):
             result("converged")
 
     def test_derived_fields_follow_trace_and_state(self):

@@ -1,5 +1,6 @@
 """Monte Carlo harness: metrics, seeding, the sweep, and config parsing."""
 
+import dataclasses
 import json
 import math
 import re
@@ -33,6 +34,7 @@ from aoavi.harness import (
     wrap_angle,
 )
 from aoavi.landscape import enumerate_global_optima
+from aoavi.loss import LossBreakdown
 from aoavi.preprocess import Sector, sector_grid
 from aoavi.signal_model import (
     AoAVector,
@@ -338,6 +340,26 @@ class TestRunBenchmark:
 
         monkeypatch.setattr(aoavi.harness, "estimate", broken)
         with pytest.raises(TypeError, match="unexpected keyword"):
+            run_benchmark(_single_user_scenario(n_trials=1))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"loss_trace": (LossBreakdown(0.0, 1.0), LossBreakdown(0.0, 2.0))}, "non-increasing"),
+            ({"stop_reason": "converged"}, "stop_reason must be one of"),
+        ],
+        ids=["rising_trace", "unknown_stop_reason"],
+    )
+    def test_broken_estimate_contract_propagates(self, monkeypatch, fields, message):
+        """A broken EstimationResult is a defect, not a numerical failure:
+        its AssertionError leaves run_benchmark instead of being counted."""
+        real_estimate = aoavi.harness.estimate
+
+        def breaks_contract(*args, **kwargs):
+            return dataclasses.replace(real_estimate(*args, **kwargs), **fields)
+
+        monkeypatch.setattr(aoavi.harness, "estimate", breaks_contract)
+        with pytest.raises(AssertionError, match=message):
             run_benchmark(_single_user_scenario(n_trials=1))
 
     def test_error_decreases_with_snr_paired_trials(self):

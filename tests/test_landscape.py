@@ -127,16 +127,24 @@ class TestEnumerateGlobalOptima:
         assert optima.alias_angles == (THETA_11,)
         assert optima.alias_integers == (0,)
 
-    def test_wide_spacing_four_aliases(self):
-        optima = enumerate_global_optima(ArrayConfig(32, 2.0), THETA_11)
+    @pytest.mark.parametrize(
+        "theta", [THETA_11, math.asin(2.5e-10)], ids=["eleven_degrees", "past_endfire_skipped"]
+    )
+    def test_wide_spacing_four_aliases(self, theta):
+        """Just above broadside the integer range also holds l = -2, whose
+        sine 1 + 2.5e-10 lies past endfire; it is skipped."""
+        optima = enumerate_global_optima(ArrayConfig(32, 2.0), theta)
         assert len(optima.alias_angles) == 4
         sines = np.sin(optima.alias_angles)
-        s0 = math.sin(THETA_11)
+        s0 = math.sin(theta)
         expected = np.sort([s0 - l / 2.0 for l in (2, 1, 0, -1)])
         assert np.max(np.abs(sines - expected)) < 1e-12
-        # display-precision cross-check of the published constants
-        assert np.max(np.abs(np.round(sines, 4) - np.array([-0.8092, -0.3092, 0.1908, 0.6908]))) < 1e-12
         assert optima.alias_integers == (2, 1, 0, -1)
+
+    def test_wide_spacing_published_constants(self):
+        # display-precision cross-check of the published constants
+        sines = np.sin(enumerate_global_optima(ArrayConfig(32, 2.0), THETA_11).alias_angles)
+        assert np.max(np.abs(np.round(sines, 4) - np.array([-0.8092, -0.3092, 0.1908, 0.6908]))) < 1e-12
 
     def test_broadside_half_wavelength(self):
         optima = enumerate_global_optima(ArrayConfig(16, 0.5), 0.0)
@@ -586,6 +594,7 @@ _AXIS = AxisSpec("aoa", -0.1, 0.1, 3)
         (lambda: GlobalOptimaSet(0.1, (0.1,), (0, 1), 2.0), "one lattice integer per alias"),
         (lambda: GlobalOptimaSet(0.1, (0.2, 0.1), (0, 1), 2.0), "alias_angles must be strictly"),
         (lambda: GlobalOptimaSet(0.1, (0.2,), (0,), 2.0), "the true angle must be among"),
+        (lambda: GlobalOptimaSet(0.1, (0.1, 0.5), (0, 1), 2.0), "sin-lattice condition"),
         (lambda: StationaryPointSet((0.2, 0.1), (0.0, 0.0)), "angles must be strictly ascending"),
         (lambda: StationaryPointSet((0.1,), ()), "one residual per angle required"),
         (lambda: AxisSpec("aoa", -0.1, 0.1, 1), "need at least two grid points"),
@@ -593,8 +602,8 @@ _AXIS = AxisSpec("aoa", -0.1, 0.1, 3)
         (lambda: aoavi.landscape._check_axes((_AXIS,) * 3), "one or two axes supported"),
     ],
     ids=[
-        "optima_integers", "optima_order", "optima_truth", "roots_order", "roots_residuals",
-        "axis_num", "surface_shape", "three_axes",
+        "optima_integers", "optima_order", "optima_truth", "optima_lattice", "roots_order",
+        "roots_residuals", "axis_num", "surface_shape", "three_axes",
     ],
 )
 def test_input_checks_name_the_rule(build, message):

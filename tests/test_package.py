@@ -132,6 +132,14 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
     assert sorted(set(aoavi.__all__) - exempt - used) == []
 
 
+def test_only_the_scan_kernel_module_reads_the_steering_cache():
+    """_steering_products fetches the grid_steering rows itself, so which
+    rows a scan reads is decided in preprocess.py alone."""
+    package = Path(aoavi.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert [p.name for p in modules if "grid_steering" in _code_references(p)] == ["preprocess.py"]
+
+
 def _json_dumps_calls(path: Path) -> int:
     """The json.dumps calls in a module's code, found by an AST walk."""
     return sum(

@@ -471,7 +471,7 @@ class TestGridSteering:
         coef = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
         want = coef @ _steering(arr, grid.angles())
         got = np.full(want.shape, np.nan, dtype=complex)
-        for cols, proj in _steering_products(coef, grid_steering(arr, grid)):
+        for cols, proj in _steering_products(coef, arr, grid):
             got[:, cols] = proj
         scale = np.sum(np.abs(coef), axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 32 * n * np.finfo(float).eps * scale)

@@ -20,7 +20,9 @@ It prints, in order:
   over those cells of the per-cell p50 iterations and trial sums; then
   the total outer iterations and line-search trial sums of the workload's
   estimates at seed 301 and over seeds 301-303, exact counts of the work
-  that a change which only skips work lowers;
+  that a change which only skips work lowers; then one digest of the
+  workload's MUSIC+LS results at seed 301 (each spectrum's peak angles and
+  ``degraded`` flag, then its least-squares gains), with their count;
 - one digest of the final state, loss trace, stop reason and trial count
   of every block estimated at seed 301;
 - one digest of each optima, stationary and surface CSV of the
@@ -37,6 +39,14 @@ It prints, in order:
 
 The workload configs are read, not modified. BLAS is pinned to one thread,
 as in ``benchmarks/run.py``.
+
+``tools/output_digest.txt`` holds the expected output, which
+``tests/test_output_digest.py`` compares byte for byte. A change that moves
+an output regenerates it with
+
+    python3 tools/output_digest.py > tools/output_digest.txt
+
+and lists the moved lines in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -83,6 +93,11 @@ def _result_bytes(result) -> bytes:
         f"{result.stop_reason},{result.line_search_evaluations}".encode(),
     ]
     return b"".join(parts)
+
+
+def _music_bytes(spectrum) -> bytes:
+    """The MUSIC spectrum's peak angles and degraded flag."""
+    return np.asarray(spectrum.peaks, dtype=float).tobytes() + bytes([spectrum.degraded])
 
 
 def _summary(rows) -> str:
@@ -137,12 +152,33 @@ def main() -> None:
             n_blocks += 1
         return result
 
-    H.estimate = recording_estimate  # harness resolves estimate at call time
+    music_estimate, ls_channel = H.music_estimate, H.ls_channel
+
+    def recording_music_estimate(*args, **kwargs):
+        nonlocal n_music
+        spectrum = music_estimate(*args, **kwargs)
+        if record:
+            music.update(_music_bytes(spectrum))
+            n_music += 1
+        return spectrum
+
+    def recording_ls_channel(*args, **kwargs):
+        gains = ls_channel(*args, **kwargs)
+        if record:
+            music.update(np.ascontiguousarray(gains).tobytes())
+        return gains
+
+    # harness resolves these names at call time
+    H.estimate = recording_estimate
+    H.music_estimate = recording_music_estimate
+    H.ls_channel = recording_ls_channel
 
     running = hashlib.sha256()
     for name in WORKLOAD_ORDER:
         workload_rows = []
         csv_only = hashlib.sha256()
+        music = hashlib.sha256()
+        n_music = 0
         work[:] = 0
         for seed in SEEDS:
             record = seed == SEEDS[0]
@@ -163,6 +199,7 @@ def main() -> None:
             f" {first_seed_work[0]}/{first_seed_work[1]};"
             f" seeds {SEEDS[0]}-{SEEDS[-1]} {work[0]}/{work[1]}"
         )
+        print(f"  {name} music_ls results at seed {SEEDS[0]} ({n_music}): {music.hexdigest()}")
     print(f"blocks at seed {SEEDS[0]} ({n_blocks}): {blocks.hexdigest()}")
 
     landscape = hashlib.sha256()
