@@ -3,6 +3,7 @@ least-squares channel recovery at fixed AoAs."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,10 @@ class MusicSpectrum:
     degraded is set when ``_pick_peaks`` found fewer strict local maxima
     than requested and padded the remainder with the highest off-peak
     values. A read-only float array of values is kept as given; any
-    other input is copied and locked.
+    other input is copied and locked. The peaks must be ascending, and each
+    within 1e-12 of a grid angle: the check rounds each peak to its grid
+    index and compares it with that angle and its two neighbours, so it
+    costs O(K) for any grid size.
     """
 
     grid: AngleGrid
@@ -32,23 +36,28 @@ class MusicSpectrum:
     degraded: bool = False
 
     def __post_init__(self):
+        angles = self.grid.angles()
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_points,):
+        if vals.shape != angles.shape:
             raise ValueError("one spectrum value per grid point required")
         # written so that NaN fails every check
         if not vals.min() >= 0:
             raise ValueError("spectrum values must be non-negative")
-        peaks = np.asarray(self.peaks, dtype=float)
-        if np.any(np.diff(peaks) < 0):
+        peaks = [float(p) for p in self.peaks]
+        # a NaN is not out of order here; the grid check rejects it
+        if any(b < a for a, b in zip(peaks, peaks[1:])):
             raise ValueError("peaks must be sorted ascending")
-        # rounded subtraction is monotone, so the grid angle nearest a peak
-        # (as |angle - peak| rounds) is one of the two that bracket it
-        angles = self.grid.angles()
-        above = np.minimum(np.searchsorted(angles, peaks), angles.size - 1)
-        below = np.maximum(above - 1, 0)
-        dist = np.minimum(np.abs(angles[below] - peaks), np.abs(angles[above] - peaks))
-        if not np.all(dist <= 1e-12):
-            raise ValueError("peaks must lie on the grid")
+        # a peak within 1e-12 of a grid angle rounds to that angle's index
+        # (past either end, clamped to the end); its two neighbours are a
+        # margin for the rounding of (p - min_angle) / step and of the angles
+        last = angles.size - 1
+        for p in peaks:
+            if not math.isfinite(p):
+                raise ValueError("peaks must lie on the grid")
+            i = round(min(max((p - self.grid.min_angle) / self.grid.step, 0.0), last))
+            near = angles[max(i - 1, 0) : i + 2].tolist()
+            if not any(abs(a - p) <= 1e-12 for a in near):
+                raise ValueError("peaks must lie on the grid")
         if vals.flags.writeable:
             vals = _frozen(vals)
         object.__setattr__(self, "values", vals)
@@ -106,14 +115,17 @@ def music_estimate(obs: ObservationSet, grid: AngleGrid, k_sources: int) -> Musi
 
 def ls_channel(obs: ObservationSet, aoas: AoAVector) -> np.ndarray:
     """Least-squares gains at fixed AoAs: per snapshot the minimizer of
-    ||y_m - A(aoas) h||, i.e. (A^H A)^{-1} A^H y_m, computed by SVD.
+    ||y_m - A(aoas) h||, i.e. (A^H A)^{-1} A^H y_m, computed from one thin
+    SVD A = U diag(s) V^H as V diag(1/s) U^H Y.
 
     Rejects steering matrices with fewer rows than users or condition
     number above 1e12, read from the singular values of that same SVD; a
-    zero or NaN one fails too.
+    zero or NaN one fails too. Below 4500 antennas this is the solution
+    ``np.linalg.lstsq`` returns: its default cutoff, eps * N * s[0], then
+    lies under the 1e-12 * s[0] that every accepted s[-1] exceeds.
     """
     a_hat = array_matrix(obs.array, aoas)
-    solution, _res, _rank, sv = np.linalg.lstsq(a_hat, obs.signal, rcond=None)
+    u, sv, vh = np.linalg.svd(a_hat, full_matrices=False)
     if sv.size < aoas.k_users or not sv[0] <= _MAX_LS_CONDITION * sv[-1]:
         raise ValueError("steering matrix is numerically rank-deficient")
-    return solution
+    return (vh.conj().T / sv) @ (u.conj().T @ obs.signal)

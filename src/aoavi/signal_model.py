@@ -137,7 +137,8 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """One received block: signal Y (N x M), known noise variance, geometry."""
+    """One received block: signal Y (N x M, M >= 1), known noise variance,
+    geometry."""
 
     signal: np.ndarray
     noise_variance: float
@@ -149,6 +150,8 @@ class ObservationSet:
             raise ValueError("signal must be an N x M matrix")
         if y.shape[0] != self.array.n_antennas:
             raise ValueError("signal row count must equal array.n_antennas")
+        if y.shape[1] == 0:
+            raise ValueError("signal must hold at least one snapshot")
         if not np.isfinite(y).all():
             raise ValueError("signal samples must be finite")
         if isinstance(self.noise_variance, bool) or not 0 <= self.noise_variance < math.inf:

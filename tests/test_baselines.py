@@ -1,12 +1,19 @@
+import itertools
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aoavi.baselines import MusicSpectrum, ls_channel, music_estimate
-from aoavi.estimator import closed_form_channel_update
-from aoavi.preprocess import (
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+
+import aoavi.harness as H  # noqa: E402
+import workloads as W  # noqa: E402
+from aoavi.baselines import MusicSpectrum, ls_channel, music_estimate  # noqa: E402
+from aoavi.estimator import closed_form_channel_update  # noqa: E402
+from aoavi.preprocess import (  # noqa: E402
     AngleGrid,
     Sector,
     _correlation_profile,
@@ -17,7 +24,7 @@ from aoavi.preprocess import (
     pseudo_labels,
     sector_grid,
 )
-from aoavi.signal_model import (
+from aoavi.signal_model import (  # noqa: E402
     AoAVector,
     ArrayConfig,
     ChannelPrior,
@@ -30,7 +37,7 @@ from aoavi.signal_model import (
     synthesize_observation,
 )
 
-from conftest import make_rng
+from conftest import make_rng  # noqa: E402
 
 
 class TestMusicEstimate:
@@ -374,6 +381,62 @@ class TestMusicSpectrum:
         assert self._accepts(grid, [first, last])
         assert not self._accepts(grid, [first, last + 1e-3])
 
+    @staticmethod
+    def _searchsorted_verdict(grid, peaks):
+        """The earlier vectorized check: the message it raised, or None.
+        The grid angle nearest a peak (as |angle - peak| rounds) is one of
+        the two that bracket it."""
+        peaks = np.asarray(peaks, dtype=float)
+        if np.any(np.diff(peaks) < 0):
+            return "peaks must be sorted ascending"
+        angles = grid.angles()
+        above = np.minimum(np.searchsorted(angles, peaks), angles.size - 1)
+        below = np.maximum(above - 1, 0)
+        dist = np.minimum(np.abs(angles[below] - peaks), np.abs(angles[above] - peaks))
+        if not np.all(dist <= 1e-12):
+            return "peaks must lie on the grid"
+        return None
+
+    @staticmethod
+    def _verdict(grid, peaks):
+        try:
+            MusicSpectrum(grid=grid, values=np.ones(grid.n_points), peaks=tuple(peaks))
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            AngleGrid(-1.0, 1.0, 0.5),
+            AngleGrid(-0.3, 0.4, 0.013),
+            AngleGrid(-math.pi / 2 - 5e-13, math.pi / 2 + 5e-13, math.radians(1.0)),
+            AngleGrid(0.1, 0.1 + 8e-12, 2e-12),
+            AngleGrid(-math.pi / 3, math.pi / 3, math.radians(0.5)),
+        ],
+    )
+    def test_peak_check_decides_as_searchsorted_oracle(self, grid):
+        angles = grid.angles()
+        first, last, inner = angles[0], angles[-1], angles[angles.size // 2]
+        singles = [
+            first,
+            last,
+            inner,
+            *(inner + d for d in (-1.1e-12, -0.9e-12, 0.9e-12, 1.1e-12)),
+            *(first + d for d in (-1.1e-12, -0.9e-12)),
+            *(last + d for d in (0.9e-12, 1.1e-12)),
+            first - 1e-3,
+            last + 1e-3,
+            math.nan,
+        ]
+        verdicts = set()
+        for k in (1, 2, 3):
+            for peaks in itertools.product(singles, repeat=k):
+                expected = self._searchsorted_verdict(grid, peaks)
+                assert self._verdict(grid, peaks) == expected, peaks
+                verdicts.add(expected)
+        assert verdicts == {None, "peaks must be sorted ascending", "peaks must lie on the grid"}
+
     def test_values_kept_if_read_only_else_copied_and_locked(self):
         grid = AngleGrid(-1.0, 1.0, 0.5)
         locked = np.arange(5.0)
@@ -387,6 +450,24 @@ class TestMusicSpectrum:
 
 
 class TestLsChannel:
+    @pytest.mark.parametrize("name", ["sweep_k1", "alias_grid", "sweep_multiuser"])
+    def test_matches_lstsq_at_music_peaks_of_benchmark_blocks(self, name):
+        """The gains np.linalg.lstsq gives, at the MUSIC peaks of every
+        seed-301 block of the workload (K = 2 and 3 on sweep_multiuser)."""
+        worst, users = 0.0, set()
+        for cfg in W.WORKLOADS[name].scenario_configs(301):
+            sc = H.scenario_from_dict(cfg)
+            users.add(sc.prior.k_users)
+            for si, t in itertools.product(range(len(sc.snr_db_list)), range(sc.n_trials)):
+                obs = H._trial_block(sc, si, t)[2]
+                spectrum = music_estimate(obs, sc.grid, sc.prior.k_users)
+                aoas = AoAVector(np.asarray(spectrum.peaks))
+                oracle = np.linalg.lstsq(array_matrix(obs.array, aoas), obs.signal, rcond=None)[0]
+                err = np.max(np.abs(ls_channel(obs, aoas) - oracle)) / np.max(np.abs(oracle))
+                worst = max(worst, err)
+        assert users == ({2, 3} if name == "sweep_multiuser" else {1})
+        assert worst <= 1e-13
+
     def test_noiseless_exact_recovery(self):
         rng = make_rng(114)
         arr = ArrayConfig(16, 0.5)
@@ -447,8 +528,8 @@ class TestLsChannel:
         "n_antennas, aoas_rad",
         [
             (8, [0.2, 0.2]),  # identical steering columns
-            # more users than antennas: lstsq returns a minimum-norm solution
-            # and two singular values, but (A^H A)^-1 A^H y does not exist
+            # more users than antennas: the thin SVD has two singular values,
+            # and (A^H A)^-1 A^H y does not exist
             (2, np.radians([-30.0, 0.0, 40.0])),
         ],
         ids=["duplicate_columns", "more_users_than_antennas"],

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from aoavi.baselines import ls_channel
+from aoavi.baselines import ls_channel, music_estimate
 from aoavi.estimator import (
     _LOSS_RTOL,
     _MAX_FIRST_STEP_RAD,
@@ -780,10 +780,12 @@ class TestSteeringBuilds:
 class TestLinalgCallBudget:
     """Each matrix is factorized once: the channel update solves its K x K
     system once per trace entry, the KL term reads the prior's stored
-    precision, and the LS baseline reads the condition number off the
-    singular values of its own lstsq."""
+    precision, and MUSIC+LS takes one eigh of the covariance while the LS
+    baseline reads the condition number off its own SVD."""
 
-    def test_one_solve_per_trace_entry_and_none_in_kl_or_ls(self, monkeypatch):
+    def test_one_solve_per_trace_entry_and_one_factorization_per_music_ls_step(
+        self, monkeypatch
+    ):
         rng = make_rng(131)
         arr = ArrayConfig(16, 0.5)
         prior = random_prior(2, rng)
@@ -792,7 +794,7 @@ class TestLinalgCallBudget:
         sector = Sector(center=0.0, width=math.radians(120.0))
         grid = sector_grid(sector, math.radians(0.5))
         counts = {}
-        for name in ("solve", "inv", "cond", "svd"):
+        for name in ("solve", "inv", "cond", "svd", "eigh", "lstsq"):
             original = getattr(np.linalg, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -807,8 +809,11 @@ class TestLinalgCallBudget:
         counts.clear()
         state = result.state
         kl_gaussian(state.channel_means, state.channel_covariance, prior)
-        ls_channel(obs, state.aoa_estimate)
         assert counts == {}
+        spectrum = music_estimate(obs, grid, 2)
+        assert counts == {"eigh": 1}
+        ls_channel(obs, AoAVector(np.asarray(spectrum.peaks)))
+        assert counts == {"eigh": 1, "svd": 1}
 
 
 class TestLineSearchStart:

@@ -311,6 +311,13 @@ class TestObservationSet:
         with pytest.raises(ValueError):
             ObservationSet(signal=y, noise_variance=1.0, array=ArrayConfig(4, 0.5))
 
+    def test_rejects_empty_block(self):
+        # an N x 0 block would reach the estimator's division by M
+        with pytest.raises(ValueError, match="at least one snapshot"):
+            ObservationSet(
+                signal=np.ones((4, 0), dtype=complex), noise_variance=1.0, array=ArrayConfig(4, 0.5)
+            )
+
     def test_rejects_bool_noise_variance(self):
         y = np.ones((4, 3), dtype=complex)
         with pytest.raises(ValueError, match="noise_variance"):
