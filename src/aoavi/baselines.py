@@ -73,11 +73,15 @@ def music_estimate(obs: ObservationSet, grid: AngleGrid, k_sources: int) -> Musi
     strict local maxima, picked by ``_pick_peaks`` with no minimum
     separation.
 
-    Every ULA steering vector has ||a||^2 = N, and E E^H = I - U U^H, so
-    the noise projection is evaluated as N - ||U^H a(theta)||^2: a K x G
-    product instead of an (N-K) x G one, formed by ``_steering_products``.
-    Near a noiseless peak that difference can round to just below zero; the
-    1e-8 floor absorbs the round-off as it absorbs exact orthogonality.
+    E E^H = I - P with P = U U^H, and a ULA steering vector is a_n = z^n,
+    n = 0..N-1, with z = exp(-j 2 pi (d/lambda) sin theta) on the unit
+    circle, so ||E^H a||^2 = N - a^H P a is the real part of the polynomial
+    sum_l c_l z^l with c_0 = N - p_0 and c_l = -2 conj(p_l), where
+    p_l = sum_m P[m+l, m] are P's lag sums: root-MUSIC's coefficients
+    (Barabell, ICASSP 1983). ``_steering_products`` evaluates that one row
+    over the grid, O(N G) for any K, after O(N^2 K) for the lag sums. Near a
+    noiseless peak the sum can round to just below zero; the 1e-8 floor
+    absorbs the round-off as it absorbs exact orthogonality.
     """
     if k_sources < 1:
         raise ValueError("k_sources must be at least 1")
@@ -89,21 +93,14 @@ def music_estimate(obs: ObservationSet, grid: AngleGrid, k_sources: int) -> Musi
     if grid.n_points < k_sources:
         raise ValueError("grid too small for the requested number of peaks")
 
-    cov = empirical_covariance(obs)
-    _eigvals, eigvecs = np.linalg.eigh(cov)
-    signal_basis = eigvecs[:, n - k_sources :]
-
+    _eigvals, eigvecs = np.linalg.eigh(empirical_covariance(obs))
+    # lag sums of U U^H, one correlation per signal eigenvector
+    lags = sum(np.correlate(u, u, "full")[n - 1 :] for u in eigvecs[:, n - k_sources :].T)
+    coef = -2.0 * lags.conj()
+    coef[0] = n - lags[0]
     values = np.empty(grid.n_points)
-    # in place, one grid chunk at a time; the rows are added in the order
-    # np.sum(axis=0) adds them, so the values match that expression of the
-    # same products bit for bit
-    for cols, proj in _steering_products(signal_basis.conj().T, obs.array, grid):
-        chunk = values[cols]
-        np.abs(proj[0], out=chunk)
-        np.square(chunk, out=chunk)
-        for row in proj[1:]:
-            chunk += np.square(np.abs(row))
-    np.subtract(n, values, out=values)
+    for cols, proj in _steering_products(coef[None, :], obs.array, grid):
+        values[cols] = proj[0].real
     np.maximum(values, _EIGEN_FLOOR, out=values)
     np.divide(1.0, values, out=values)
     values.setflags(write=False)

@@ -9,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
+import aoavi.baselines as baselines  # noqa: E402
 import aoavi.harness as H  # noqa: E402
 import workloads as W  # noqa: E402
 from aoavi.baselines import MusicSpectrum, ls_channel, music_estimate  # noqa: E402
@@ -155,41 +156,38 @@ class TestMusicEstimate:
         assert peak < 1.25 * grid.n_points * (16 + 8)
 
     @staticmethod
-    def _allocating_scans(obs, grid, k):
-        """MUSIC and the pseudo-label profile as plain allocating
-        expressions of the blocked steering products, joined over the whole
-        grid, each temporary its own array, and the angles rebuilt from the
-        grid on every call; a K = 1 label at a strict interior peak moves to
-        the vertex of the parabola through it and its neighbours."""
-        n = obs.array.n_antennas
-
-        def products(coef):
-            chunks = [p.copy() for _, p in _steering_products(coef, obs.array, grid)]
-            return np.concatenate(chunks, axis=1)
-
-        _w, vecs = np.linalg.eigh(empirical_covariance(obs))
-        denom = n - np.sum(np.abs(products(vecs[:, n - k :].conj().T)) ** 2, axis=0)
-        values = 1.0 / np.maximum(denom, 1e-8)
-        angles = grid.min_angle + grid.step * np.arange(grid.n_points)
-        chosen, degraded = _pick_peaks(values, angles, k)
-        peaks = tuple(float(angles[i]) for i in chosen)
+    def _allocating_labels(obs, grid, k):
+        """The pseudo-labels as plain allocating expressions of the blocked
+        steering products, joined over the whole grid, each temporary its
+        own array, and the angles rebuilt from the grid on every call; a
+        K = 1 label at a strict interior peak moves to the vertex of the
+        parabola through it and its neighbours."""
         colsum = np.sum(obs.signal, axis=1)
-        corr = np.abs(products(colsum.conj()[None, :])[0]) / obs.n_snapshots
+        chunks = [p.copy() for _, p in _steering_products(colsum.conj()[None, :], obs.array, grid)]
+        corr = np.abs(np.concatenate(chunks, axis=1)[0]) / obs.n_snapshots
+        angles = grid.min_angle + grid.step * np.arange(grid.n_points)
         order, _ = _pick_peaks(corr, angles, k)
         labels = angles[order]
         i = order[0]
         if k == 1 and 0 < i < grid.n_points - 1 and corr[i - 1] < corr[i] > corr[i + 1]:
             left, mid, right = corr[i - 1 : i + 2]
             labels = labels + grid.step * 0.5 * (left - right) / (left - 2 * mid + right)
-        return values, peaks, degraded, labels
+        return labels
 
     @pytest.mark.parametrize("spacing", [0.5, 2.0])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_in_place_scans_match_allocating_expressions(self, k, spacing):
-        """Byte for byte, on a 3601-point grid and on an 18001-point one,
-        whose G-sized float temporaries (144 KB) pass glibc's default
-        128 KiB mmap threshold."""
+        """On a 3601-point grid and on an 18001-point one, whose G-sized
+        float temporaries (144 KB) pass glibc's default 128 KiB mmap
+        threshold. The pseudo-labels match their allocating expression
+        byte for byte. MUSIC, which scans one lag-sum row, matches its
+        definition 1 / max(||E^H a||^2, 1e-8), a direct (N-K) x G product
+        with the N - K noise eigenvectors of the same eigh: the same peaks
+        and degraded flag, exactly 1e8 at the floored noiseless picks, and
+        floored denominators within 32 N^2 eps (7.3e-12; 4.2e-13 measured)."""
         arr = ArrayConfig(32, spacing)
+        n = arr.n_antennas
+        eps = np.finfo(float).eps
         step = math.radians(0.05 if spacing == 0.5 else 0.01)
         grid = sector_grid(Sector(center=0.0, width=math.pi), step)
         assert grid.n_points == (3601 if spacing == 0.5 else 18001)
@@ -202,13 +200,37 @@ class TestMusicEstimate:
             aoas = AoAVector(grid.angles()[picks] + offset)
             s2 = 0.0 if snr_db is None else snr_to_noise_variance(snr_db, arr, prior, aoas)
             obs = synthesize_observation(arr, aoas, sample_channel(prior, 40, rng), s2, rng)
-            values, peaks, degraded, labels = self._allocating_scans(obs, grid, k)
+            denom, ref, peaks, degraded = self._noise_subspace_oracle(obs, grid, k)
             spectrum = music_estimate(obs, grid, k)
-            assert spectrum.values.tobytes() == values.tobytes()
+            if snr_db is None:
+                assert np.all(ref[picks] == 1e8) and np.all(spectrum.values[picks] == 1e8)
+            floored = np.maximum(denom, 1e-8)
+            assert np.max(np.abs(1.0 / spectrum.values - floored)) <= 32 * n**2 * eps
             assert not spectrum.values.flags.writeable
             assert spectrum.peaks == peaks
             assert spectrum.degraded == degraded
+            labels = self._allocating_labels(obs, grid, k)
             assert pseudo_labels(obs, grid, k).angles.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_one_coefficient_row_for_every_k(self, k, monkeypatch):
+        """The scan evaluates one row, the lag sums of U U^H (root-MUSIC's
+        coefficients), in one kernel call, so its cost does not grow with K."""
+        shapes = []
+
+        def recording(coef, array, grid):
+            shapes.append(coef.shape)
+            return _steering_products(coef, array, grid)
+
+        monkeypatch.setattr(baselines, "_steering_products", recording)
+        rng = make_rng(137)
+        arr = ArrayConfig(32, 0.5)
+        prior = ChannelPrior(mean=np.zeros(k, complex), covariance=np.eye(k, dtype=complex))
+        aoas = AoAVector(np.radians([-30.0, 5.0, 40.0][:k]))
+        obs = synthesize_observation(arr, aoas, sample_channel(prior, 40, rng), 0.1, rng)
+        spectrum = music_estimate(obs, sector_grid(Sector(0.0, math.pi), math.radians(0.5)), k)
+        assert shapes == [(1, 32)]
+        assert len(spectrum.peaks) == k
 
     @pytest.mark.parametrize(
         "spacing, center_deg, width_deg, step_deg",
