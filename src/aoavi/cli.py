@@ -94,25 +94,7 @@ def _apply_seed(d: dict, seed) -> dict:
     return d
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write(out: Path, name: str, text: str, meta: str) -> int:
-    """Write the data artifact ``name``, its <stem>_meta.json side-car and
-    the ``wrote`` line; returns the success exit code."""
-    path = out / name
-    path.write_text(text)
-    (out / f"{path.stem}_meta.json").write_text(meta)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_simulate(args, config: dict) -> int:
-    scenario = scenario_from_dict(config)
-    out = _out_dir(args)
+def _cmd_simulate(args, scenario):
     t0 = time.perf_counter()
     blocks = []
     for si, snr in enumerate(scenario.snr_db_list):
@@ -128,13 +110,10 @@ def _cmd_simulate(args, config: dict) -> int:
                 }
             )
     text = _json_text({"observations": blocks})
-    meta = run_metadata(config, {"simulate": (time.perf_counter() - t0) * 1e3})
-    return _write(out, "observations.json", text, meta)
+    return "observations.json", text, {"simulate": (time.perf_counter() - t0) * 1e3}, None
 
 
-def _cmd_estimate(args, config: dict) -> int:
-    scenario = scenario_from_dict(config)
-    out = _out_dir(args)
+def _cmd_estimate(args, scenario):
     t0 = time.perf_counter()
     aoas, _channel, obs = _trial_block(scenario, 0, 0)
     result = _estimate(scenario, obs)
@@ -160,37 +139,42 @@ def _cmd_estimate(args, config: dict) -> int:
         "path_gains": np.abs(means).tolist(),
         "path_angles": np.angle(means).tolist(),
     }
-    meta = run_metadata(config, {"estimate": elapsed_ms})
-    return _write(out, "estimate.json", _json_text(payload), meta)
+    return "estimate.json", _json_text(payload), {"estimate": elapsed_ms}, None
 
 
-def _cmd_landscape(args, config: dict) -> int:
-    cfg = landscape_config_from_dict(config)
-    paths = run_landscape_export(cfg, Path(args.out_dir), config)
-    for name in sorted(paths):
-        print(f"wrote {paths[name]}")
-    return 0
-
-
-def _cmd_benchmark(args, config: dict) -> int:
-    scenario = scenario_from_dict(config)
-    out = _out_dir(args)
+def _cmd_benchmark(args, scenario):
     rows = run_benchmark(scenario)
     text = benchmark_csv(rows) if args.format == "csv" else benchmark_rows_json(rows)
     runtimes = {f"{r.method}@{r.snr_db!r}dB": r.runtime_ms for r in rows}
-    diagnostics = {
-        f"{r.method}@{r.snr_db!r}dB": r.diagnostics for r in rows if r.diagnostics is not None
-    }
-    meta = run_metadata(config, runtimes, diagnostics)
-    return _write(out, f"benchmark.{args.format}", text, meta)
+    diagnostics = {f"{r.method}@{r.snr_db!r}dB": r.diagnostics for r in rows}
+    return f"benchmark.{args.format}", text, runtimes, diagnostics
 
 
-_COMMANDS = {
+_SCENARIO_COMMANDS = {
     "simulate": _cmd_simulate,
     "estimate": _cmd_estimate,
-    "landscape": _cmd_landscape,
     "benchmark": _cmd_benchmark,
 }
+
+
+def _run(args, config: dict) -> int:
+    """Run one command on a loaded config. A scenario command only computes
+    (artifact name, text, runtimes in ms, diagnostics or None); its scenario
+    is parsed before --out-dir is created, so a config error leaves none."""
+    if args.command == "landscape":
+        paths = run_landscape_export(landscape_config_from_dict(config), Path(args.out_dir), config)
+        for name in sorted(paths):
+            print(f"wrote {paths[name]}")
+        return 0
+    scenario = scenario_from_dict(config)
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    name, text, runtimes, diagnostics = _SCENARIO_COMMANDS[args.command](args, scenario)
+    path = out / name
+    path.write_text(text)
+    (out / f"{path.stem}_meta.json").write_text(run_metadata(config, runtimes, diagnostics))
+    print(f"wrote {path}")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -202,7 +186,7 @@ def main(argv=None) -> int:
         return 1
     try:
         config = _apply_seed(_load_config(args.config), args.seed)
-        return _COMMANDS[args.command](args, config)
+        return _run(args, config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

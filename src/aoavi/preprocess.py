@@ -221,5 +221,7 @@ def pseudo_labels(
 
 
 def sector_grid(sector: Sector, step: float) -> AngleGrid:
-    """Uniform grid spanning exactly the sector, inclusive endpoints."""
+    """Uniform grid from the sector's lower edge in steps of step; its last
+    point lies within one step of the upper edge, on it when step divides
+    the width ([-15, 15] degrees at a 0.7 degree step stops at 14.4)."""
     return AngleGrid(min_angle=sector.lo, max_angle=sector.hi, step=step)

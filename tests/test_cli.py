@@ -390,3 +390,40 @@ class TestArtifacts:
         assert [round(s, 4) for s in sines] == [-0.8092, -0.3092, 0.1908, 0.6908]
         assert (out / "stationary.csv").is_file()
         assert (out / "landscape_meta.json").is_file()
+
+    @pytest.mark.parametrize(
+        "command, extra, written",
+        [
+            ("simulate", [], ["observations.json"]),
+            ("estimate", [], ["estimate.json"]),
+            ("benchmark", ["--format", "csv"], ["benchmark.csv"]),
+            ("benchmark", ["--format", "json"], ["benchmark.json"]),
+            # run_landscape_export's keys in sorted order: meta, optima, stationary, surface
+            (
+                "landscape",
+                [],
+                ["landscape_meta.json", "optima.csv", "stationary.csv", "surface.csv"],
+            ),
+        ],
+        ids=["simulate", "estimate", "benchmark_csv", "benchmark_json", "landscape"],
+    )
+    def test_command_writes_exactly_its_files_and_one_wrote_line_each(
+        self, tmp_path, capsys, command, extra, written
+    ):
+        if command == "landscape":
+            config = {
+                "array": {"n_antennas": 32, "spacing_ratio": 0.5},
+                "true_angle_deg": 11.0,
+                "surface": _AOA_AXIS,
+            }
+            files = written
+        else:
+            config = _scenario_payload(n_trials=1)
+            stem = written[0].rsplit(".", 1)[0]
+            files = [*written, f"{stem}_meta.json"]
+        cfg = _write_config(tmp_path, config)
+        root = tmp_path / "nested"
+        out = root / "deeper" / "out"
+        assert main([command, "--config", cfg, "--out-dir", str(out), *extra]) == 0
+        assert {p for p in root.rglob("*") if p.is_file()} == {out / name for name in files}
+        assert capsys.readouterr().out == "".join(f"wrote {out / name}\n" for name in written)

@@ -71,8 +71,9 @@ def test_single_user_estimate_is_the_global_minimum_of_f():
     """10 trials at each of -10, 0, 10 and 20 dB, seed 301: the closed form
     equals the final trace total to 1e-12 relative, and that total is not
     above F's minimum over 60001 sector angles by more than 1e-9 relative."""
+    config = W.WORKLOADS["sweep_k1"].scenario_configs(301)[0]
     scenario = H.scenario_from_dict(
-        dict(W._sweep_config(1), snr_db_list=[-10.0, 0.0, 10.0, 20.0], n_trials=10, master_seed=301)
+        dict(config, snr_db_list=[-10.0, 0.0, 10.0, 20.0], n_trials=10)
     )
     scan = sector_grid(scenario.sector, scenario.sector.width / (SCAN_POINTS - 1))
     assert scan.n_points == SCAN_POINTS

@@ -419,6 +419,16 @@ class TestSectorGrid:
         assert abs(grid.max_angle - math.pi / 2) < 1e-12
         assert grid.n_points == 181
 
+    def test_step_that_does_not_divide_the_width_stops_short_of_the_edge(self):
+        # 30 degrees at 0.7: 43 points, the last at 14.4 against the 15 degree edge
+        sector = Sector(center=0.0, width=math.radians(30.0))
+        grid = sector_grid(sector, math.radians(0.7))
+        assert grid.n_points == 43
+        assert abs(grid.min_angle - sector.lo) < 1e-12
+        last = grid.angles()[-1]
+        assert abs(math.degrees(last) - 14.4) < 1e-9
+        assert 0 < sector.hi - last < grid.step
+
 
 class TestGridSteering:
     def test_columns_are_responses(self):
